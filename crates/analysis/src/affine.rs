@@ -483,7 +483,7 @@ pub fn registered_summaries() -> Vec<KernelAccessSummary> {
     use enode_tensor::{conv, dense, matmul, norm};
     // conv2d at the edge image-classifier stage: 4->4 channels, 3x3
     // kernels, 16x16 maps, batch 10 (mirrors `parallelcheck`).
-    let (n, c, m, k, hw) = (10usize, 4usize, 4usize, 3usize, 256usize);
+    let (n, c, m, k) = (10usize, 4usize, 4usize, 3usize);
     let (ch, cw) = (16usize, 16usize);
     // Dense at the three-body dynamic-system stage: batch 16, 12->32.
     let (dn, dd, dout) = (16usize, 12usize, 32usize);
@@ -495,10 +495,10 @@ pub fn registered_summaries() -> Vec<KernelAccessSummary> {
         conv::forward_batch_access(n, c, m, k, ch, cw),
         conv::fused_forward_access(n, c, m, k, ch, cw),
         conv::forward_rows_access(c, m, k, ch, cw),
-        conv::backward_input_batch_access(n, c, m, k, hw),
-        conv::backward_input_channels_access(c, m, k, hw),
-        conv::backward_params_batch_access(n, c, m, k, hw),
-        conv::backward_params_rows_access(n, c, m, k, hw),
+        conv::backward_input_batch_access(n, c, m, k, ch, cw),
+        conv::backward_input_channels_access(c, m, k, ch, cw),
+        conv::backward_params_batch_access(n, c, m, k, ch, cw),
+        conv::backward_params_rows_access(c, m, k, ch, cw),
         dense::forward_access(dn, dd, dout),
         dense::backward_input_access(dn, dd, dout),
         dense::backward_params_access(dn, dd, dout),

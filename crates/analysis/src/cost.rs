@@ -162,19 +162,19 @@ pub fn bench_shape_summaries() -> Vec<(&'static str, KernelAccessSummary)> {
     use enode_tensor::{conv, dense, norm};
     // Bench stage: conv2d 8->8 channels, 3x3, 16x16 maps, batch 8;
     // dense 64->64 at batch 64; groupnorm 8 ch / 4 groups at batch 8.
-    let (n, c, m, k, hw) = (8usize, 8usize, 8usize, 3usize, 256usize);
+    let (n, c, m, k, h, w) = (8usize, 8usize, 8usize, 3usize, 16usize, 16usize);
     vec![
         (
             "conv2d_forward_b8",
-            conv::forward_batch_access(n, c, m, k, 16, 16),
+            conv::forward_batch_access(n, c, m, k, h, w),
         ),
         (
             "conv2d_backward_input_b8",
-            conv::backward_input_batch_access(n, c, m, k, hw),
+            conv::backward_input_batch_access(n, c, m, k, h, w),
         ),
         (
             "conv2d_backward_params_b8",
-            conv::backward_params_batch_access(n, c, m, k, hw),
+            conv::backward_params_batch_access(n, c, m, k, h, w),
         ),
         ("dense_forward_b64", dense::forward_access(64, 64, 64)),
         ("groupnorm_forward_b8", norm::forward_access(8, 8, 4, 256)),

@@ -280,8 +280,12 @@ pub fn registered_splits() -> Vec<KernelSplit> {
     let (n, c, m, k, hw) = (10usize, 4usize, 4usize, 3usize, 256usize);
     let ckk = c * k * k;
     // Direct-conv scratch (mirror of `enode_tensor::conv`): one
-    // zero-padded input plane [C][H+2][W+2] per lane.
+    // zero-padded input plane [C][H+2][W+2] per lane; the input gradient
+    // pads `dy` the same way ([M][H+2][W+2]), and the weight gradient adds
+    // `dy` transposed to [H·W][M rounded up to 8].
     let xpad = c * (16 + 2) * (16 + 2);
+    let dypad = m * (16 + 2) * (16 + 2);
+    let dyt = hw * m.next_multiple_of(8);
     splits.push(KernelSplit {
         kernel: "conv2d.forward (batch split)",
         items: n,
@@ -336,7 +340,7 @@ pub fn registered_splits() -> Vec<KernelSplit> {
             len: n * c * hw,
             elem_bytes: 4,
         }],
-        scratch_f32: None,
+        scratch_f32: Some((dypad, dypad)),
         reduction: None,
     });
     splits.push(KernelSplit {
@@ -349,7 +353,7 @@ pub fn registered_splits() -> Vec<KernelSplit> {
             len: c * hw,
             elem_bytes: 4,
         }],
-        scratch_f32: None,
+        scratch_f32: Some((dypad, dypad)),
         reduction: None,
     });
     let psize = m * ckk + m;
@@ -363,7 +367,7 @@ pub fn registered_splits() -> Vec<KernelSplit> {
             len: n * psize,
             elem_bytes: 4,
         }],
-        scratch_f32: Some((n * psize, n * psize)),
+        scratch_f32: Some((n * psize + xpad + dyt, n * psize + xpad + dyt)),
         reduction: Some(Reduction {
             order: CombineOrder::SerialItemOrder,
             partial_bytes: n * psize * 4,
@@ -375,7 +379,6 @@ pub fn registered_splits() -> Vec<KernelSplit> {
         items: m,
         grain: grain_for(ckk * hw),
         flops_per_item: ckk * hw,
-        // Backward passes keep the plain (unpacked) im2col buffer.
         buffers: vec![
             SplitBuffer {
                 name: "a",
@@ -388,7 +391,7 @@ pub fn registered_splits() -> Vec<KernelSplit> {
                 elem_bytes: 4,
             },
         ],
-        scratch_f32: Some((ckk * hw, ckk * hw)),
+        scratch_f32: Some((xpad + dyt, xpad + dyt)),
         reduction: None,
     });
 

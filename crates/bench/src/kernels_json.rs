@@ -147,14 +147,23 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         &mut || {
             std::hint::black_box(conv.backward_input(&dy));
         },
-        None,
+        Some(&mut || {
+            std::hint::black_box(referent::conv2d_backward_input_ref(&conv, &dy));
+        }),
     );
     push_vs(
         "conv2d_backward_params_b8",
         &mut || {
             std::hint::black_box(conv.backward_params(&x, &dy));
         },
-        None,
+        Some(&mut || {
+            std::hint::black_box(referent::conv2d_backward_params_ref(
+                &conv,
+                &x,
+                &dy,
+                &mut ref_cols,
+            ));
+        }),
     );
 
     // Dense and GroupNorm.

@@ -5,11 +5,13 @@
 //! shipped *before* the packed-panel microkernel rewrite (PR 7): the
 //! panel-blocked 4-unroll `gemm_bias`, the contiguous-row `im2col`, the
 //! naive per-output dense loop, the two-pass GroupNorm, and a replica of
-//! the batched NODE inference path built from them. They are deliberately
-//! not shared with `enode_tensor` — the whole point is that this file does
-//! **not** change when the live kernels do, so `new-kernel speedup vs the
-//! serial referent` is an old-vs-new measurement on the same host, not a
-//! tautology.
+//! the batched NODE inference path built from them. The conv input- and
+//! weight-gradient referents are the scalar loop nest and the im2col
+//! lowering those two passes kept until their own direct SIMD rewrite.
+//! They are deliberately not shared with `enode_tensor` — the whole point
+//! is that this file does **not** change when the live kernels do, so
+//! `new-kernel speedup vs the serial referent` is an old-vs-new
+//! measurement on the same host, not a tautology.
 //!
 //! The referents run serially (callers time them under
 //! `parallel::with_threads(1)`), matching how the live kernels' `secs_low`
@@ -131,6 +133,92 @@ pub fn conv2d_forward_ref(conv: &Conv2d, x: &Tensor, cols: &mut Vec<f32>) -> Ten
         gemm_bias_ref(ys, wmat, bias, cols, ckk, hw);
     }
     y
+}
+
+/// The pre-rewrite conv input gradient: the bounds-tested scalar loop
+/// nest, flipped taps and swapped channel roles, with one partial per
+/// output channel added into `dx` — verbatim serial arithmetic of
+/// `Conv2d::backward_input` (its `backward_input_channels` nest) before
+/// the direct SIMD rewrite.
+pub fn conv2d_backward_input_ref(conv: &Conv2d, dy: &Tensor) -> Tensor {
+    let (n, m, h, w) = dy.shape_obj().nchw();
+    assert_eq!(m, conv.out_channels(), "grad channel mismatch");
+    let c = conv.in_channels();
+    let k = conv.kernel();
+    let pad = (k / 2) as isize;
+    let weight = conv.weight();
+    let mut dx = Tensor::zeros(&[n, c, h, w]);
+    let hw = h * w;
+    for ni in 0..n {
+        let out = &mut dx.data_mut()[ni * c * hw..(ni + 1) * c * hw];
+        for ci in 0..c {
+            let base = ci * h * w;
+            for mi in 0..m {
+                for ih in 0..h {
+                    for iw in 0..w {
+                        let mut acc = 0.0f32;
+                        for kh in 0..k {
+                            for kw in 0..k {
+                                // dx[ih,iw] accumulates dy[oh,ow]*wflip;
+                                // oh = ih - (kh - pad) inverted:
+                                let oh = ih as isize - (kh as isize - pad);
+                                let ow = iw as isize - (kw as isize - pad);
+                                if oh >= 0 && ow >= 0 && (oh as usize) < h && (ow as usize) < w {
+                                    acc += dy.at4(ni, mi, oh as usize, ow as usize)
+                                        * weight.at4(mi, ci, kh, kw);
+                                }
+                            }
+                        }
+                        out[base + ih * w + iw] += acc;
+                    }
+                }
+            }
+        }
+    }
+    dx
+}
+
+/// The pre-rewrite conv weight gradient: per-sample `im2col` into a reused
+/// `cols` buffer, then a serial `dW[m, q] += Σ_p dy[m, p]·cols[q, p]` dot
+/// product per weight and `db[m] += Σ_p dy[m, p]` — verbatim serial
+/// arithmetic of `Conv2d::backward_params` (its `accumulate_param_rows`)
+/// before the direct SIMD rewrite.
+pub fn conv2d_backward_params_ref(
+    conv: &Conv2d,
+    x: &Tensor,
+    dy: &Tensor,
+    cols: &mut Vec<f32>,
+) -> (Tensor, Tensor) {
+    let (n, c, h, w) = x.shape_obj().nchw();
+    let (n2, m, h2, w2) = dy.shape_obj().nchw();
+    assert_eq!((n, h, w), (n2, h2, w2), "x/dy spatial mismatch");
+    assert_eq!(c, conv.in_channels());
+    assert_eq!(m, conv.out_channels());
+    let k = conv.kernel();
+    let ckk = c * k * k;
+    let hw = h * w;
+    let mut dw = Tensor::zeros(&[m, c, k, k]);
+    let mut db = Tensor::zeros(&[m]);
+    cols.resize(ckk * hw, 0.0);
+    let dydata = dy.data();
+    for ni in 0..n {
+        im2col_ref(x, ni, k, cols);
+        let dybase = ni * m * hw;
+        for mi in 0..m {
+            let dyrow = &dydata[dybase + mi * hw..dybase + (mi + 1) * hw];
+            db.data_mut()[mi] += dyrow.iter().sum::<f32>();
+            let dwrow = &mut dw.data_mut()[mi * ckk..(mi + 1) * ckk];
+            for (q, dwv) in dwrow.iter_mut().enumerate() {
+                let crow = &cols[q * hw..(q + 1) * hw];
+                let mut acc = 0.0f32;
+                for (&g, &cv) in dyrow.iter().zip(crow) {
+                    acc += g * cv;
+                }
+                *dwv += acc;
+            }
+        }
+    }
+    (dw, db)
 }
 
 /// The pre-rewrite dense forward: per output feature, a scalar-accumulator

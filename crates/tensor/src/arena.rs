@@ -1,6 +1,6 @@
 //! Thread-local bump arena for `f32` scratch.
 //!
-//! Every hot kernel in this crate (conv im2col panels, packed gemm panels,
+//! Every hot kernel in this crate (conv padded planes, packed gemm panels,
 //! GroupNorm partials, solver stage scratch in `enode-ode`) needs
 //! short-lived `f32` workspace sized per call. Before PR 7 each call site
 //! either allocated a fresh `Vec` or drew from a per-thread free-list of

@@ -14,11 +14,27 @@
 //! All three passes run on the workspace pool ([`crate::parallel`]),
 //! splitting across the batch dimension when it is wide enough and across
 //! output (forward, weight-grad) or input (input-grad) channels otherwise —
-//! the same two axes the eNODE PE array unrolls. The forward pass is a
-//! direct register-blocked convolution over a zero-padded arena copy of
-//! each sample (`pad_sample` / `conv_direct_rows`, with an AVX body
-//! behind `crate::simd`); the weight-gradient pass keeps the im2col
-//! lowering. All kernel scratch comes from the per-thread arena
+//! the same two axes the eNODE PE array unrolls. All three are direct
+//! register-blocked kernels over a zero-padded arena copy of each sample
+//! (`pad_sample`), each with an AVX body behind `crate::simd` that
+//! transcribes its portable body lane for lane:
+//!
+//! - forward (`conv_direct_rows`): taps in `(c, kh, kw)` order over the
+//!   padded `x`, 8-wide blocks along each output row;
+//! - input gradient (`conv_input_grad_rows`): the same walk over the
+//!   padded `dy` with the taps flipped and one partial per output
+//!   channel, 8-wide blocks along each `dx` row;
+//! - weight gradient (`conv_weight_grad_rows`): 8-wide lanes across
+//!   output channels over the padded `x` and `dy` transposed to
+//!   `[H·W][M rounded up to 8]`, one chain per `(m, tap)` over pixels.
+//!
+//! Forward and weight-gradient border taps multiply the zeros an im2col
+//! lowering would have stored, so those chains are the lowering's exactly.
+//! Input-gradient border taps add `0·w`, a bitwise no-op for finite weights
+//! on a partial that starts at `+0.0`, so that chain equals the
+//! bounds-tested loop nest that skips them.
+//!
+//! All kernel scratch comes from the per-thread arena
 //! ([`crate::parallel::with_scratch_f32`]), so repeated solver
 //! evaluations do not touch the allocator. Every decomposition performs
 //! the serial arithmetic in the serial order (reductions combine
@@ -281,7 +297,7 @@ impl Conv2d {
     }
 
     /// Direct (loop-nest) forward convolution — the verification oracle
-    /// for the im2col fast path.
+    /// for the padded fast path.
     pub fn forward_reference(&self, x: &Tensor) -> Tensor {
         let (n, c, h, w) = x.shape_obj().nchw();
         assert_eq!(c, self.in_channels, "input channel mismatch");
@@ -327,79 +343,70 @@ impl Conv2d {
     ///
     /// This is convolution in the backward direction — the same pipeline as
     /// [`Conv2d::forward`] with the kernel flipped and input/output channel
-    /// roles swapped, matching the eNODE unified core (§VI, Fig 9c).
-    /// Parallel across the batch, or across input channels when the batch
-    /// underfills the pool.
+    /// roles swapped, matching the eNODE unified core (§VI, Fig 9c): each
+    /// sample's `dy` is zero-padded into per-thread arena scratch and a
+    /// direct register-blocked kernel (`conv_input_grad_rows`) sweeps the
+    /// flipped taps. Parallel across the batch, or across input channels
+    /// when the batch underfills the pool.
+    ///
+    /// Per element the result is `0.0 + part₀ + part₁ + …` over output
+    /// channels in ascending order, each `part_m` a chain from `+0.0` of
+    /// `dy·w` over the in-bounds taps in `(kh, kw)` order. The kernel also
+    /// visits the taps that land on the zero border; they add `0·w`, which
+    /// for finite weights is a bitwise no-op (a chain that starts at `+0.0`
+    /// can never become `−0.0` under round-to-nearest), so the result is
+    /// the bounds-tested loop nest's, bit for bit, for any split.
     pub fn backward_input(&self, dy: &Tensor) -> Tensor {
         let _kernel = sanitize::kernel_scope("conv2d.backward_input");
         let (n, m, h, w) = dy.shape_obj().nchw();
         assert_eq!(m, self.out_channels, "grad channel mismatch");
         let c = self.in_channels;
+        let k = self.kernel;
         let hw = h * w;
+        let pad = k / 2;
+        let dypad_len = padded_plane_len(m, k, h, w);
+        let wmat = self.weight.data();
         let mut dx = Tensor::zeros(&[n, c, h, w]);
         let dxdata = dx.data_mut();
         if n >= parallel::current_threads() || c == 1 {
             parallel::parallel_for_disjoint(dxdata, n, 1, |range, slab| {
-                for (local, ni) in range.enumerate() {
-                    let s = &mut slab[local * c * hw..(local + 1) * c * hw];
-                    self.backward_input_channels(dy, ni, 0..c, s);
-                }
+                parallel::with_scratch_f32(dypad_len, |dypad| {
+                    for (local, ni) in range.enumerate() {
+                        pad_sample(dy, ni, pad, dypad);
+                        let s = &mut slab[local * c * hw..(local + 1) * c * hw];
+                        conv_input_grad_rows(dypad, wmat, 0..c, s, h, w, c, m, k);
+                    }
+                });
             });
         } else {
-            let grain = parallel::grain_for(m * hw * self.kernel * self.kernel);
-            for ni in 0..n {
-                let slab = &mut dxdata[ni * c * hw..(ni + 1) * c * hw];
-                parallel::parallel_for_disjoint(slab, c, grain, |crange, cslab| {
-                    self.backward_input_channels(dy, ni, crange, cslab);
-                });
-            }
+            // Few samples: pad once per sample, split input channels; the
+            // padded `dy` plane is a shared read.
+            let grain = parallel::grain_for(m * hw * k * k);
+            parallel::with_scratch_f32(dypad_len, |dypad| {
+                for ni in 0..n {
+                    pad_sample(dy, ni, pad, dypad);
+                    let dypad_ref: &[f32] = dypad;
+                    let slab = &mut dxdata[ni * c * hw..(ni + 1) * c * hw];
+                    parallel::parallel_for_disjoint(slab, c, grain, |crange, cslab| {
+                        conv_input_grad_rows(dypad_ref, wmat, crange, cslab, h, w, c, m, k);
+                    });
+                }
+            });
         }
         dx
-    }
-
-    /// The input-gradient loop nest for one sample's channel range,
-    /// writing into `out = dx[ni, crange, :, :]`. Shared by both parallel
-    /// decompositions so the arithmetic (and its order) is identical.
-    fn backward_input_channels(
-        &self,
-        dy: &Tensor,
-        ni: usize,
-        crange: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let (_, m, h, w) = dy.shape_obj().nchw();
-        let k = self.kernel;
-        let pad = (k / 2) as isize;
-        for ci in crange.clone() {
-            let base = (ci - crange.start) * h * w;
-            for mi in 0..m {
-                for ih in 0..h {
-                    for iw in 0..w {
-                        let mut acc = 0.0f32;
-                        for kh in 0..k {
-                            for kw in 0..k {
-                                // dx[ih,iw] accumulates dy[oh,ow]*wflip;
-                                // oh = ih - (kh - pad) inverted:
-                                let oh = ih as isize - (kh as isize - pad);
-                                let ow = iw as isize - (kw as isize - pad);
-                                if oh >= 0 && ow >= 0 && (oh as usize) < h && (ow as usize) < w {
-                                    acc += dy.at4(ni, mi, oh as usize, ow as usize)
-                                        * self.weight.at4(mi, ci, kh, kw);
-                                }
-                            }
-                        }
-                        out[base + ih * w + iw] += acc;
-                    }
-                }
-            }
-        }
     }
 
     /// Weight and bias gradients: given the cached forward input `x` and
     /// `dy = ∂L/∂y`, returns `(dW, db)`.
     ///
-    /// Uses the im2col lowering: `dW[m, q] = Σ_p dy[m, p] · cols[q, p]`.
-    /// The batch reduction combines per-sample partials in sample order (a
+    /// Per sample, `x` is zero-padded and `dy` transposed to
+    /// `[H·W][M rounded up to 8]` in arena scratch, and a direct kernel
+    /// (`conv_weight_grad_rows`) runs 8-wide lanes across output channels:
+    /// each lane of tap `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
+    /// `dy[m, p]·x_q[p]` over pixels `p` in row-major order, border zeros
+    /// included — the im2col lowering's `dW[m, q] = Σ_p dy[m, p]·cols[q, p]`
+    /// chain, element for element, without materializing the columns. The
+    /// batch reduction combines per-sample partials in sample order (a
     /// fixed tree), so the result does not depend on the thread count.
     pub fn backward_params(&self, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
         let _kernel = sanitize::kernel_scope("conv2d.backward_params");
@@ -411,6 +418,9 @@ impl Conv2d {
         let k = self.kernel;
         let ckk = c * k * k;
         let hw = h * w;
+        let pad = k / 2;
+        let xpad_len = padded_plane_len(c, k, h, w);
+        let dyt_len = transposed_grad_len(m, h, w);
         let mut dw = Tensor::zeros(&[m, c, k, k]);
         let mut db = Tensor::zeros(&[m]);
         if n >= parallel::current_threads() || m == 1 {
@@ -419,14 +429,17 @@ impl Conv2d {
             let psize = m * ckk + m;
             parallel::with_scratch_f32(n * psize, |partials| {
                 parallel::parallel_for_disjoint(partials, n, 1, |range, slab| {
-                    parallel::with_scratch_f32(ckk * hw, |cols| {
-                        for (local, ni) in range.enumerate() {
-                            im2col(x, ni, k, cols);
-                            let part = &mut slab[local * psize..(local + 1) * psize];
-                            part.fill(0.0);
-                            let (dwp, dbp) = part.split_at_mut(m * ckk);
-                            accumulate_param_rows(dy, ni, cols, 0..m, dwp, dbp);
-                        }
+                    parallel::with_scratch_f32(xpad_len, |xpad| {
+                        parallel::with_scratch_f32(dyt_len, |dyt| {
+                            for (local, ni) in range.enumerate() {
+                                pad_sample(x, ni, pad, xpad);
+                                transpose_sample(dy, ni, dyt);
+                                let part = &mut slab[local * psize..(local + 1) * psize];
+                                part.fill(0.0);
+                                let (dwp, dbp) = part.split_at_mut(m * ckk);
+                                conv_weight_grad_rows(xpad, dyt, 0..m, dwp, dbp, h, w, c, m, k);
+                            }
+                        });
                     });
                 });
                 let dwd = dw.data_mut();
@@ -441,64 +454,39 @@ impl Conv2d {
                 }
             });
         } else {
-            // Few samples: lower once per sample, split output rows (dW
-            // rows and db entries are disjoint per output channel).
-            parallel::with_scratch_f32(ckk * hw, |cols| {
-                for ni in 0..n {
-                    im2col(x, ni, k, cols);
-                    let cols_ref: &[f32] = cols;
-                    let grain = parallel::grain_for(ckk * hw);
-                    parallel::parallel_for_disjoint2(
-                        dw.data_mut(),
-                        db.data_mut(),
-                        m,
-                        grain,
-                        |mrange, dwrows, dbrows| {
-                            accumulate_param_rows(dy, ni, cols_ref, mrange, dwrows, dbrows);
-                        },
-                    );
-                }
+            // Few samples: pad and transpose once per sample, split output
+            // rows (dW rows and db entries are disjoint per output channel);
+            // both planes are shared reads.
+            let grain = parallel::grain_for(ckk * hw);
+            parallel::with_scratch_f32(xpad_len, |xpad| {
+                parallel::with_scratch_f32(dyt_len, |dyt| {
+                    for ni in 0..n {
+                        pad_sample(x, ni, pad, xpad);
+                        transpose_sample(dy, ni, dyt);
+                        let (xpad_ref, dyt_ref): (&[f32], &[f32]) = (xpad, dyt);
+                        parallel::parallel_for_disjoint2(
+                            dw.data_mut(),
+                            db.data_mut(),
+                            m,
+                            grain,
+                            |mrange, dwrows, dbrows| {
+                                conv_weight_grad_rows(
+                                    xpad_ref, dyt_ref, mrange, dwrows, dbrows, h, w, c, m, k,
+                                );
+                            },
+                        );
+                    }
+                });
             });
         }
         (dw, db)
     }
 }
 
-/// Accumulates `dW[mrange, :] += dy[ni, mrange, :] · colsᵀ` and
-/// `db[mrange] += Σ dy[ni, mrange, :]` into row slices local to `mrange`.
-/// Shared by both weight-gradient decompositions so the arithmetic (and
-/// its order) is identical.
-fn accumulate_param_rows(
-    dy: &Tensor,
-    ni: usize,
-    cols: &[f32],
-    mrange: std::ops::Range<usize>,
-    dwrows: &mut [f32],
-    dbrows: &mut [f32],
-) {
-    let (_, m, h, w) = dy.shape_obj().nchw();
-    let hw = h * w;
-    let ckk = dwrows.len() / mrange.len().max(1);
-    let dydata = dy.data();
-    let dybase = ni * m * hw;
-    for mi in mrange.clone() {
-        let local = mi - mrange.start;
-        let dyrow = &dydata[dybase + mi * hw..dybase + (mi + 1) * hw];
-        dbrows[local] += dyrow.iter().sum::<f32>();
-        let dwrow = &mut dwrows[local * ckk..(local + 1) * ckk];
-        for (q, dwv) in dwrow.iter_mut().enumerate() {
-            let crow = &cols[q * hw..(q + 1) * hw];
-            let mut acc = 0.0f32;
-            for (&g, &cv) in dyrow.iter().zip(crow) {
-                acc += g * cv;
-            }
-            *dwv += acc;
-        }
-    }
-}
-
 /// Unfolds sample `ni` of `x` into the `[C·K·K, H·W]` column matrix with
-/// "same" zero padding (row `q = (c·K + kh)·K + kw`).
+/// "same" zero padding (row `q = (c·K + kh)·K + kw`) — the lowering the
+/// direct forward kernel is tested against.
+#[cfg(test)]
 fn im2col(x: &Tensor, ni: usize, k: usize, cols: &mut [f32]) {
     let (_, c, h, w) = x.shape_obj().nchw();
     let pad = (k / 2) as isize;
@@ -551,6 +539,26 @@ fn pad_sample(x: &Tensor, ni: usize, pad: usize, dst: &mut [f32]) {
         for ih in 0..h {
             let base = (ih + pad) * pw + pad;
             dch[base..base + w].copy_from_slice(&xch[ih * w..(ih + 1) * w]);
+        }
+    }
+}
+
+/// Transposes sample `ni` of `dy = [N, M, H, W]` into
+/// `dst = [H·W][M rounded up to 8]` (pixel-major, output channels
+/// contiguous) for the weight-gradient kernel, zeroing the padding lanes
+/// (arena scratch is reused dirty).
+fn transpose_sample(dy: &Tensor, ni: usize, dst: &mut [f32]) {
+    let (_, m, h, w) = dy.shape_obj().nchw();
+    let hw = h * w;
+    let mr = m.next_multiple_of(GRAD_LANES);
+    debug_assert_eq!(dst.len(), hw * mr);
+    let plane = &dy.data()[ni * m * hw..(ni + 1) * m * hw];
+    if m < mr {
+        dst.fill(0.0);
+    }
+    for (mi, ch) in plane.chunks_exact(hw.max(1)).enumerate() {
+        for (p, &g) in ch.iter().enumerate() {
+            dst[p * mr + mi] = g;
         }
     }
 }
@@ -734,6 +742,379 @@ unsafe fn conv_direct_rows_avx(
     }
 }
 
+/// Input-gradient convolution of one zero-padded `dy` sample
+/// (`dypad = [M][H+2·pad][W+2·pad]`, see [`pad_sample`]) over the input-
+/// channel range `crange`, writing `out = dx[ni, crange, :, :]`.
+///
+/// Tap `(kh, kw)` of output channel `m` reads `dy` at row offset
+/// `K−1−kh` and column offset `K−1−kw` of the padded plane — the forward
+/// kernel's walk with the taps flipped. Per output element the chain is
+/// `0.0`, then `+= part_m` for each `m` in ascending order, where `part_m`
+/// starts at `+0.0` and accumulates `dy·w` over taps in ascending
+/// `(kh, kw)` order. Border taps add `dy_pad·w = 0·w`, which leaves a
+/// `+0.0`-started chain bitwise unchanged when `w` is finite, so the result
+/// equals the loop nest that skips out-of-bounds taps, independent of both
+/// the split and the SIMD dispatch below.
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+fn conv_input_grad_rows(
+    dypad: &[f32],
+    wmat: &[f32],
+    crange: std::ops::Range<usize>,
+    out: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    // Once per call: the AVX body's pointer walk relies on every one.
+    assert_eq!(k % 2, 1, "odd kernel");
+    assert_eq!(dypad.len(), padded_plane_len(m, k, h, w));
+    assert_eq!(wmat.len(), m * c * k * k);
+    assert!(crange.end <= c);
+    assert_eq!(out.len(), crange.len() * h * w);
+    #[cfg(target_arch = "x86_64")]
+    if w.is_multiple_of(8) && crate::simd::avx() {
+        // SAFETY: AVX is present (runtime check); the kernel is odd and the
+        // slice lengths and channel range are asserted above, so every load
+        // (at most K−1 rows and columns past an output pixel, inside the
+        // padded plane) and every store stays inside its slice.
+        unsafe { conv_input_grad_rows_avx(dypad, wmat, crange, out, h, w, c, m, k) };
+        return;
+    }
+    conv_input_grad_rows_portable(dypad, wmat, crange, out, h, w, c, m, k);
+}
+
+/// Portable body of [`conv_input_grad_rows`]: per output row, 8-wide
+/// chunks, each accumulating one output channel's partial over the
+/// flipped taps before adding it into the row — lane for lane the AVX
+/// body's arithmetic.
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+fn conv_input_grad_rows_portable(
+    dypad: &[f32],
+    wmat: &[f32],
+    crange: std::ops::Range<usize>,
+    out: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    let pad = k / 2;
+    let pw = w + 2 * pad;
+    let phpw = (h + 2 * pad) * pw;
+    let kk = k * k;
+    let last = k - 1;
+    for (local, ci) in crange.enumerate() {
+        for ih in 0..h {
+            let orow = &mut out[(local * h + ih) * w..(local * h + ih + 1) * w];
+            orow.fill(0.0);
+            for mi in 0..m {
+                let taps = &wmat[(mi * c + ci) * kk..(mi * c + ci + 1) * kk];
+                let dplane = &dypad[mi * phpw..(mi + 1) * phpw];
+                for (b, ochunk) in orow.chunks_mut(8).enumerate() {
+                    let mut part = [0.0f32; 8];
+                    for kh in 0..k {
+                        let drow = &dplane[(ih + last - kh) * pw + b * 8..];
+                        for kw in 0..k {
+                            let tap = taps[kh * k + kw];
+                            let dseg = &drow[last - kw..last - kw + ochunk.len()];
+                            for (pv, &dv) in part.iter_mut().zip(dseg) {
+                                *pv += dv * tap;
+                            }
+                        }
+                    }
+                    for (ov, pv) in ochunk.iter_mut().zip(part) {
+                        *ov += pv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// AVX body of [`conv_input_grad_rows`] (`w % 8 == 0`): each input-channel
+/// plane is tiled into 8-wide blocks, processed four at a time, with one
+/// output accumulator and one per-channel partial per block. Each lane runs
+/// the portable body's chain — mul then add, never FMA — so the result is
+/// bitwise identical to it.
+///
+/// # Safety
+///
+/// The host must support AVX, `w` must be a multiple of 8, and the
+/// arguments must satisfy the length and range assertions of
+/// [`conv_input_grad_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+unsafe fn conv_input_grad_rows_avx(
+    dypad: &[f32],
+    wmat: &[f32],
+    crange: std::ops::Range<usize>,
+    out: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    use std::arch::x86_64::*;
+    let pad = k / 2;
+    let pw = w + 2 * pad;
+    let phpw = (h + 2 * pad) * pw;
+    let kk = k * k;
+    let last = k - 1;
+    let wblocks = w / 8; // caller guarantees w % 8 == 0
+    let blocks = h * wblocks;
+    let dp = dypad.as_ptr();
+    for (local, ci) in crange.enumerate() {
+        let oplane = out.as_mut_ptr().add(local * h * w);
+        // Four blocks per pass; a short last pass fills its spare slots
+        // with its final block, which they recompute and store unchanged.
+        for j in (0..blocks).step_by(4) {
+            let bj = [j, j + 1, j + 2, j + 3].map(|b| b.min(blocks - 1));
+            // Padded-plane offset of each block's lane 0 at tap
+            // (K−1, K−1), the plane's top-left corner.
+            let off = bj.map(|b| (b / wblocks) * pw + (b % wblocks) * 8);
+            let mut o0 = _mm256_setzero_ps();
+            let mut o1 = _mm256_setzero_ps();
+            let mut o2 = _mm256_setzero_ps();
+            let mut o3 = _mm256_setzero_ps();
+            for mi in 0..m {
+                // Tap (kh, kw) of block t reads `d_t − (kh·pw + kw)`, where
+                // `d_t` is the block's lane 0 at tap (0, 0).
+                let dm = dp.add(mi * phpw + last * pw + last);
+                let (d0, d1, d2, d3) = (
+                    dm.add(off[0]),
+                    dm.add(off[1]),
+                    dm.add(off[2]),
+                    dm.add(off[3]),
+                );
+                let mut q = wmat.as_ptr().add((mi * c + ci) * kk);
+                let mut p0 = _mm256_setzero_ps();
+                let mut p1 = _mm256_setzero_ps();
+                let mut p2 = _mm256_setzero_ps();
+                let mut p3 = _mm256_setzero_ps();
+                for kh in 0..k {
+                    for kw in 0..k {
+                        let back = kh * pw + kw;
+                        let tap = _mm256_broadcast_ss(&*q);
+                        q = q.add(1);
+                        p0 = _mm256_add_ps(p0, _mm256_mul_ps(_mm256_loadu_ps(d0.sub(back)), tap));
+                        p1 = _mm256_add_ps(p1, _mm256_mul_ps(_mm256_loadu_ps(d1.sub(back)), tap));
+                        p2 = _mm256_add_ps(p2, _mm256_mul_ps(_mm256_loadu_ps(d2.sub(back)), tap));
+                        p3 = _mm256_add_ps(p3, _mm256_mul_ps(_mm256_loadu_ps(d3.sub(back)), tap));
+                    }
+                }
+                o0 = _mm256_add_ps(o0, p0);
+                o1 = _mm256_add_ps(o1, p1);
+                o2 = _mm256_add_ps(o2, p2);
+                o3 = _mm256_add_ps(o3, p3);
+            }
+            // Blocks tile the row-major plane exactly, so block b's
+            // output starts at element b·8.
+            _mm256_storeu_ps(oplane.add(bj[0] * 8), o0);
+            _mm256_storeu_ps(oplane.add(bj[1] * 8), o1);
+            _mm256_storeu_ps(oplane.add(bj[2] * 8), o2);
+            _mm256_storeu_ps(oplane.add(bj[3] * 8), o3);
+        }
+    }
+}
+
+/// Output channels per lane group of the weight-gradient kernel (one AVX
+/// vector); the transposed `dy` rows are padded to a multiple of it.
+const GRAD_LANES: usize = 8;
+
+/// Weight and bias gradients of one sample over the output-channel range
+/// `mrange`, from its zero-padded input (`xpad = [C][H+2·pad][W+2·pad]`,
+/// see [`pad_sample`]) and its transposed output gradient
+/// (`dyt = [H·W][M rounded up to 8]`, see [`transpose_sample`]):
+/// `dwrows[m, q] += Σ_p dy[m, p]·x_q[p]` and `dbrows[m] += Σ_p dy[m, p]`,
+/// rows local to `mrange`.
+///
+/// Lanes run across output channels in aligned groups of eight, so every
+/// lane of tap `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
+/// `dy[m, p]·x_q[p]` over pixels `p` in row-major order, border zeros
+/// included — exactly the im2col lowering's per-`(m, q)` dot product.
+/// The bias lane sums start at `+0.0`; a serial `Iterator::sum` may start
+/// at `−0.0`, but the two differ only in the sign of an all-zero sum, which
+/// the `+=` into a `+0.0`-started gradient erases. Lanes outside `mrange`
+/// (group edges, padding channels) are computed and dropped.
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+fn conv_weight_grad_rows(
+    xpad: &[f32],
+    dyt: &[f32],
+    mrange: std::ops::Range<usize>,
+    dwrows: &mut [f32],
+    dbrows: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    // Once per call: the AVX body's pointer walk relies on every one.
+    assert_eq!(k % 2, 1, "odd kernel");
+    assert_eq!(xpad.len(), padded_plane_len(c, k, h, w));
+    assert_eq!(dyt.len(), transposed_grad_len(m, h, w));
+    assert!(mrange.end <= m);
+    assert_eq!(dwrows.len(), mrange.len() * c * k * k);
+    assert_eq!(dbrows.len(), mrange.len());
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX is present (runtime check); the kernel is odd and the
+        // slice lengths and channel range are asserted above, so every load
+        // stays inside them (a tap's pixel walk ends inside the padded
+        // plane, and a lane group ends at or before the padded row length);
+        // the stores go through bounds-checked indexing.
+        unsafe { conv_weight_grad_rows_avx(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k) };
+        return;
+    }
+    conv_weight_grad_rows_portable(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k);
+}
+
+/// Adds the lanes of one output-channel group that fall in `mrange` into
+/// their rows: `rows[(mi − mrange.start)·stride + col] += lanes[mi − lane0]`.
+fn add_group_lanes(
+    rows: &mut [f32],
+    stride: usize,
+    col: usize,
+    mrange: &std::ops::Range<usize>,
+    lane0: usize,
+    lanes: &[f32; GRAD_LANES],
+) {
+    let live = lane0.max(mrange.start)..(lane0 + GRAD_LANES).min(mrange.end);
+    for mi in live {
+        rows[(mi - mrange.start) * stride + col] += lanes[mi - lane0];
+    }
+}
+
+/// Portable body of [`conv_weight_grad_rows`]: per lane group and tap, an
+/// 8-lane accumulator swept over the pixels — lane for lane the AVX
+/// body's arithmetic.
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+fn conv_weight_grad_rows_portable(
+    xpad: &[f32],
+    dyt: &[f32],
+    mrange: std::ops::Range<usize>,
+    dwrows: &mut [f32],
+    dbrows: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    let pad = k / 2;
+    let pw = w + 2 * pad;
+    let phpw = (h + 2 * pad) * pw;
+    let ckk = c * k * k;
+    let mr = m.next_multiple_of(GRAD_LANES);
+    for g in mrange.start / GRAD_LANES..mrange.end.div_ceil(GRAD_LANES) {
+        let lane0 = g * GRAD_LANES;
+        let mut sum = [0.0f32; GRAD_LANES];
+        for p in 0..h * w {
+            let d = &dyt[p * mr + lane0..p * mr + lane0 + GRAD_LANES];
+            for (sv, &dv) in sum.iter_mut().zip(d) {
+                *sv += dv;
+            }
+        }
+        add_group_lanes(dbrows, 1, 0, &mrange, lane0, &sum);
+        for q in 0..ckk {
+            let (ci, kh, kw) = (q / (k * k), q / k % k, q % k);
+            let base = ci * phpw + kh * pw + kw;
+            let mut acc = [0.0f32; GRAD_LANES];
+            for oh in 0..h {
+                let xrow = &xpad[base + oh * pw..base + oh * pw + w];
+                for (ow, &xv) in xrow.iter().enumerate() {
+                    let p = oh * w + ow;
+                    let d = &dyt[p * mr + lane0..p * mr + lane0 + GRAD_LANES];
+                    for (av, &dv) in acc.iter_mut().zip(d) {
+                        *av += dv * xv;
+                    }
+                }
+            }
+            add_group_lanes(dwrows, ckk, q, &mrange, lane0, &acc);
+        }
+    }
+}
+
+/// AVX body of [`conv_weight_grad_rows`]: one vector per lane group, four
+/// taps at a time sharing each pixel's `dy` load (four independent chains
+/// hide the vector-add latency). Each lane runs the portable body's chain
+/// — mul then add, never FMA — so the result is bitwise identical to it.
+///
+/// # Safety
+///
+/// The host must support AVX, and the arguments must satisfy the length
+/// and range assertions of [`conv_weight_grad_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+unsafe fn conv_weight_grad_rows_avx(
+    xpad: &[f32],
+    dyt: &[f32],
+    mrange: std::ops::Range<usize>,
+    dwrows: &mut [f32],
+    dbrows: &mut [f32],
+    h: usize,
+    w: usize,
+    c: usize,
+    m: usize,
+    k: usize,
+) {
+    use std::arch::x86_64::*;
+    let pad = k / 2;
+    let pw = w + 2 * pad;
+    let phpw = (h + 2 * pad) * pw;
+    let ckk = c * k * k;
+    let mr = m.next_multiple_of(GRAD_LANES);
+    let tap_offset = |q: usize| (q / (k * k)) * phpw + (q / k % k) * pw + q % k;
+    let xp = xpad.as_ptr();
+    let mut lanes = [0.0f32; GRAD_LANES];
+    for g in mrange.start / GRAD_LANES..mrange.end.div_ceil(GRAD_LANES) {
+        let lane0 = g * GRAD_LANES;
+        let dg = dyt.as_ptr().add(lane0);
+        let mut sum = _mm256_setzero_ps();
+        for p in 0..h * w {
+            sum = _mm256_add_ps(sum, _mm256_loadu_ps(dg.add(p * mr)));
+        }
+        _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+        add_group_lanes(dbrows, 1, 0, &mrange, lane0, &lanes);
+        // Four taps per pass; a short last pass fills its spare slots with
+        // its final tap and drops their sums.
+        for q in (0..ckk).step_by(4) {
+            let t = [q, q + 1, q + 2, q + 3].map(|t| t.min(ckk - 1));
+            // One base pointer per tap: pixel (oh, ow) of every tap sits
+            // at the same offset `oh·pw + ow` from its base.
+            let x0 = xp.add(tap_offset(t[0]));
+            let x1 = xp.add(tap_offset(t[1]));
+            let x2 = xp.add(tap_offset(t[2]));
+            let x3 = xp.add(tap_offset(t[3]));
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            let mut d = dg;
+            for oh in 0..h {
+                for o in oh * pw..oh * pw + w {
+                    let dv = _mm256_loadu_ps(d);
+                    d = d.add(mr);
+                    a0 = _mm256_add_ps(a0, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x0.add(o))));
+                    a1 = _mm256_add_ps(a1, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x1.add(o))));
+                    a2 = _mm256_add_ps(a2, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x2.add(o))));
+                    a3 = _mm256_add_ps(a3, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x3.add(o))));
+                }
+            }
+            for (i, a) in [a0, a1, a2, a3].into_iter().enumerate().take(ckk - q) {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), a);
+                add_group_lanes(dwrows, ckk, q + i, &mrange, lane0, &lanes);
+            }
+        }
+    }
+}
+
 /// Per-item (per-sample) flop estimate of the fused
 /// conv→GroupNorm→activation kernel. Shared by the live grain computation
 /// in [`Conv2d::forward_fused`] and the registered access summary, so the
@@ -770,6 +1151,13 @@ use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, St
 pub fn padded_plane_len(c: usize, k: usize, h: usize, w: usize) -> usize {
     let pad = k / 2;
     c * (h + 2 * pad) * (w + 2 * pad)
+}
+
+/// Per-sample transposed `dy` scratch of the weight-gradient kernel
+/// (`[H·W][M rounded up to 8]`). Shared by the live kernel and the access
+/// summaries below.
+pub fn transposed_grad_len(m: usize, h: usize, w: usize) -> usize {
+    h * w * m.next_multiple_of(GRAD_LANES)
 }
 
 /// Access summary of the batch split in [`Conv2d::forward`]: item `ni`
@@ -895,14 +1283,17 @@ pub fn forward_rows_access(
 
 /// Access summary of the batch split in [`Conv2d::backward_input`]:
 /// item `ni` writes `dx[ni, :, :, :]` and reads `dy[ni, :, :, :]` plus
-/// the resident (flipped) weights.
+/// the resident (flipped) weights; the zero-padded `dy` plane is a
+/// per-thread arena.
 pub fn backward_input_batch_access(
     n: usize,
     c: usize,
     m: usize,
     k: usize,
-    hw: usize,
+    h: usize,
+    w: usize,
 ) -> KernelAccessSummary {
+    let hw = h * w;
     KernelAccessSummary {
         kernel: "conv2d.backward_input (batch split)",
         items: n,
@@ -918,20 +1309,24 @@ pub fn backward_input_batch_access(
             StridedAccess::contiguous("dy", AccessKind::Read, m * hw),
             StridedAccess::broadcast_read("w", m * c * k * k),
         ],
-        scratch: vec![],
+        scratch: vec![ScratchDecl::arena("dypad", padded_plane_len(m, k, h, w))],
     }
 }
 
 /// Access summary of the channel split in [`Conv2d::backward_input`]
 /// (batch underfills the pool): item `ci` writes one sample's channel
-/// plane `dxs[ci·hw ..]`; `dy` and the weights are shared reads (the
+/// plane `dxs[ci·hw ..]`; the shared zero-padded `dy` plane (padded
+/// serially before the split) and the weights are broadcast reads (the
 /// weight column walk per channel is modeled as a broadcast).
 pub fn backward_input_channels_access(
     c: usize,
     m: usize,
     k: usize,
-    hw: usize,
+    h: usize,
+    w: usize,
 ) -> KernelAccessSummary {
+    let hw = h * w;
+    let dypad_len = padded_plane_len(m, k, h, w);
     KernelAccessSummary {
         kernel: "conv2d.backward_input (channel split)",
         items: c,
@@ -939,30 +1334,33 @@ pub fn backward_input_channels_access(
         flops_per_item: m * hw * k * k,
         regions: vec![
             RegionDecl::output("dxs", c * hw),
-            RegionDecl::input("dys", m * hw),
+            RegionDecl::input("dypad", dypad_len),
             RegionDecl::input("w", m * c * k * k),
         ],
         accesses: vec![
             StridedAccess::contiguous("dxs", AccessKind::Write, hw),
-            StridedAccess::broadcast_read("dys", m * hw),
+            StridedAccess::broadcast_read("dypad", dypad_len),
             StridedAccess::broadcast_read("w", m * c * k * k),
         ],
-        scratch: vec![],
+        scratch: vec![ScratchDecl::arena("dypad", dypad_len)],
     }
 }
 
 /// Access summary of the batch split in [`Conv2d::backward_params`]:
 /// item `ni` writes its own `(dW, db)` partial stride of the scratch
 /// partials buffer; the serial sample-order fold happens after the join
-/// and is outside the parallel phase.
+/// and is outside the parallel phase. The zero-padded `x` plane and the
+/// transposed `dy` are per-thread arenas.
 pub fn backward_params_batch_access(
     n: usize,
     c: usize,
     m: usize,
     k: usize,
-    hw: usize,
+    h: usize,
+    w: usize,
 ) -> KernelAccessSummary {
     let ckk = c * k * k;
+    let hw = h * w;
     let psize = m * ckk + m;
     KernelAccessSummary {
         kernel: "conv2d.backward_params (batch split)",
@@ -981,7 +1379,8 @@ pub fn backward_params_batch_access(
         ],
         scratch: vec![
             ScratchDecl::arena("partials", n * psize),
-            ScratchDecl::arena("cols", ckk * hw),
+            ScratchDecl::arena("xpad", padded_plane_len(c, k, h, w)),
+            ScratchDecl::arena("dyt", transposed_grad_len(m, h, w)),
         ],
     }
 }
@@ -989,15 +1388,19 @@ pub fn backward_params_batch_access(
 /// Access summary of the row split in [`Conv2d::backward_params`]
 /// (batch underfills the pool): item `mi` owns `dW[mi, :]` and `db[mi]`
 /// (a `parallel_for_disjoint2` over both), accumulating one sample per
-/// parallel region; `dy` and the shared im2col columns are broadcasts.
+/// parallel region; the shared zero-padded `x` plane and transposed `dy`
+/// (both prepared serially before the split) are broadcast reads.
 pub fn backward_params_rows_access(
-    n: usize,
     c: usize,
     m: usize,
     k: usize,
-    hw: usize,
+    h: usize,
+    w: usize,
 ) -> KernelAccessSummary {
     let ckk = c * k * k;
+    let hw = h * w;
+    let xpad_len = padded_plane_len(c, k, h, w);
+    let dyt_len = transposed_grad_len(m, h, w);
     KernelAccessSummary {
         kernel: "conv2d.backward_params (row split)",
         items: m,
@@ -1006,8 +1409,8 @@ pub fn backward_params_rows_access(
         regions: vec![
             RegionDecl::output("dw", m * ckk),
             RegionDecl::output("db", m),
-            RegionDecl::input("dy", n * m * hw),
-            RegionDecl::input("cols", ckk * hw),
+            RegionDecl::input("xpad", xpad_len),
+            RegionDecl::input("dyt", dyt_len),
         ],
         accesses: vec![
             StridedAccess::contiguous("dw", AccessKind::Write, ckk),
@@ -1019,10 +1422,13 @@ pub fn backward_params_rows_access(
                 elem_stride: 1,
                 count: 1,
             },
-            StridedAccess::broadcast_read("dy", n * m * hw),
-            StridedAccess::broadcast_read("cols", ckk * hw),
+            StridedAccess::broadcast_read("xpad", xpad_len),
+            StridedAccess::broadcast_read("dyt", dyt_len),
         ],
-        scratch: vec![ScratchDecl::arena("cols", ckk * hw)],
+        scratch: vec![
+            ScratchDecl::arena("xpad", xpad_len),
+            ScratchDecl::arena("dyt", dyt_len),
+        ],
     }
 }
 
@@ -1202,6 +1608,106 @@ mod tests {
             let mut dispatched = vec![1.0f32; m * hh * ww];
             conv_direct_rows(&xpad, wd, bd, 0..m, &mut dispatched, hh, ww, c, k);
             assert_eq!(portable, dispatched, "w={ww} k={k}");
+        }
+    }
+
+    #[test]
+    fn input_grad_avx_and_portable_agree_bitwise() {
+        // Dispatch transparency of `conv_input_grad_rows`, over a full
+        // channel range and a partial one (the channel split's shape); 5
+        // blocks of 8 leave the AVX body a short last pass.
+        type Body = fn(
+            &[f32],
+            &[f32],
+            std::ops::Range<usize>,
+            &mut [f32],
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+        );
+        for (c, m, hh, ww, k) in [
+            (4usize, 4usize, 8usize, 8usize, 3usize),
+            (3, 5, 2, 16, 5),
+            (2, 9, 5, 8, 1),
+        ] {
+            let conv = Conv2d::new_seeded(c, m, k, 41);
+            let dy = init::uniform(&[1, m, hh, ww], -1.0, 1.0, 43);
+            let mut dypad = vec![0.0f32; padded_plane_len(m, k, hh, ww)];
+            pad_sample(&dy, 0, k / 2, &mut dypad);
+            for crange in [0..c, 1..c] {
+                let run = |body: Body| {
+                    let mut out = vec![1.0f32; crange.len() * hh * ww];
+                    body(
+                        &dypad,
+                        conv.weight().data(),
+                        crange.clone(),
+                        &mut out,
+                        hh,
+                        ww,
+                        c,
+                        m,
+                        k,
+                    );
+                    out
+                };
+                let portable = run(conv_input_grad_rows_portable);
+                assert_eq!(portable, run(conv_input_grad_rows), "w={ww} k={k} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn weight_grad_avx_and_portable_agree_bitwise() {
+        // Dispatch transparency of `conv_weight_grad_rows`, over the full
+        // output-channel range and ranges that start and end inside a lane
+        // group (the row split's shape), accumulating into non-zero rows;
+        // 75 and 2 taps leave the AVX body a short last pass.
+        type Body = fn(
+            &[f32],
+            &[f32],
+            std::ops::Range<usize>,
+            &mut [f32],
+            &mut [f32],
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+        );
+        for (c, m, hh, ww, k) in [
+            (4usize, 4usize, 8usize, 8usize, 3usize),
+            (3, 9, 2, 16, 5),
+            (2, 11, 5, 3, 1),
+        ] {
+            let x = init::uniform(&[1, c, hh, ww], -1.0, 1.0, 47);
+            let dy = init::uniform(&[1, m, hh, ww], -1.0, 1.0, 53);
+            let mut xpad = vec![0.0f32; padded_plane_len(c, k, hh, ww)];
+            pad_sample(&x, 0, k / 2, &mut xpad);
+            let mut dyt = vec![f32::NAN; transposed_grad_len(m, hh, ww)];
+            transpose_sample(&dy, 0, &mut dyt);
+            for mrange in [0..m, 1..m - 1] {
+                let run = |body: Body| {
+                    let mut dw = vec![0.5f32; mrange.len() * c * k * k];
+                    let mut db = vec![0.25f32; mrange.len()];
+                    body(
+                        &xpad,
+                        &dyt,
+                        mrange.clone(),
+                        &mut dw,
+                        &mut db,
+                        hh,
+                        ww,
+                        c,
+                        m,
+                        k,
+                    );
+                    (dw, db)
+                };
+                let portable = run(conv_weight_grad_rows_portable);
+                assert_eq!(portable, run(conv_weight_grad_rows), "w={ww} k={k} m={m}");
+            }
         }
     }
 

@@ -761,9 +761,9 @@ pub fn join<RA: Send, RB: Send>(
 
 /// Borrows a reusable per-thread `f32` scratch buffer of exactly `len`
 /// elements. Buffers come from the thread-local bump arena
-/// ([`crate::arena`]), so repeated kernel calls (e.g. im2col inside a
-/// solver loop) stop churning the allocator; nested checkouts on one
-/// thread get distinct buffers.
+/// ([`crate::arena`]), so repeated kernel calls (e.g. a conv's padded
+/// plane inside a solver loop) stop churning the allocator; nested
+/// checkouts on one thread get distinct buffers.
 ///
 /// The buffer's contents are unspecified on entry — callers must fully
 /// overwrite what they read.

@@ -7,7 +7,9 @@
 //! `assert_eq!` — no tolerances. Shapes are chosen to be awkward:
 //! batch 1 (degenerate batch split), a single output channel (degenerate
 //! channel split), and H·W = 15 (not divisible by 2 or 4), so chunk
-//! boundaries land mid-structure in every decomposition.
+//! boundaries land mid-structure in every decomposition; the conv cases
+//! add 8×8 maps so the forward and input-gradient AVX bodies (which need
+//! a width that is a multiple of 8) run too.
 
 use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
@@ -37,7 +39,10 @@ fn conv_cases() -> Vec<(Conv2d, Tensor, Tensor)> {
     // (conv, x, dy) triples covering both decomposition branches:
     //  - n >= threads (batch split) and n < threads (per-sample split),
     //  - m = 1 (single output channel) and c = 1 (single input channel),
-    //  - H*W = 15, not divisible by 2 or 4.
+    //  - H*W = 15, not divisible by 2 or 4,
+    //  - 8x8 maps (the training shape) at batch 8 and 2, whose width is a
+    //    multiple of 8, so the forward and input-gradient AVX bodies run
+    //    under both splits.
     vec![
         (
             Conv2d::new_seeded(3, 4, 3, 11),
@@ -58,6 +63,16 @@ fn conv_cases() -> Vec<(Conv2d, Tensor, Tensor)> {
             Conv2d::new_seeded(1, 3, 1, 41),
             init::uniform(&[3, 1, 5, 3], -1.0, 1.0, 42),
             init::uniform(&[3, 3, 5, 3], -1.0, 1.0, 43),
+        ),
+        (
+            Conv2d::new_seeded(4, 4, 3, 51),
+            init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 52),
+            init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 53),
+        ),
+        (
+            Conv2d::new_seeded(4, 4, 3, 61),
+            init::uniform(&[2, 4, 8, 8], -1.0, 1.0, 62),
+            init::uniform(&[2, 4, 8, 8], -1.0, 1.0, 63),
         ),
     ]
 }

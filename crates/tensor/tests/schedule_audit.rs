@@ -28,11 +28,20 @@ fn bufs(ts: &[&Tensor]) -> Vec<Vec<f32>> {
 fn conv2d_all_three_passes_survive_schedule_audit() {
     // Batch 8 keeps the batch split live up to 7 threads; batch 2 forces
     // the channel/row splits at 4 and 7 threads — the audit matrix covers
-    // both decompositions of each pass.
-    for (i, n) in [8usize, 2].into_iter().enumerate() {
-        let conv = Conv2d::new_seeded(3, 4, 3, 11);
-        let x = init::uniform(&[n, 3, 5, 3], -1.0, 1.0, 12);
-        let dy = init::uniform(&[n, 4, 5, 3], -1.0, 1.0, 13);
+    // both decompositions of each pass. The forward and input-gradient
+    // AVX bodies need a width that is a multiple of 8: the 5×3 maps take
+    // their portable bodies, the 8×8 maps (the training shape) the AVX
+    // ones.
+    let cases = [
+        (8usize, 3usize, 4usize, 5usize, 3usize),
+        (2, 3, 4, 5, 3),
+        (8, 4, 4, 8, 8),
+        (2, 4, 4, 8, 8),
+    ];
+    for (i, (n, c, m, h, w)) in cases.into_iter().enumerate() {
+        let conv = Conv2d::new_seeded(c, m, 3, 11);
+        let x = init::uniform(&[n, c, h, w], -1.0, 1.0, 12);
+        let dy = init::uniform(&[n, m, h, w], -1.0, 1.0, 13);
         audit::assert_deterministic(&format!("conv2d.forward case {i}"), || {
             bufs(&[&conv.forward(&x)])
         });
