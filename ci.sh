@@ -62,6 +62,12 @@ cargo run -q --release -p enode-bench --bin serve_bench -- --smoke >/dev/null
 echo "==> fleet_bench smoke run (--smoke: JSON validated, residency fields present)"
 cargo run -q --release -p enode-bench --bin fleet_bench -- --smoke >/dev/null
 
+echo "==> serve_bench --check (BENCH_serve.json identity with a full regenerated sweep, host metadata skipped)"
+cargo run -q --release -p enode-bench --bin serve_bench -- --check >/dev/null
+
+echo "==> fleet_bench --check (BENCH_fleet.json identity with a full regenerated sweep, host metadata skipped)"
+cargo run -q --release -p enode-bench --bin fleet_bench -- --check >/dev/null
+
 echo "==> cost_table_json --check (COST_TABLE.json byte identity with the simulator)"
 cargo run -q --release -p enode-bench --bin cost_table_json -- --check
 

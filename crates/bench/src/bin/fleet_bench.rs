@@ -4,6 +4,7 @@
 //! cargo run --release -p enode-bench --bin fleet_bench              # full sweep -> BENCH_fleet.json
 //! cargo run --release -p enode-bench --bin fleet_bench -- --quick /tmp/fleet.json
 //! cargo run --release -p enode-bench --bin fleet_bench -- --smoke  # CI: validate only, write nothing
+//! cargo run --release -p enode-bench --bin fleet_bench -- --check  # CI: diff the full sweep against BENCH_fleet.json
 //! ```
 //!
 //! The sweep is a deterministic discrete-event simulation (virtual clock,
@@ -18,6 +19,7 @@ use enode_bench::report;
 fn main() {
     let mut quick = false;
     let mut smoke = false;
+    let mut check = false;
     let mut out_path = String::from("BENCH_fleet.json");
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
@@ -26,8 +28,13 @@ fn main() {
                 smoke = true;
                 quick = true;
             }
-            other => out_path = other.to_string(),
+            "--check" => check = true,
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
+            path => out_path = path.to_string(),
         }
+    }
+    if check && quick {
+        usage("--check compares the full sweep; it takes no --quick or --smoke");
     }
     eprintln!(
         "sweeping fleet size x tenants x offered load over the shipped registry{} ...",
@@ -74,6 +81,14 @@ fn main() {
         eprintln!("fleet_bench: emitted document failed validation: {e}");
         std::process::exit(1);
     }
+    if check {
+        report::check_artifact(
+            &out_path,
+            &json,
+            "cargo run --release -p enode-bench --bin fleet_bench",
+        );
+        return;
+    }
     if smoke {
         eprintln!(
             "smoke OK: JSON well-formed, per-tenant percentiles and residency fields present"
@@ -82,4 +97,9 @@ fn main() {
     }
     std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
     eprintln!("wrote {out_path}");
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("fleet_bench: {problem}\nusage: fleet_bench [--quick | --smoke | --check] [PATH]");
+    std::process::exit(2);
 }

@@ -4,6 +4,7 @@
 //! cargo run --release -p enode-bench --bin serve_bench              # full sweep -> BENCH_serve.json
 //! cargo run --release -p enode-bench --bin serve_bench -- --quick /tmp/serve.json
 //! cargo run --release -p enode-bench --bin serve_bench -- --smoke  # CI: validate only, write nothing
+//! cargo run --release -p enode-bench --bin serve_bench -- --check  # CI: diff the full sweep against BENCH_serve.json
 //! ```
 //!
 //! The sweep is a deterministic discrete-event simulation (virtual clock,
@@ -17,6 +18,7 @@ use enode_bench::serve_json::{hw_sweep, pareto_frontier, render_json, sweep_ship
 fn main() {
     let mut quick = false;
     let mut smoke = false;
+    let mut check = false;
     let mut out_path = String::from("BENCH_serve.json");
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
@@ -25,8 +27,13 @@ fn main() {
                 smoke = true;
                 quick = true;
             }
-            other => out_path = other.to_string(),
+            "--check" => check = true,
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
+            path => out_path = path.to_string(),
         }
+    }
+    if check && quick {
+        usage("--check compares the full sweep; it takes no --quick or --smoke");
     }
     eprintln!(
         "sweeping offered load x batch window over shipped policies{} ...",
@@ -114,6 +121,14 @@ fn main() {
         eprintln!("serve_bench: emitted document failed validation: {e}");
         std::process::exit(1);
     }
+    if check {
+        report::check_artifact(
+            &out_path,
+            &json,
+            "cargo run --release -p enode-bench --bin serve_bench",
+        );
+        return;
+    }
     if smoke {
         eprintln!("smoke OK: JSON well-formed, p50/p95/p99 and outcome fields present");
         if let Some(caveat) = report::host_caveat(enode_bench::kernels_json::THREADS_HIGH) {
@@ -123,4 +138,9 @@ fn main() {
     }
     std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
     eprintln!("wrote {out_path}");
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("serve_bench: {problem}\nusage: serve_bench [--quick | --smoke | --check] [PATH]");
+    std::process::exit(2);
 }

@@ -54,6 +54,63 @@ pub fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
+/// The top-level fields of `BENCH_serve.json` and `BENCH_fleet.json` that
+/// describe the emitting host rather than the simulation. Everything else
+/// in those documents is a pure function of the seed.
+pub const HOST_METADATA_FIELDS: [&str; 2] = ["host_cpus", "enode_threads_default"];
+
+/// `--check` for the serve and fleet artifacts: compares the regenerated
+/// document with the committed file at `path` byte for byte, except for
+/// the lines holding one of the [`HOST_METADATA_FIELDS`]. On a mismatch
+/// it prints the first differing line and how to regenerate, and exits 1.
+pub fn check_artifact(path: &str, regenerated: &str, regenerate_cmd: &str) {
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    match first_difference_ignoring_host(&committed, regenerated) {
+        None => eprintln!("{path}: up to date (host metadata skipped)"),
+        Some((line, old, new)) => {
+            eprintln!(
+                "{path} is stale at line {line} (host metadata skipped):\n  committed:   {old}\n  \
+                 regenerated: {new}\nrerun `{regenerate_cmd}`"
+            );
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The first line (1-based, counted without the host-metadata lines) where
+/// two documents differ once every [`HOST_METADATA_FIELDS`] line is
+/// dropped, with both versions (empty past the end). `None` when the rest
+/// of the bytes, trailing newline included, are identical.
+fn first_difference_ignoring_host(
+    committed: &str,
+    regenerated: &str,
+) -> Option<(usize, String, String)> {
+    let is_host = |line: &&str| {
+        let line = line.trim_start();
+        HOST_METADATA_FIELDS
+            .iter()
+            .any(|f| line.starts_with(&format!("\"{f}\":")))
+    };
+    let a: Vec<&str> = committed
+        .split_inclusive('\n')
+        .filter(|l| !is_host(l))
+        .collect();
+    let b: Vec<&str> = regenerated
+        .split_inclusive('\n')
+        .filter(|l| !is_host(l))
+        .collect();
+    (0..a.len().max(b.len())).find_map(|i| {
+        let (x, y) = (
+            a.get(i).copied().unwrap_or(""),
+            b.get(i).copied().unwrap_or(""),
+        );
+        (x != y).then(|| (i + 1, x.trim_end().to_string(), y.trim_end().to_string()))
+    })
+}
+
 /// The single-core measurement caveat shared by every bench emitter:
 /// `Some(warning row)` when the host cannot actually run `threads_high`
 /// lanes in parallel (so parallel timings lose to serial by construction),
@@ -90,6 +147,27 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_comparison_skips_only_host_metadata() {
+        let committed =
+            "{\n  \"host_cpus\": 1,\n  \"enode_threads_default\": 1,\n  \"seed\": 7\n}\n";
+        let other_host = committed
+            .replace("cpus\": 1", "cpus\": 64")
+            .replace("default\": 1", "default\": 8");
+        assert_eq!(first_difference_ignoring_host(committed, &other_host), None);
+        let drifted = committed.replace("\"seed\": 7", "\"seed\": 8");
+        assert_eq!(
+            first_difference_ignoring_host(committed, &drifted),
+            Some((2, "  \"seed\": 7".into(), "  \"seed\": 8".into()))
+        );
+        // A value that merely mentions a host field is not skipped, and
+        // neither is a lost trailing newline or a truncated document.
+        let renamed = committed.replace("\"seed\"", "\"host_cpus_seed\"");
+        assert!(first_difference_ignoring_host(committed, &renamed).is_some());
+        assert!(first_difference_ignoring_host(committed, committed.trim_end()).is_some());
+        assert!(first_difference_ignoring_host(committed, "{\n").is_some());
+    }
 
     #[test]
     fn json_escape_handles_specials() {

@@ -426,7 +426,9 @@ pub fn forward_layer(
     let mut scratch = StepScratch::new();
 
     while t < t1 - 1e-12 {
-        if checkpoints.len() > opts.max_points {
+        // Budget accepted steps, not stored checkpoints: at a checkpoint
+        // stride above 1 only every stride-th step stores one.
+        if steps.len() >= opts.max_points {
             return Err(NodeError::StepsizeUnderflow { layer: 0 });
         }
         let remaining = t1 - t;
@@ -444,13 +446,13 @@ pub fn forward_layer(
                 return Err(NodeError::StepsizeUnderflow { layer: 0 });
             }
             let mut eval = |tt: f64, yy: &Tensor| f.eval(tt as f32, yy);
-            let out = rk_step_with(&tableau, &mut eval, t, dt, &y, k1.clone(), &mut scratch);
+            // k1 = f(t, y) is dt-independent: it moves into the trial and,
+            // after a rejection, back out of `stages[0]` for the retrial.
+            let out = rk_step_with(&tableau, &mut eval, t, dt, &y, k1.take(), &mut scratch);
             stats.nfe += out.nfe;
             if !out.y_next.is_finite() {
                 return Err(NodeError::NonFiniteState { layer: 0 });
             }
-            // k1 = f(t, y) is dt-independent: reuse it across retrials.
-            k1 = Some(out.stages[0].clone());
             let error = out.error.as_ref().expect("adaptive tableau");
 
             // Decision norm: full map on the first trial (which also
@@ -513,7 +515,9 @@ pub fn forward_layer(
                     stats.rejected += 1;
                     scratch.recycle([out.y_next]);
                     scratch.recycle(out.error);
-                    scratch.recycle(out.stages);
+                    let mut stages = out.stages.into_iter();
+                    k1 = stages.next();
+                    scratch.recycle(stages);
                     if dt_retry < opts.dt_min {
                         return Err(NodeError::StepsizeUnderflow { layer: 0 });
                     }
@@ -714,6 +718,36 @@ mod tests {
         opts.dt_min = 1e-6;
         let err = forward_layer(&f, &y0, (0.0, 1.0), &opts).unwrap_err();
         assert!(matches!(err, NodeError::StepsizeUnderflow { .. }));
+    }
+
+    #[test]
+    fn point_budget_counts_steps_at_every_checkpoint_stride() {
+        // A dynamic-system layer that needs more than 10 points at ε = 1e-6.
+        let model = NodeModel::dynamic_system(2, 16, 1, 7);
+        let f = &model.layers()[0];
+        let y0 = Tensor::from_vec(vec![0.8, -0.6], &[1, 2]);
+        let base = NodeSolveOptions::new(1e-6);
+        let points = forward_layer(f, &y0, model.t_span(), &base)
+            .unwrap()
+            .1
+            .stats
+            .points;
+        assert!(points > 10, "the layer must outrun the budget ({points})");
+        for stride in [1usize, 4] {
+            let mut opts = base.with_checkpoint_stride(stride);
+            opts.max_points = 10;
+            let err = forward_layer(f, &y0, model.t_span(), &opts).unwrap_err();
+            assert_eq!(
+                err,
+                NodeError::StepsizeUnderflow { layer: 0 },
+                "stride {stride}"
+            );
+            // The budget is exact: `points` steps fit, one fewer does not.
+            opts.max_points = points;
+            assert!(forward_layer(f, &y0, model.t_span(), &opts).is_ok());
+            opts.max_points = points - 1;
+            assert!(forward_layer(f, &y0, model.t_span(), &opts).is_err());
+        }
     }
 
     #[test]

@@ -105,6 +105,15 @@ impl Dense {
 
     /// Forward pass over a `[N, in]` batch.
     ///
+    /// Every output is `bias[o]` followed by `+= x[n, k] · w[o, k]` for
+    /// ascending `k` — the serial chain of the packed microkernel
+    /// ([`crate::matmul`]), so both paths below give the same bits.
+    /// Batches of at least one register tile (`N ≥ matmul::MR`) pack `Wᵀ`
+    /// into panels once and stream every row block through them. Smaller
+    /// batches — a serving request solved alone runs at `N = 1` — would
+    /// pay a full repack and a zero-padded tile for one use, so they run
+    /// the chain directly over the row-major weights.
+    ///
     /// # Panics
     ///
     /// Panics if the input is not `[N, in]`.
@@ -117,6 +126,18 @@ impl Dense {
         let bdata = self.bias.data();
         let xdata = x.data();
         let mut y = Tensor::zeros(&[n, o]);
+        if n < matmul::MR {
+            for (yrow, xrow) in y.data_mut().chunks_exact_mut(o).zip(xdata.chunks_exact(d)) {
+                for ((yv, wrow), &b) in yrow.iter_mut().zip(wdata.chunks_exact(d)).zip(bdata) {
+                    let mut acc = b;
+                    for (&xv, &wv) in xrow.iter().zip(wrow) {
+                        acc += xv * wv;
+                    }
+                    *yv = acc;
+                }
+            }
+            return y;
+        }
         // Batch rows are independent; the packed microkernel accumulates
         // each output element along k in the serial order, so any row
         // split is bit-identical (and equal to the naive loop). `Wᵀ` is
@@ -347,6 +368,39 @@ mod tests {
                 }
             }
             assert_eq!(y.data(), &expect[..], "n={n} d={d} o={o}");
+        }
+    }
+
+    #[test]
+    fn small_batches_match_packed_rows_bitwise() {
+        // Batches below one register tile take the direct path; their rows
+        // must carry the bits the packed path gives the same rows inside
+        // batches of 4 and 9 — including signed zeros and NaN.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &(d, o) in &[(1usize, 1usize), (3, 16), (16, 2), (17, 9), (64, 64)] {
+            let weight = init::uniform(&[o, d], -1.0, 1.0, 50 + d as u64);
+            // Every other bias is -0.0, so an all-zero input row keeps or
+            // loses the sign depending on the accumulation chain.
+            let bias: Vec<f32> = (0..o)
+                .map(|i| if i % 2 == 0 { -0.0 } else { 0.25 * i as f32 })
+                .collect();
+            let layer = Dense::from_parts(weight, Tensor::from_vec(bias, &[o]));
+            let mut x = init::uniform(&[9, d], -1.0, 1.0, 60 + o as u64).into_vec();
+            x[..d].fill(-0.0);
+            x[d..2 * d].iter_mut().step_by(2).for_each(|v| *v = 0.0);
+            x[2 * d + d / 2] = f32::NAN;
+            let x9 = Tensor::from_vec(x.clone(), &[9, d]);
+            let y9 = layer.forward(&x9);
+            let y4 = layer.forward(&Tensor::from_vec(x[..4 * d].to_vec(), &[4, d]));
+            assert_eq!(bits(y4.data()), bits(&y9.data()[..4 * o]), "d={d} o={o}");
+            for n in 1..matmul::MR {
+                for start in [0usize, 9 - n] {
+                    let rows = &x[start * d..(start + n) * d];
+                    let y = layer.forward(&Tensor::from_vec(rows.to_vec(), &[n, d]));
+                    let oracle = &y9.data()[start * o..(start + n) * o];
+                    assert_eq!(bits(y.data()), bits(oracle), "d={d} o={o} rows {start}+{n}");
+                }
+            }
         }
     }
 

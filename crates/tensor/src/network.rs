@@ -230,10 +230,21 @@ impl Network {
     /// NCHW tensors. The fused path is bit-identical to the op-by-op pass
     /// (same k-order GEMM, same moment arithmetic), so training/inference
     /// parity is exact.
+    ///
+    /// An [`Activation`] that follows an op whose output the network
+    /// already owns is applied in place ([`Activation::apply_slice`], the
+    /// body [`Activation::forward`] runs on its copy), so it allocates
+    /// nothing. Only an activation at the head of the stack, which would
+    /// overwrite the caller's borrowed input, copies first.
     pub fn eval(&self, t: f32, x: &Tensor) -> Tensor {
         let mut cur: Option<Tensor> = None;
         let mut i = 0;
         while i < self.ops.len() {
+            if let (Op::Activation(a), Some(owned)) = (&self.ops[i], cur.as_mut()) {
+                a.apply_slice(owned.data_mut());
+                i += 1;
+                continue;
+            }
             let input = cur.as_ref().unwrap_or(x);
             if let Op::Conv2d(c) = &self.ops[i] {
                 if input.shape().len() == 4 {
@@ -602,5 +613,24 @@ mod tests {
         let g = small_dense_net();
         let xd = init::uniform(&[2, 2], -1.0, 1.0, 41);
         assert_eq!(g.eval(0.9, &xd).data(), g.forward_at(0.9, &xd).0.data());
+
+        // A leading activation reads the caller's borrowed input (it must
+        // copy, and leave `x` untouched); the two activations in a row
+        // then run in place on owned buffers.
+        let h = Network::new(vec![
+            Op::tanh(),
+            Op::ConcatTime,
+            Op::dense(Dense::new_seeded(3, 8, 3)),
+            Op::tanh(),
+            Op::relu(),
+            Op::dense(Dense::new_seeded(8, 2, 4)),
+            Op::Activation(Activation::Softplus),
+        ]);
+        let xh = init::uniform(&[3, 2], -2.0, 2.0, 42);
+        let before: Vec<u32> = xh.data().iter().map(|v| v.to_bits()).collect();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let evaluated = h.eval(0.25, &xh);
+        assert_eq!(bits(&evaluated), bits(&h.forward_at(0.25, &xh).0));
+        assert_eq!(bits(&xh), before, "eval must not write its input");
     }
 }

@@ -417,12 +417,19 @@ pub fn current_pool() -> Arc<ThreadPool> {
 
 /// Lane count of [`current_pool`] (1 inside a pool worker, where nested
 /// regions run serially).
+///
+/// Every split planner asks this before deciding whether to fan out, so it
+/// answers from the [`with_threads`] override or [`default_threads`]
+/// without touching the pool registry: no lock, no `Arc` clone, and no
+/// pool is built. The global pool is still built by the first region
+/// that actually fans out.
 pub fn current_threads() -> usize {
     if IN_WORKER.with(|w| w.get()) {
-        1
-    } else {
-        current_pool().threads()
+        return 1;
     }
+    OVERRIDE
+        .with(|o| o.borrow().as_ref().map(|p| p.threads()))
+        .unwrap_or_else(default_threads)
 }
 
 /// Runs `f` with every parallel region on this thread using a
@@ -1016,6 +1023,20 @@ mod tests {
         // Second checkout reuses a pooled buffer (no way to observe the
         // allocation directly; this exercises the resize path).
         with_scratch_f32(32, |a| assert_eq!(a.len(), 32));
+    }
+
+    #[test]
+    fn current_threads_agrees_with_current_pool() {
+        assert_eq!(current_threads(), current_pool().threads());
+        with_threads(3, || {
+            assert_eq!(current_threads(), 3);
+            assert_eq!(current_threads(), current_pool().threads());
+            // Inside a lane (the submitter's lane 0 included) nested
+            // regions run serially.
+            let lanes = Mutex::new(Vec::new());
+            current_pool().broadcast(&|_, _| lanes.lock().unwrap().push(current_threads()));
+            assert_eq!(*lanes.lock().unwrap(), vec![1; 3]);
+        });
     }
 
     #[test]

@@ -5,8 +5,11 @@ use std::fmt;
 /// A tensor shape: the extent of each dimension, row-major (last dimension
 /// contiguous).
 ///
-/// Shapes up to rank 4 are used throughout (`[N, C, H, W]` for feature maps,
-/// `[M, C, Kh, Kw]` for convolution kernels, `[N, D]` for flat states).
+/// Shapes up to rank [`Shape::MAX_RANK`] are used throughout
+/// (`[N, C, H, W]` for feature maps, `[M, C, Kh, Kw]` for convolution
+/// kernels, `[N, D]` for flat states). The extents are stored inline, so a
+/// `Shape` is `Copy` and a [`crate::Tensor`] costs one heap allocation
+/// (its data), not two.
 ///
 /// # Example
 ///
@@ -17,45 +20,66 @@ use std::fmt;
 /// assert_eq!(s.rank(), 4);
 /// assert_eq!(s.strides(), vec![48, 16, 4, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    /// Extents `dims[..rank]`; the unused tail stays zero, so the derived
+    /// equality and hash see only the real extents.
+    dims: [usize; Shape::MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
+    /// The largest rank a shape can have.
+    pub const MAX_RANK: usize = 4;
+
     /// Creates a shape from dimension extents.
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is empty or any extent is zero.
+    /// Panics if `dims` is empty, has more than [`Shape::MAX_RANK`]
+    /// extents, or any extent is zero.
     pub fn new(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "shape must have at least one dimension");
+        assert!(
+            dims.len() <= Shape::MAX_RANK,
+            "shape rank {} exceeds the maximum rank {}, got {dims:?}",
+            dims.len(),
+            Shape::MAX_RANK
+        );
         assert!(
             dims.iter().all(|&d| d > 0),
             "shape extents must be non-zero, got {dims:?}"
         );
-        Shape(dims.to_vec())
+        let mut inline = [0; Shape::MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape {
+            dims: inline,
+            rank: dims.len(),
+        }
     }
 
     /// The dimension extents.
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total number of elements.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Row-major strides (in elements).
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+        let dims = self.dims();
+        let mut strides = vec![1usize; dims.len()];
+        for i in (0..dims.len().saturating_sub(1)).rev() {
+            strides[i] = strides[i + 1] * dims[i + 1];
         }
         strides
     }
@@ -67,26 +91,26 @@ impl Shape {
     /// Panics if the rank is not 4.
     pub fn nchw(&self) -> (usize, usize, usize, usize) {
         assert_eq!(self.rank(), 4, "expected rank-4 shape, got {self:?}");
-        (self.0[0], self.0[1], self.0[2], self.0[3])
+        (self.dims[0], self.dims[1], self.dims[2], self.dims[3])
     }
 
     /// Flat row-major offset of a 4-D index.
     #[inline]
     pub fn offset4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         debug_assert_eq!(self.rank(), 4);
-        ((n * self.0[1] + c) * self.0[2] + h) * self.0[3] + w
+        ((n * self.dims[1] + c) * self.dims[2] + h) * self.dims[3] + w
     }
 }
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.0.iter().map(|d| d.to_string()).collect();
+        let parts: Vec<String> = self.dims().iter().map(|d| d.to_string()).collect();
         write!(f, "{}", parts.join("x"))
     }
 }
@@ -150,8 +174,43 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds the maximum rank 4")]
+    fn rank_above_four_rejected() {
+        let _ = Shape::new(&[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
     fn display_compact() {
         assert_eq!(Shape::new(&[64, 64, 64]).to_string(), "64x64x64");
+    }
+
+    #[test]
+    fn debug_and_display_list_only_the_real_extents() {
+        // The inline storage pads to rank 4; neither format may show it.
+        assert_eq!(format!("{:?}", Shape::new(&[7])), "Shape[7]");
+        assert_eq!(format!("{:?}", Shape::new(&[2, 3])), "Shape[2, 3]");
+        assert_eq!(
+            format!("{:?}", Shape::new(&[2, 3, 4, 5])),
+            "Shape[2, 3, 4, 5]"
+        );
+        assert_eq!(Shape::new(&[7]).to_string(), "7");
+        assert_eq!(Shape::new(&[2, 3, 4, 5]).to_string(), "2x3x4x5");
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_the_padding() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |s: &Shape| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        let (a, b) = (Shape::new(&[2, 3]), Shape::from([2, 3]));
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        assert_ne!(Shape::new(&[2, 3]), Shape::new(&[2, 3, 1]));
+        assert_ne!(Shape::new(&[6]), Shape::new(&[6, 1]));
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Tensor {
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
@@ -158,7 +158,7 @@ impl Tensor {
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         self.assert_same_shape(other);
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: self
                 .data
                 .iter()
