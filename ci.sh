@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy --all-targets --features sanitize (enode-tensor) -- -D warnings"
 cargo clippy -p enode-tensor --all-targets --features sanitize -- -D warnings

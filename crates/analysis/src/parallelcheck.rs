@@ -282,10 +282,12 @@ pub fn registered_splits() -> Vec<KernelSplit> {
     // Direct-conv scratch (mirror of `enode_tensor::conv`): one
     // zero-padded input plane [C][H+2][W+2] per lane; the input gradient
     // pads `dy` the same way ([M][H+2][W+2]), and the weight gradient adds
-    // `dy` transposed to [H·W][M rounded up to 8].
+    // `dy` transposed to [H·W][M rounded up to 8]. Its batch split packs
+    // two samples per vector at m ≤ 4, so its padded plane holds a pair.
     let xpad = c * (16 + 2) * (16 + 2);
     let dypad = m * (16 + 2) * (16 + 2);
     let dyt = hw * m.next_multiple_of(8);
+    let xpad_pair = if m <= 4 { 2 * xpad } else { xpad };
     splits.push(KernelSplit {
         kernel: "conv2d.forward (batch split)",
         items: n,
@@ -367,7 +369,7 @@ pub fn registered_splits() -> Vec<KernelSplit> {
             len: n * psize,
             elem_bytes: 4,
         }],
-        scratch_f32: Some((n * psize + xpad + dyt, n * psize + xpad + dyt)),
+        scratch_f32: Some((n * psize + xpad_pair + dyt, n * psize + xpad_pair + dyt)),
         reduction: Some(Reduction {
             order: CombineOrder::SerialItemOrder,
             partial_bytes: n * psize * 4,
@@ -498,7 +500,8 @@ pub fn registered_splits() -> Vec<KernelSplit> {
                 elem_bytes: 4,
             },
         ],
-        scratch_f32: Some((gn_n * 2 * gc, gn_n * 2 * gc)),
+        // The partials plus one sample's x̂ ([C, H·W]) per lane.
+        scratch_f32: Some((gn_n * 2 * gc + gc * ghw, gn_n * 2 * gc + gc * ghw)),
         reduction: Some(Reduction {
             order: CombineOrder::SerialItemOrder,
             partial_bytes: gn_n * 2 * gc * 4,

@@ -643,9 +643,10 @@ mod tests {
                 );
             }
         }
-        for t_ix in 0..p.tiers.len() {
-            assert!(wcrt[0][t_ix] >= wcrt[1][t_ix], "strict >= standard");
-            assert!(wcrt[1][t_ix] >= wcrt[2][t_ix], "standard >= relaxed");
+        assert!(wcrt.iter().all(|class| class.len() == p.tiers.len()));
+        for ((strict, standard), relaxed) in wcrt[0].iter().zip(&wcrt[1]).zip(&wcrt[2]) {
+            assert!(strict >= standard, "strict >= standard");
+            assert!(standard >= relaxed, "standard >= relaxed");
         }
         // And the numbers are the recurrence, not an accident of the
         // engine: standard tier-0 = 2 backlog batches × 1397 + 2000

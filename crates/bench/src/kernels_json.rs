@@ -1,12 +1,13 @@
 //! The machine-readable kernel benchmark baseline (`BENCH_kernels.json`).
 //!
 //! Measures wall-time for the workspace's hot kernels — conv2d
-//! forward/input-grad/weight-grad, a dense layer, GroupNorm, one
-//! fixed-step RKF45 solve, batched NODE inference, and one `run_bench`
-//! inference — at 1 thread and at [`THREADS_HIGH`] threads, plus the
-//! pre-PR serial conv forward as a regression referent. The emitted JSON
-//! tracks the workspace's perf trajectory: future PRs re-run the emitter
-//! and compare.
+//! forward/input-grad/weight-grad (the weight gradient also at four
+//! channels), a dense layer, GroupNorm forward and backward, the tanh
+//! backward, one fixed-step RKF45 solve, batched NODE inference, and one
+//! `run_bench` inference — at 1 thread and at [`THREADS_HIGH`] threads,
+//! plus the pre-PR serial conv forward as a regression referent. The
+//! emitted JSON tracks the workspace's perf trajectory: future PRs re-run
+//! the emitter and compare.
 //!
 //! # JSON format (`schema: "enode-bench-kernels/v2"`)
 //!
@@ -51,6 +52,7 @@ use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_ode::solver::solve_fixed;
 use enode_ode::tableau::ButcherTableau;
+use enode_tensor::activation::Activation;
 use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
 use enode_tensor::norm::GroupNorm;
@@ -103,15 +105,15 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         }
     };
     let time_pair = |f: &mut dyn FnMut()| -> (f64, f64) {
-        let lo = parallel::with_threads(1, || m.time(|| f()));
-        let hi = parallel::with_threads(THREADS_HIGH, || m.time(|| f()));
+        let lo = parallel::with_threads(1, || m.time(&mut *f));
+        let hi = parallel::with_threads(THREADS_HIGH, || m.time(&mut *f));
         (lo, hi)
     };
     let mut out = Vec::new();
     let mut push_vs =
         |name: &'static str, f: &mut dyn FnMut(), referent: Option<&mut dyn FnMut()>| {
             let (secs_low, secs_high) = time_pair(f);
-            let secs_referent = referent.map(|rf| parallel::with_threads(1, || m.time(|| rf())));
+            let secs_referent = referent.map(|rf| parallel::with_threads(1, || m.time(rf)));
             out.push(KernelTiming {
                 name,
                 secs_low,
@@ -166,6 +168,27 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         }),
     );
 
+    // The weight gradient at the training model's four channels, where
+    // the batch split packs two samples per vector (the m = 8 row above
+    // never does).
+    let conv4 = Conv2d::new_seeded(4, 4, 3, 9);
+    let x4 = init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 10);
+    let dy4 = init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 11);
+    push_vs(
+        "conv2d_backward_params_c4_b8",
+        &mut || {
+            std::hint::black_box(conv4.backward_params(&x4, &dy4));
+        },
+        Some(&mut || {
+            std::hint::black_box(referent::conv2d_backward_params_ref(
+                &conv4,
+                &x4,
+                &dy4,
+                &mut ref_cols,
+            ));
+        }),
+    );
+
     // Dense and GroupNorm.
     let dense = Dense::new_seeded(64, 64, 4);
     let xd = init::uniform(&[64, 64], -1.0, 1.0, 5);
@@ -186,6 +209,26 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         },
         Some(&mut || {
             std::hint::black_box(referent::groupnorm_forward_ref(&gn, &x));
+        }),
+    );
+
+    let (_, gn_cache) = gn.forward(&x);
+    push_vs(
+        "groupnorm_backward_b8",
+        &mut || {
+            std::hint::black_box(gn.backward(&x, &gn_cache, &dy));
+        },
+        Some(&mut || {
+            std::hint::black_box(referent::groupnorm_backward_ref(&gn, &x, &gn_cache, &dy));
+        }),
+    );
+    push_vs(
+        "tanh_backward_b8",
+        &mut || {
+            std::hint::black_box(Activation::Tanh.backward(&x, &dy));
+        },
+        Some(&mut || {
+            std::hint::black_box(referent::activation_backward_ref(Activation::Tanh, &x, &dy));
         }),
     );
 

@@ -7,7 +7,9 @@
 //! naive per-output dense loop, the two-pass GroupNorm, and a replica of
 //! the batched NODE inference path built from them. The conv input- and
 //! weight-gradient referents are the scalar loop nest and the im2col
-//! lowering those two passes kept until their own direct SIMD rewrite.
+//! lowering those two passes kept until their own direct SIMD rewrite;
+//! the GroupNorm- and activation-backward referents are the serial loops
+//! those passes kept until theirs.
 //! They are deliberately not shared with `enode_tensor` — the whole point
 //! is that this file does **not** change when the live kernels do, so
 //! `new-kernel speedup vs the serial referent` is an old-vs-new
@@ -25,7 +27,7 @@ use enode_tensor::activation::Activation;
 use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
 use enode_tensor::network::Op;
-use enode_tensor::norm::GroupNorm;
+use enode_tensor::norm::{GroupNorm, GroupNormCache};
 use enode_tensor::Tensor;
 
 /// Columns per L1 panel of the pre-rewrite gemm (verbatim constant).
@@ -321,6 +323,102 @@ pub fn activation_forward_ref(a: Activation, x: &Tensor) -> Tensor {
         }
         Activation::Softplus => v.max(0.0) + (-v.abs()).exp().ln_1p(),
     })
+}
+
+/// The pre-rewrite GroupNorm backward: per sample, a per-channel `f32`
+/// `(dγ, dβ)` sweep, then per group an `f64` `(Σ dx̂, Σ dx̂·x̂)` sweep and a
+/// `dx` sweep, each recomputing `x̂ = ((x − mean)·inv_std) as f32` and
+/// running one reduction chain at a time; the per-sample `(dγ, dβ)`
+/// partials add into the batch gradients in sample order — verbatim
+/// serial arithmetic of `GroupNorm::backward` before its SIMD rewrite.
+pub fn groupnorm_backward_ref(
+    gn: &GroupNorm,
+    x: &Tensor,
+    cache: &GroupNormCache,
+    dy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = dy.shape_obj().nchw();
+    assert_eq!(x.shape(), dy.shape(), "x/dy shape mismatch");
+    assert_eq!(c, gn.channels(), "channel mismatch");
+    let groups = gn.groups();
+    let cg = c / groups;
+    let hw = h * w;
+    let group_len = (cg * hw) as f32;
+    let dydata = dy.data();
+    let xdata = x.data();
+    let gdata = gn.gamma().data();
+    let mut dgamma = Tensor::zeros(&[c]);
+    let mut dbeta = Tensor::zeros(&[c]);
+    let mut dx = Tensor::zeros_like(dy);
+    let mut part = vec![0.0f32; 2 * c];
+    for ni in 0..n {
+        let dys = &dydata[ni * c * hw..(ni + 1) * c * hw];
+        let xs = &xdata[ni * c * hw..(ni + 1) * c * hw];
+        let (dgp, dbp) = part.split_at_mut(c);
+        for ci in 0..c {
+            let (mean, istd64) = cache.stats(ni * groups + ci / cg);
+            let mut dg = 0.0f32;
+            let mut db = 0.0f32;
+            for (&g, &v) in dys[ci * hw..(ci + 1) * hw]
+                .iter()
+                .zip(&xs[ci * hw..(ci + 1) * hw])
+            {
+                let xh = ((v as f64 - mean) * istd64) as f32;
+                dg += g * xh;
+                db += g;
+            }
+            dgp[ci] = dg;
+            dbp[ci] = db;
+        }
+        let dxs = &mut dx.data_mut()[ni * c * hw..(ni + 1) * c * hw];
+        for g in 0..groups {
+            let (mean, istd64) = cache.stats(ni * groups + g);
+            let istd = istd64 as f32;
+            let mut mean_dxhat = 0.0f64;
+            let mut mean_dxhat_xhat = 0.0f64;
+            for ci in g * cg..(g + 1) * cg {
+                let gm = gdata[ci] as f64;
+                for (&gy, &v) in dys[ci * hw..(ci + 1) * hw]
+                    .iter()
+                    .zip(&xs[ci * hw..(ci + 1) * hw])
+                {
+                    let xh = ((v as f64 - mean) * istd64) as f32;
+                    let dxh = gy as f64 * gm;
+                    mean_dxhat += dxh;
+                    mean_dxhat_xhat += dxh * xh as f64;
+                }
+            }
+            mean_dxhat /= group_len as f64;
+            mean_dxhat_xhat /= group_len as f64;
+            for ci in g * cg..(g + 1) * cg {
+                let gm = gdata[ci] as f64;
+                for ((dxv, &gy), &v) in dxs[ci * hw..(ci + 1) * hw]
+                    .iter_mut()
+                    .zip(&dys[ci * hw..(ci + 1) * hw])
+                    .zip(&xs[ci * hw..(ci + 1) * hw])
+                {
+                    let xh = ((v as f64 - mean) * istd64) as f32;
+                    let dxh = gy as f64 * gm;
+                    *dxv = (istd as f64 * (dxh - mean_dxhat - xh as f64 * mean_dxhat_xhat)) as f32;
+                }
+            }
+        }
+        for (v, &p) in dgamma.data_mut().iter_mut().zip(&part[..c]) {
+            *v += p;
+        }
+        for (v, &p) in dbeta.data_mut().iter_mut().zip(&part[c..]) {
+            *v += p;
+        }
+    }
+    (dx, dgamma, dbeta)
+}
+
+/// The pre-rewrite activation backward: `dx = σ'(x)·dy` per element
+/// through the scalar `Activation::derivative` — verbatim arithmetic of
+/// `Activation::backward` before its SIMD rewrite. It keeps the live
+/// polynomial `tanh`, not libm, so it stays bitwise comparable.
+pub fn activation_backward_ref(a: Activation, x: &Tensor, dy: &Tensor) -> Tensor {
+    x.zip(dy, |xi, g| a.derivative(xi) * g)
 }
 
 /// Referent evaluation of an embedded network `f(t, h)` built from the

@@ -82,11 +82,35 @@ impl Activation {
 
     /// Backward pass: `dx = dy ⊙ σ'(x)` given the cached forward input.
     ///
+    /// Every element is `derivative(x) * dy`, bit for bit. Tanh evaluates
+    /// `t = tanh_fast(x)` for the whole tensor through [`apply_slice`]
+    /// (its AVX body is bitwise equal to the scalar kernel), then
+    /// `dx = (1 − t·t)·dy` — the exact operations of
+    /// [`Activation::derivative`] followed by the multiply. ReLU selects
+    /// `1.0` or `0.0` without a branch and multiplies, so `dy`'s sign of
+    /// zero, infinities and NaNs propagate as they do through the scalar
+    /// form.
+    ///
+    /// [`apply_slice`]: Activation::apply_slice
+    ///
     /// # Panics
     ///
     /// Panics if `x` and `dy` differ in shape.
     pub fn backward(self, x: &Tensor, dy: &Tensor) -> Tensor {
-        x.zip(dy, |xi, g| self.derivative(xi) * g)
+        match self {
+            Activation::Tanh => {
+                assert_eq!(x.shape(), dy.shape(), "shape mismatch");
+                let mut t = x.clone();
+                self.apply_slice(t.data_mut());
+                for (tv, &g) in t.data_mut().iter_mut().zip(dy.data()) {
+                    *tv = (1.0 - *tv * *tv) * g;
+                }
+                t
+            }
+            // A constant variant lets the select inline and vectorize.
+            Activation::Relu => x.zip(dy, |xi, g| Activation::Relu.derivative(xi) * g),
+            _ => x.zip(dy, |xi, g| self.derivative(xi) * g),
+        }
     }
 }
 
@@ -242,12 +266,15 @@ mod tests {
 
     #[test]
     fn backward_is_elementwise_chain() {
+        // Bitwise: the vectorized paths run `derivative(x) * dy` exactly.
         let x = init::uniform(&[10], -2.0, 2.0, 1);
         let dy = init::uniform(&[10], -1.0, 1.0, 2);
-        let dx = Activation::Tanh.backward(&x, &dy);
-        for i in 0..10 {
-            let expect = Activation::Tanh.derivative(x.data()[i]) * dy.data()[i];
-            assert!((dx.data()[i] - expect).abs() < 1e-6);
+        for act in [Activation::Relu, Activation::Tanh] {
+            let dx = act.backward(&x, &dy);
+            for i in 0..10 {
+                let expect = act.derivative(x.data()[i]) * dy.data()[i];
+                assert_eq!(dx.data()[i].to_bits(), expect.to_bits(), "{act:?} [{i}]");
+            }
         }
     }
 

@@ -26,7 +26,8 @@
 //!   channel, 8-wide blocks along each `dx` row;
 //! - weight gradient (`conv_weight_grad_rows`): 8-wide lanes across
 //!   output channels over the padded `x` and `dy` transposed to
-//!   `[H·W][M rounded up to 8]`, one chain per `(m, tap)` over pixels.
+//!   `[H·W][M rounded up to 8]`, one chain per `(m, tap)` over pixels; at
+//!   `M ≤ 4` the batch split packs two samples per vector.
 //!
 //! Forward and weight-gradient border taps multiply the zeros an im2col
 //! lowering would have stored, so those chains are the lowering's exactly.
@@ -192,7 +193,7 @@ impl Conv2d {
             parallel::parallel_for_disjoint(ydata, n, 1, |range, slab| {
                 parallel::with_scratch_f32(xpad_len, |xpad| {
                     for (local, ni) in range.enumerate() {
-                        pad_sample(x, ni, pad, xpad);
+                        pad_sample(x, ni, 1, pad, xpad);
                         let ys = &mut slab[local * m * hw..(local + 1) * m * hw];
                         conv_direct_rows(xpad, wmat, bias, 0..m, ys, h, w, c, k);
                     }
@@ -204,7 +205,7 @@ impl Conv2d {
             // the kernel's per-element reduction-order contract.
             parallel::with_scratch_f32(xpad_len, |xpad| {
                 for ni in 0..n {
-                    pad_sample(x, ni, pad, xpad);
+                    pad_sample(x, ni, 1, pad, xpad);
                     let xpad_ref: &[f32] = xpad;
                     let ys = &mut ydata[ni * m * hw..(ni + 1) * m * hw];
                     let grain = parallel::grain_for(ckk * hw);
@@ -272,7 +273,7 @@ impl Conv2d {
         parallel::parallel_for_disjoint(ydata, n, grain, |range, slab| {
             parallel::with_scratch_f32(xpad_len, |xpad| {
                 for (local, ni) in range.enumerate() {
-                    pad_sample(x, ni, pad, xpad);
+                    pad_sample(x, ni, 1, pad, xpad);
                     let ys = &mut slab[local * m * hw..(local + 1) * m * hw];
                     match gn {
                         Some(g) => {
@@ -372,7 +373,7 @@ impl Conv2d {
             parallel::parallel_for_disjoint(dxdata, n, 1, |range, slab| {
                 parallel::with_scratch_f32(dypad_len, |dypad| {
                     for (local, ni) in range.enumerate() {
-                        pad_sample(dy, ni, pad, dypad);
+                        pad_sample(dy, ni, 1, pad, dypad);
                         let s = &mut slab[local * c * hw..(local + 1) * c * hw];
                         conv_input_grad_rows(dypad, wmat, 0..c, s, h, w, c, m, k);
                     }
@@ -384,7 +385,7 @@ impl Conv2d {
             let grain = parallel::grain_for(m * hw * k * k);
             parallel::with_scratch_f32(dypad_len, |dypad| {
                 for ni in 0..n {
-                    pad_sample(dy, ni, pad, dypad);
+                    pad_sample(dy, ni, 1, pad, dypad);
                     let dypad_ref: &[f32] = dypad;
                     let slab = &mut dxdata[ni * c * hw..(ni + 1) * c * hw];
                     parallel::parallel_for_disjoint(slab, c, grain, |crange, cslab| {
@@ -405,7 +406,14 @@ impl Conv2d {
     /// each lane of tap `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
     /// `dy[m, p]·x_q[p]` over pixels `p` in row-major order, border zeros
     /// included — the im2col lowering's `dW[m, q] = Σ_p dy[m, p]·cols[q, p]`
-    /// chain, element for element, without materializing the columns. The
+    /// chain, element for element, without materializing the columns.
+    ///
+    /// When a sample's channels fill at most half the lanes (`M ≤ 4`), the
+    /// batch split packs two samples per vector: lanes are channel-major
+    /// (`m0·s0, m0·s1, m1·s0, …`), the pair's `x` is interleaved in one
+    /// padded plane so a 64-bit broadcast feeds both halves, and an odd
+    /// last sample of a chunk runs alone. Each lane is still one sample's
+    /// `(m, tap)` chain in the same order, so packing changes no bit. The
     /// batch reduction combines per-sample partials in sample order (a
     /// fixed tree), so the result does not depend on the thread count.
     pub fn backward_params(&self, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
@@ -427,17 +435,18 @@ impl Conv2d {
             // Batch split: per-sample partial (dW, db) buffers, combined
             // serially in sample order below.
             let psize = m * ckk + m;
+            let spv = grad_samples_per_vector(m);
             parallel::with_scratch_f32(n * psize, |partials| {
                 parallel::parallel_for_disjoint(partials, n, 1, |range, slab| {
-                    parallel::with_scratch_f32(xpad_len, |xpad| {
+                    parallel::with_scratch_f32(spv * xpad_len, |xpad| {
                         parallel::with_scratch_f32(dyt_len, |dyt| {
-                            for (local, ni) in range.enumerate() {
-                                pad_sample(x, ni, pad, xpad);
-                                transpose_sample(dy, ni, dyt);
-                                let part = &mut slab[local * psize..(local + 1) * psize];
-                                part.fill(0.0);
-                                let (dwp, dbp) = part.split_at_mut(m * ckk);
-                                conv_weight_grad_rows(xpad, dyt, 0..m, dwp, dbp, h, w, c, m, k);
+                            let chunks = slab.chunks_mut(spv * psize);
+                            for (ni, parts) in range.step_by(spv).zip(chunks) {
+                                if parts.len() == 2 * psize {
+                                    self.param_partials::<2>(x, dy, ni, parts, xpad, dyt);
+                                } else {
+                                    self.param_partials::<1>(x, dy, ni, parts, xpad, dyt);
+                                }
                             }
                         });
                     });
@@ -461,8 +470,8 @@ impl Conv2d {
             parallel::with_scratch_f32(xpad_len, |xpad| {
                 parallel::with_scratch_f32(dyt_len, |dyt| {
                     for ni in 0..n {
-                        pad_sample(x, ni, pad, xpad);
-                        transpose_sample(dy, ni, dyt);
+                        pad_sample(x, ni, 1, pad, xpad);
+                        transpose_sample(dy, ni, 1, dyt);
                         let (xpad_ref, dyt_ref): (&[f32], &[f32]) = (xpad, dyt);
                         parallel::parallel_for_disjoint2(
                             dw.data_mut(),
@@ -470,8 +479,17 @@ impl Conv2d {
                             m,
                             grain,
                             |mrange, dwrows, dbrows| {
-                                conv_weight_grad_rows(
-                                    xpad_ref, dyt_ref, mrange, dwrows, dbrows, h, w, c, m, k,
+                                conv_weight_grad_rows::<1>(
+                                    xpad_ref,
+                                    dyt_ref,
+                                    mrange,
+                                    [dwrows],
+                                    [dbrows],
+                                    h,
+                                    w,
+                                    c,
+                                    m,
+                                    k,
                                 );
                             },
                         );
@@ -480,6 +498,34 @@ impl Conv2d {
             });
         }
         (dw, db)
+    }
+
+    /// The batch split's per-sample step of [`Conv2d::backward_params`]
+    /// for `S` samples `ni..ni + S` sharing one vector: pads and transposes
+    /// them into the front of `xpad` and `dyt`, and writes their `(dW, db)`
+    /// partials into `parts`, `S` consecutive `[dW | db]` rows.
+    fn param_partials<const S: usize>(
+        &self,
+        x: &Tensor,
+        dy: &Tensor,
+        ni: usize,
+        parts: &mut [f32],
+        xpad: &mut [f32],
+        dyt: &mut [f32],
+    ) {
+        let (_, c, h, w) = x.shape_obj().nchw();
+        let (m, k) = (self.out_channels, self.kernel);
+        let xpad = &mut xpad[..S * padded_plane_len(c, k, h, w)];
+        let dyt = &mut dyt[..h * w * grad_row_len(m, S)];
+        pad_sample(x, ni, S, k / 2, xpad);
+        transpose_sample(dy, ni, S, dyt);
+        parts.fill(0.0);
+        let mut dwrows: [&mut [f32]; S] = std::array::from_fn(|_| &mut [][..]);
+        let mut dbrows: [&mut [f32]; S] = std::array::from_fn(|_| &mut [][..]);
+        for (s, part) in parts.chunks_exact_mut(m * c * k * k + m).enumerate() {
+            (dwrows[s], dbrows[s]) = part.split_at_mut(m * c * k * k);
+        }
+        conv_weight_grad_rows::<S>(xpad, dyt, 0..m, dwrows, dbrows, h, w, c, m, k);
     }
 }
 
@@ -523,44 +569,136 @@ fn im2col(x: &Tensor, ni: usize, k: usize, cols: &mut [f32]) {
     }
 }
 
-/// Zero-pads sample `ni` of `x` into `dst = [C][H+2·pad][W+2·pad]`.
-/// The whole plane is cleared first (arena scratch is reused dirty), then
-/// each input row is one contiguous copy into the interior.
-fn pad_sample(x: &Tensor, ni: usize, pad: usize, dst: &mut [f32]) {
+/// Zero-pads samples `ni..ni + spv` of `x` into
+/// `dst = [C][H+2·pad][W+2·pad][spv]`, the samples interleaved per
+/// position: `spv = 1` is the plain padded plane, `spv = 2` the paired
+/// plane of the packed weight-gradient kernel, whose 64-bit broadcast
+/// reads both samples' values at once. The whole plane is cleared first
+/// (arena scratch is reused dirty), then each input row is copied into
+/// the interior.
+fn pad_sample(x: &Tensor, ni: usize, spv: usize, pad: usize, dst: &mut [f32]) {
     let (_, c, h, w) = x.shape_obj().nchw();
     let ph = h + 2 * pad;
     let pw = w + 2 * pad;
-    debug_assert_eq!(dst.len(), c * ph * pw);
+    debug_assert_eq!(dst.len(), c * ph * pw * spv);
     dst.fill(0.0);
     let xdata = x.data();
     for ci in 0..c {
-        let xch = &xdata[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
-        let dch = &mut dst[ci * ph * pw..(ci + 1) * ph * pw];
+        let dch = &mut dst[ci * ph * pw * spv..(ci + 1) * ph * pw * spv];
         for ih in 0..h {
-            let base = (ih + pad) * pw + pad;
-            dch[base..base + w].copy_from_slice(&xch[ih * w..(ih + 1) * w]);
+            let base = ((ih + pad) * pw + pad) * spv;
+            let drow = &mut dch[base..base + w * spv];
+            let xrow = |s: usize| &xdata[(((ni + s) * c + ci) * h + ih) * w..][..w];
+            match spv {
+                1 => drow.copy_from_slice(xrow(0)),
+                2 => {
+                    for (d, (&a, &b)) in drow.chunks_exact_mut(2).zip(xrow(0).iter().zip(xrow(1))) {
+                        d.copy_from_slice(&[a, b]);
+                    }
+                }
+                _ => unreachable!("one or two samples per vector"),
+            }
         }
     }
 }
 
-/// Transposes sample `ni` of `dy = [N, M, H, W]` into
-/// `dst = [H·W][M rounded up to 8]` (pixel-major, output channels
-/// contiguous) for the weight-gradient kernel, zeroing the padding lanes
-/// (arena scratch is reused dirty).
-fn transpose_sample(dy: &Tensor, ni: usize, dst: &mut [f32]) {
+/// Transposes samples `ni..ni + spv` of `dy = [N, M, H, W]` into
+/// `dst = [H·W][(M·spv) rounded up to 8]` for the weight-gradient kernel:
+/// pixel-major, lane `mi·spv + s` holding `dy[ni + s, mi, p]` (output
+/// channels major, samples interleaved), with the padding lanes zeroed
+/// (arena scratch is reused dirty). With AVX, whole 8-pixel blocks move
+/// as 8×8 register transposes and the last `H·W mod 8` pixels scalar.
+fn transpose_sample(dy: &Tensor, ni: usize, spv: usize, dst: &mut [f32]) {
     let (_, m, h, w) = dy.shape_obj().nchw();
     let hw = h * w;
-    let mr = m.next_multiple_of(GRAD_LANES);
-    debug_assert_eq!(dst.len(), hw * mr);
-    let plane = &dy.data()[ni * m * hw..(ni + 1) * m * hw];
-    if m < mr {
-        dst.fill(0.0);
+    assert_eq!(dst.len(), hw * grad_row_len(m, spv));
+    let planes = &dy.data()[ni * m * hw..(ni + spv) * m * hw];
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX is present (runtime check); `planes` holds `spv·m`
+        // planes of `hw` and `dst` has `hw` rows, as asserted above.
+        let done = unsafe { transpose_blocks_avx(planes, m, spv, hw, dst) };
+        transpose_pixels(planes, m, spv, hw, done..hw, dst);
+        return;
     }
-    for (mi, ch) in plane.chunks_exact(hw.max(1)).enumerate() {
-        for (p, &g) in ch.iter().enumerate() {
-            dst[p * mr + mi] = g;
+    transpose_pixels(planes, m, spv, hw, 0..hw, dst);
+}
+
+/// Portable body of [`transpose_sample`] over the pixel range `pixels` of
+/// the `spv·m` planes of `hw` pixels each.
+fn transpose_pixels(
+    planes: &[f32],
+    m: usize,
+    spv: usize,
+    hw: usize,
+    pixels: std::ops::Range<usize>,
+    dst: &mut [f32],
+) {
+    let row = grad_row_len(m, spv);
+    if m * spv < row {
+        dst[pixels.start * row..pixels.end * row].fill(0.0);
+    }
+    for (ch, plane) in planes.chunks_exact(hw.max(1)).enumerate() {
+        let lane = (ch % m) * spv + ch / m;
+        for p in pixels.clone() {
+            dst[p * row + lane] = plane[p];
         }
     }
+}
+
+/// AVX body of [`transpose_sample`] over the whole 8-pixel blocks: per
+/// lane group and block, eight plane rows (zeros for padding lanes) go
+/// through an 8×8 register transpose and out as eight `dst` rows. Returns
+/// the number of pixels written.
+///
+/// # Safety
+///
+/// The host must support AVX; `planes` must hold `spv·m` planes of `hw`
+/// floats and `dst` `hw` rows of `(m·spv)` rounded up to 8.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn transpose_blocks_avx(
+    planes: &[f32],
+    m: usize,
+    spv: usize,
+    hw: usize,
+    dst: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::*;
+    let row = grad_row_len(m, spv);
+    let (src, out) = (planes.as_ptr(), dst.as_mut_ptr());
+    for lane0 in (0..row).step_by(GRAD_LANES) {
+        // Plane offset of every lane of the group; padding lanes read none.
+        let plane = |l: usize| {
+            let lane = lane0 + l;
+            (lane < m * spv).then(|| ((lane % spv) * m + lane / spv) * hw)
+        };
+        let planes: [Option<usize>; GRAD_LANES] = std::array::from_fn(plane);
+        for p0 in (0..hw / 8 * 8).step_by(8) {
+            let r =
+                planes.map(|o| o.map_or(_mm256_setzero_ps(), |o| _mm256_loadu_ps(src.add(o + p0))));
+            // Interleave pairs, then quads, then swap 128-bit halves.
+            let t = [0, 2, 4, 6].map(|i| _mm256_unpacklo_ps(r[i], r[i + 1]));
+            let u = [0, 2, 4, 6].map(|i| _mm256_unpackhi_ps(r[i], r[i + 1]));
+            let q = [
+                _mm256_shuffle_ps::<0x44>(t[0], t[1]),
+                _mm256_shuffle_ps::<0xEE>(t[0], t[1]),
+                _mm256_shuffle_ps::<0x44>(u[0], u[1]),
+                _mm256_shuffle_ps::<0xEE>(u[0], u[1]),
+                _mm256_shuffle_ps::<0x44>(t[2], t[3]),
+                _mm256_shuffle_ps::<0xEE>(t[2], t[3]),
+                _mm256_shuffle_ps::<0x44>(u[2], u[3]),
+                _mm256_shuffle_ps::<0xEE>(u[2], u[3]),
+            ];
+            for i in 0..4 {
+                let lo = _mm256_permute2f128_ps::<0x20>(q[i], q[i + 4]);
+                let hi = _mm256_permute2f128_ps::<0x31>(q[i], q[i + 4]);
+                _mm256_storeu_ps(out.add((p0 + i) * row + lane0), lo);
+                _mm256_storeu_ps(out.add((p0 + i + 4) * row + lane0), hi);
+            }
+        }
+    }
+    hw / 8 * 8
 }
 
 /// Direct "same"-padding convolution of one zero-padded sample
@@ -922,32 +1060,50 @@ unsafe fn conv_input_grad_rows_avx(
     }
 }
 
-/// Output channels per lane group of the weight-gradient kernel (one AVX
-/// vector); the transposed `dy` rows are padded to a multiple of it.
+/// Lanes of the weight-gradient kernel (one AVX vector); the transposed
+/// `dy` rows are padded to a multiple of it.
 const GRAD_LANES: usize = 8;
 
-/// Weight and bias gradients of one sample over the output-channel range
-/// `mrange`, from its zero-padded input (`xpad = [C][H+2·pad][W+2·pad]`,
-/// see [`pad_sample`]) and its transposed output gradient
-/// (`dyt = [H·W][M rounded up to 8]`, see [`transpose_sample`]):
-/// `dwrows[m, q] += Σ_p dy[m, p]·x_q[p]` and `dbrows[m] += Σ_p dy[m, p]`,
-/// rows local to `mrange`.
+/// Samples the batch split of [`Conv2d::backward_params`] packs into one
+/// weight-gradient vector for `m` output channels: two when one sample's
+/// channels fill at most half the lanes, else one.
+pub fn grad_samples_per_vector(m: usize) -> usize {
+    if m <= GRAD_LANES / 2 {
+        2
+    } else {
+        1
+    }
+}
+
+/// Row length of the transposed `dy` holding `spv` samples of `m`
+/// channels: `m·spv` lanes rounded up to a whole vector.
+fn grad_row_len(m: usize, spv: usize) -> usize {
+    (m * spv).next_multiple_of(GRAD_LANES)
+}
+
+/// Weight and bias gradients of `S` samples over the output-channel range
+/// `mrange`, from their zero-padded input (`xpad = [C][H+2·pad][W+2·pad][S]`,
+/// see [`pad_sample`]) and their transposed output gradient
+/// (`dyt = [H·W][(M·S) rounded up to 8]`, see [`transpose_sample`]):
+/// `dwrows[s][m, q] += Σ_p dy_s[m, p]·x_{s,q}[p]` and
+/// `dbrows[s][m] += Σ_p dy_s[m, p]`, rows local to `mrange`.
 ///
-/// Lanes run across output channels in aligned groups of eight, so every
-/// lane of tap `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
-/// `dy[m, p]·x_q[p]` over pixels `p` in row-major order, border zeros
-/// included — exactly the im2col lowering's per-`(m, q)` dot product.
-/// The bias lane sums start at `+0.0`; a serial `Iterator::sum` may start
-/// at `−0.0`, but the two differ only in the sign of an all-zero sum, which
-/// the `+=` into a `+0.0`-started gradient erases. Lanes outside `mrange`
-/// (group edges, padding channels) are computed and dropped.
+/// A lane group covers `8 / S` output channels of all `S` samples, lane
+/// `(m − m₀)·S + s`, so every lane of tap `q = (c·K + kh)·K + kw` is one
+/// sample's chain from `+0.0` of `dy[m, p]·x_q[p]` over pixels `p` in
+/// row-major order, border zeros included — exactly the im2col lowering's
+/// per-`(m, q)` dot product, whatever `S` is. The bias lane sums start at
+/// `+0.0`; a serial `Iterator::sum` may start at `−0.0`, but the two
+/// differ only in the sign of an all-zero sum, which the `+=` into a
+/// `+0.0`-started gradient erases. Lanes outside `mrange` (group edges,
+/// padding channels) are computed and dropped.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-fn conv_weight_grad_rows(
+fn conv_weight_grad_rows<const S: usize>(
     xpad: &[f32],
     dyt: &[f32],
     mrange: std::ops::Range<usize>,
-    dwrows: &mut [f32],
-    dbrows: &mut [f32],
+    dwrows: [&mut [f32]; S],
+    dbrows: [&mut [f32]; S],
     h: usize,
     w: usize,
     c: usize,
@@ -955,38 +1111,44 @@ fn conv_weight_grad_rows(
     k: usize,
 ) {
     // Once per call: the AVX body's pointer walk relies on every one.
+    assert!(S == 1 || S == 2, "one or two samples per vector");
     assert_eq!(k % 2, 1, "odd kernel");
-    assert_eq!(xpad.len(), padded_plane_len(c, k, h, w));
-    assert_eq!(dyt.len(), transposed_grad_len(m, h, w));
+    assert_eq!(xpad.len(), S * padded_plane_len(c, k, h, w));
+    assert_eq!(dyt.len(), h * w * grad_row_len(m, S));
     assert!(mrange.end <= m);
-    assert_eq!(dwrows.len(), mrange.len() * c * k * k);
-    assert_eq!(dbrows.len(), mrange.len());
+    for (dwr, dbr) in dwrows.iter().zip(&dbrows) {
+        assert_eq!(dwr.len(), mrange.len() * c * k * k);
+        assert_eq!(dbr.len(), mrange.len());
+    }
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx() {
-        // SAFETY: AVX is present (runtime check); the kernel is odd and the
-        // slice lengths and channel range are asserted above, so every load
-        // stays inside them (a tap's pixel walk ends inside the padded
-        // plane, and a lane group ends at or before the padded row length);
-        // the stores go through bounds-checked indexing.
-        unsafe { conv_weight_grad_rows_avx(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k) };
+        // SAFETY: AVX is present (runtime check); the kernel is odd, `S` is
+        // 1 or 2, and the slice lengths and channel range are asserted
+        // above, so every load stays inside them (a tap's pixel walk ends
+        // inside the padded plane, and a lane group ends at or before the
+        // padded row length); the stores go through bounds-checked indexing.
+        unsafe { conv_weight_grad_rows_avx::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k) };
         return;
     }
-    conv_weight_grad_rows_portable(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k);
+    conv_weight_grad_rows_portable::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k);
 }
 
-/// Adds the lanes of one output-channel group that fall in `mrange` into
-/// their rows: `rows[(mi − mrange.start)·stride + col] += lanes[mi − lane0]`.
-fn add_group_lanes(
-    rows: &mut [f32],
+/// Adds the lanes of the lane group starting at output channel `m0` that
+/// fall in `mrange` into their rows:
+/// `rows[s][(mi − mrange.start)·stride + col] += lanes[(mi − m0)·S + s]`.
+fn add_group_lanes<const S: usize>(
+    rows: &mut [&mut [f32]; S],
     stride: usize,
     col: usize,
     mrange: &std::ops::Range<usize>,
-    lane0: usize,
+    m0: usize,
     lanes: &[f32; GRAD_LANES],
 ) {
-    let live = lane0.max(mrange.start)..(lane0 + GRAD_LANES).min(mrange.end);
-    for mi in live {
-        rows[(mi - mrange.start) * stride + col] += lanes[mi - lane0];
+    let live = m0.max(mrange.start)..(m0 + GRAD_LANES / S).min(mrange.end);
+    for (s, rows) in rows.iter_mut().enumerate() {
+        for mi in live.clone() {
+            rows[(mi - mrange.start) * stride + col] += lanes[(mi - m0) * S + s];
+        }
     }
 }
 
@@ -994,12 +1156,12 @@ fn add_group_lanes(
 /// 8-lane accumulator swept over the pixels — lane for lane the AVX
 /// body's arithmetic.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-fn conv_weight_grad_rows_portable(
+fn conv_weight_grad_rows_portable<const S: usize>(
     xpad: &[f32],
     dyt: &[f32],
     mrange: std::ops::Range<usize>,
-    dwrows: &mut [f32],
-    dbrows: &mut [f32],
+    mut dwrows: [&mut [f32]; S],
+    mut dbrows: [&mut [f32]; S],
     h: usize,
     w: usize,
     c: usize,
@@ -1010,40 +1172,63 @@ fn conv_weight_grad_rows_portable(
     let pw = w + 2 * pad;
     let phpw = (h + 2 * pad) * pw;
     let ckk = c * k * k;
-    let mr = m.next_multiple_of(GRAD_LANES);
-    for g in mrange.start / GRAD_LANES..mrange.end.div_ceil(GRAD_LANES) {
-        let lane0 = g * GRAD_LANES;
+    let row = grad_row_len(m, S);
+    let group_channels = GRAD_LANES / S;
+    for g in mrange.start / group_channels..mrange.end.div_ceil(group_channels) {
+        let (m0, lane0) = (g * group_channels, g * GRAD_LANES);
         let mut sum = [0.0f32; GRAD_LANES];
         for p in 0..h * w {
-            let d = &dyt[p * mr + lane0..p * mr + lane0 + GRAD_LANES];
+            let d = &dyt[p * row + lane0..p * row + lane0 + GRAD_LANES];
             for (sv, &dv) in sum.iter_mut().zip(d) {
                 *sv += dv;
             }
         }
-        add_group_lanes(dbrows, 1, 0, &mrange, lane0, &sum);
+        add_group_lanes(&mut dbrows, 1, 0, &mrange, m0, &sum);
         for q in 0..ckk {
             let (ci, kh, kw) = (q / (k * k), q / k % k, q % k);
             let base = ci * phpw + kh * pw + kw;
             let mut acc = [0.0f32; GRAD_LANES];
             for oh in 0..h {
-                let xrow = &xpad[base + oh * pw..base + oh * pw + w];
-                for (ow, &xv) in xrow.iter().enumerate() {
+                for ow in 0..w {
+                    let o = base + oh * pw + ow;
+                    let xv = &xpad[o * S..(o + 1) * S];
                     let p = oh * w + ow;
-                    let d = &dyt[p * mr + lane0..p * mr + lane0 + GRAD_LANES];
-                    for (av, &dv) in acc.iter_mut().zip(d) {
-                        *av += dv * xv;
+                    let d = &dyt[p * row + lane0..p * row + lane0 + GRAD_LANES];
+                    for (l, (av, &dv)) in acc.iter_mut().zip(d).enumerate() {
+                        *av += dv * xv[l % S];
                     }
                 }
             }
-            add_group_lanes(dwrows, ckk, q, &mrange, lane0, &acc);
+            add_group_lanes(&mut dwrows, ckk, q, &mrange, m0, &acc);
         }
     }
 }
 
-/// AVX body of [`conv_weight_grad_rows`]: one vector per lane group, four
-/// taps at a time sharing each pixel's `dy` load (four independent chains
-/// hide the vector-add latency). Each lane runs the portable body's chain
-/// — mul then add, never FMA — so the result is bitwise identical to it.
+/// Broadcasts sample-interleaved `x` at `p` across a vector: one float
+/// to all eight lanes (`S = 1`), or the pair `(x_s0, x_s1)` to every lane
+/// pair through one 64-bit broadcast (`S = 2`), matching the packed lane
+/// order `(m, s)`.
+///
+/// # Safety
+///
+/// The host must support AVX and `p` must point at `S` readable floats.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn broadcast_samples<const S: usize>(p: *const f32) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    if S == 1 {
+        _mm256_broadcast_ss(&*p)
+    } else {
+        _mm256_castpd_ps(_mm256_set1_pd(p.cast::<f64>().read_unaligned()))
+    }
+}
+
+/// AVX body of [`conv_weight_grad_rows`]: one vector per lane group, eight
+/// taps at a time sharing each pixel's `dy` load (eight independent chains
+/// keep the adders busy past their latency). Each lane runs the portable
+/// body's chain — mul then add, never FMA — so the result is bitwise
+/// identical to it.
 ///
 /// # Safety
 ///
@@ -1052,12 +1237,12 @@ fn conv_weight_grad_rows_portable(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-unsafe fn conv_weight_grad_rows_avx(
+unsafe fn conv_weight_grad_rows_avx<const S: usize>(
     xpad: &[f32],
     dyt: &[f32],
     mrange: std::ops::Range<usize>,
-    dwrows: &mut [f32],
-    dbrows: &mut [f32],
+    mut dwrows: [&mut [f32]; S],
+    mut dbrows: [&mut [f32]; S],
     h: usize,
     w: usize,
     c: usize,
@@ -1069,47 +1254,45 @@ unsafe fn conv_weight_grad_rows_avx(
     let pw = w + 2 * pad;
     let phpw = (h + 2 * pad) * pw;
     let ckk = c * k * k;
-    let mr = m.next_multiple_of(GRAD_LANES);
-    let tap_offset = |q: usize| (q / (k * k)) * phpw + (q / k % k) * pw + q % k;
+    let row = grad_row_len(m, S);
+    let group_channels = GRAD_LANES / S;
+    let tap_offset = |q: usize| ((q / (k * k)) * phpw + (q / k % k) * pw + q % k) * S;
     let xp = xpad.as_ptr();
     let mut lanes = [0.0f32; GRAD_LANES];
-    for g in mrange.start / GRAD_LANES..mrange.end.div_ceil(GRAD_LANES) {
-        let lane0 = g * GRAD_LANES;
-        let dg = dyt.as_ptr().add(lane0);
+    for g in mrange.start / group_channels..mrange.end.div_ceil(group_channels) {
+        let m0 = g * group_channels;
+        let dg = dyt.as_ptr().add(g * GRAD_LANES);
         let mut sum = _mm256_setzero_ps();
         for p in 0..h * w {
-            sum = _mm256_add_ps(sum, _mm256_loadu_ps(dg.add(p * mr)));
+            sum = _mm256_add_ps(sum, _mm256_loadu_ps(dg.add(p * row)));
         }
         _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-        add_group_lanes(dbrows, 1, 0, &mrange, lane0, &lanes);
-        // Four taps per pass; a short last pass fills its spare slots with
+        add_group_lanes(&mut dbrows, 1, 0, &mrange, m0, &lanes);
+        // Eight taps per pass; a short last pass fills its spare slots with
         // its final tap and drops their sums.
-        for q in (0..ckk).step_by(4) {
-            let t = [q, q + 1, q + 2, q + 3].map(|t| t.min(ckk - 1));
+        const TAPS: usize = 8;
+        for q in (0..ckk).step_by(TAPS) {
             // One base pointer per tap: pixel (oh, ow) of every tap sits
-            // at the same offset `oh·pw + ow` from its base.
-            let x0 = xp.add(tap_offset(t[0]));
-            let x1 = xp.add(tap_offset(t[1]));
-            let x2 = xp.add(tap_offset(t[2]));
-            let x3 = xp.add(tap_offset(t[3]));
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
+            // at the same offset `(oh·pw + ow)·S` from its base.
+            let x: [*const f32; TAPS] =
+                std::array::from_fn(|i| xp.add(tap_offset((q + i).min(ckk - 1))));
+            let mut a = [_mm256_setzero_ps(); TAPS];
             let mut d = dg;
             for oh in 0..h {
-                for o in oh * pw..oh * pw + w {
+                for o in (oh * pw..oh * pw + w).map(|o| o * S) {
                     let dv = _mm256_loadu_ps(d);
-                    d = d.add(mr);
-                    a0 = _mm256_add_ps(a0, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x0.add(o))));
-                    a1 = _mm256_add_ps(a1, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x1.add(o))));
-                    a2 = _mm256_add_ps(a2, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x2.add(o))));
-                    a3 = _mm256_add_ps(a3, _mm256_mul_ps(dv, _mm256_broadcast_ss(&*x3.add(o))));
+                    d = d.add(row);
+                    for (av, xv) in a.iter_mut().zip(&x) {
+                        *av = _mm256_add_ps(
+                            *av,
+                            _mm256_mul_ps(dv, broadcast_samples::<S>(xv.add(o))),
+                        );
+                    }
                 }
             }
-            for (i, a) in [a0, a1, a2, a3].into_iter().enumerate().take(ckk - q) {
-                _mm256_storeu_ps(lanes.as_mut_ptr(), a);
-                add_group_lanes(dwrows, ckk, q + i, &mrange, lane0, &lanes);
+            for (i, av) in a.into_iter().enumerate().take(ckk - q) {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), av);
+                add_group_lanes(&mut dwrows, ckk, q + i, &mrange, m0, &lanes);
             }
         }
     }
@@ -1154,8 +1337,9 @@ pub fn padded_plane_len(c: usize, k: usize, h: usize, w: usize) -> usize {
 }
 
 /// Per-sample transposed `dy` scratch of the weight-gradient kernel
-/// (`[H·W][M rounded up to 8]`). Shared by the live kernel and the access
-/// summaries below.
+/// (`[H·W][M rounded up to 8]`, which also holds a packed pair of
+/// samples: `2·M ≤ 8` lanes when [`grad_samples_per_vector`] is two).
+/// Shared by the live kernel and the access summaries below.
 pub fn transposed_grad_len(m: usize, h: usize, w: usize) -> usize {
     h * w * m.next_multiple_of(GRAD_LANES)
 }
@@ -1349,8 +1533,9 @@ pub fn backward_input_channels_access(
 /// Access summary of the batch split in [`Conv2d::backward_params`]:
 /// item `ni` writes its own `(dW, db)` partial stride of the scratch
 /// partials buffer; the serial sample-order fold happens after the join
-/// and is outside the parallel phase. The zero-padded `x` plane and the
-/// transposed `dy` are per-thread arenas.
+/// and is outside the parallel phase. The zero-padded `x` plane (two
+/// samples interleaved when [`grad_samples_per_vector`] packs pairs) and
+/// the transposed `dy` are per-thread arenas.
 pub fn backward_params_batch_access(
     n: usize,
     c: usize,
@@ -1379,7 +1564,10 @@ pub fn backward_params_batch_access(
         ],
         scratch: vec![
             ScratchDecl::arena("partials", n * psize),
-            ScratchDecl::arena("xpad", padded_plane_len(c, k, h, w)),
+            ScratchDecl::arena(
+                "xpad",
+                grad_samples_per_vector(m) * padded_plane_len(c, k, h, w),
+            ),
             ScratchDecl::arena("dyt", transposed_grad_len(m, h, w)),
         ],
     }
@@ -1600,7 +1788,7 @@ mod tests {
                 .for_each(|(i, b)| *b = 0.7 - i as f32 * 0.2);
             let x = init::uniform(&[1, c, hh, ww], -1.0, 1.0, 37);
             let mut xpad = vec![0.0f32; padded_plane_len(c, k, hh, ww)];
-            pad_sample(&x, 0, k / 2, &mut xpad);
+            pad_sample(&x, 0, 1, k / 2, &mut xpad);
             let wd = conv.weight().data();
             let bd = conv.bias().data();
             let mut portable = vec![0.0f32; m * hh * ww];
@@ -1635,7 +1823,7 @@ mod tests {
             let conv = Conv2d::new_seeded(c, m, k, 41);
             let dy = init::uniform(&[1, m, hh, ww], -1.0, 1.0, 43);
             let mut dypad = vec![0.0f32; padded_plane_len(m, k, hh, ww)];
-            pad_sample(&dy, 0, k / 2, &mut dypad);
+            pad_sample(&dy, 0, 1, k / 2, &mut dypad);
             for crange in [0..c, 1..c] {
                 let run = |body: Body| {
                     let mut out = vec![1.0f32; crange.len() * hh * ww];
@@ -1658,55 +1846,112 @@ mod tests {
         }
     }
 
+    type WeightGradBody<const S: usize> = fn(
+        &[f32],
+        &[f32],
+        std::ops::Range<usize>,
+        [&mut [f32]; S],
+        [&mut [f32]; S],
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+    );
+
+    /// Runs a weight-gradient body on samples `ni..ni + S`, padded and
+    /// transposed into NaN-filled scratch, accumulating into rows preset to
+    /// non-zero values; returns each sample's `(dW, db)` rows as bits.
+    fn run_weight_grad<const S: usize>(
+        body: WeightGradBody<S>,
+        x: &Tensor,
+        dy: &Tensor,
+        ni: usize,
+        mrange: std::ops::Range<usize>,
+        k: usize,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let (_, c, hh, ww) = x.shape_obj().nchw();
+        let m = dy.shape()[1];
+        let mut xpad = vec![f32::NAN; S * padded_plane_len(c, k, hh, ww)];
+        pad_sample(x, ni, S, k / 2, &mut xpad);
+        let mut dyt = vec![f32::NAN; hh * ww * grad_row_len(m, S)];
+        transpose_sample(dy, ni, S, &mut dyt);
+        let mut dw = vec![vec![0.5f32; mrange.len() * c * k * k]; S];
+        let mut db = vec![vec![0.25f32; mrange.len()]; S];
+        let (mut dwi, mut dbi) = (dw.iter_mut(), db.iter_mut());
+        let dwr: [&mut [f32]; S] = std::array::from_fn(|_| &mut dwi.next().unwrap()[..]);
+        let dbr: [&mut [f32]; S] = std::array::from_fn(|_| &mut dbi.next().unwrap()[..]);
+        body(&xpad, &dyt, mrange, dwr, dbr, hh, ww, c, m, k);
+        let bits = |v: &Vec<f32>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        dw.iter()
+            .zip(&db)
+            .map(|(a, b)| (bits(a), bits(b)))
+            .collect()
+    }
+
+    #[test]
+    fn transpose_avx_and_portable_agree_bitwise() {
+        // Dispatch transparency of `transpose_sample` at one and two
+        // samples per vector: whole 8-pixel blocks plus ragged pixel tails
+        // (15 and 3 pixels), lane counts below, at and above one vector,
+        // over NaN-filled scratch so every lane must be written.
+        for (m, hh, ww) in [
+            (4usize, 8usize, 8usize),
+            (3, 5, 3),
+            (9, 4, 4),
+            (1, 1, 3),
+            (8, 2, 8),
+        ] {
+            let dy = init::uniform(&[3, m, hh, ww], -1.0, 1.0, 59);
+            for spv in [1usize, 2] {
+                let len = hh * ww * grad_row_len(m, spv);
+                let mut dispatched = vec![f32::NAN; len];
+                transpose_sample(&dy, 1, spv, &mut dispatched);
+                let mut portable = vec![f32::NAN; len];
+                let planes = &dy.data()[m * hh * ww..(1 + spv) * m * hh * ww];
+                transpose_pixels(planes, m, spv, hh * ww, 0..hh * ww, &mut portable);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&dispatched),
+                    bits(&portable),
+                    "m={m} {hh}x{ww} spv={spv}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn weight_grad_avx_and_portable_agree_bitwise() {
-        // Dispatch transparency of `conv_weight_grad_rows`, over the full
-        // output-channel range and ranges that start and end inside a lane
-        // group (the row split's shape), accumulating into non-zero rows;
-        // 75 and 2 taps leave the AVX body a short last pass.
-        type Body = fn(
-            &[f32],
-            &[f32],
-            std::ops::Range<usize>,
-            &mut [f32],
-            &mut [f32],
-            usize,
-            usize,
-            usize,
-            usize,
-            usize,
-        );
+        // Dispatch transparency of `conv_weight_grad_rows` at one and two
+        // samples per vector, over the full output-channel range and ranges
+        // that start and end inside a lane group (the row split's shape);
+        // 36, 75, 18 and 2 taps leave the AVX body a short last pass and 72
+        // taps none, and m = 1, 3 and 9 leave padding lanes. The packed pair
+        // must also equal each of its samples run alone, bit for bit.
         for (c, m, hh, ww, k) in [
             (4usize, 4usize, 8usize, 8usize, 3usize),
             (3, 9, 2, 16, 5),
             (2, 11, 5, 3, 1),
+            (3, 3, 5, 3, 5),
+            (2, 1, 4, 5, 3),
+            (8, 2, 3, 8, 3),
         ] {
-            let x = init::uniform(&[1, c, hh, ww], -1.0, 1.0, 47);
-            let dy = init::uniform(&[1, m, hh, ww], -1.0, 1.0, 53);
-            let mut xpad = vec![0.0f32; padded_plane_len(c, k, hh, ww)];
-            pad_sample(&x, 0, k / 2, &mut xpad);
-            let mut dyt = vec![f32::NAN; transposed_grad_len(m, hh, ww)];
-            transpose_sample(&dy, 0, &mut dyt);
-            for mrange in [0..m, 1..m - 1] {
-                let run = |body: Body| {
-                    let mut dw = vec![0.5f32; mrange.len() * c * k * k];
-                    let mut db = vec![0.25f32; mrange.len()];
-                    body(
-                        &xpad,
-                        &dyt,
-                        mrange.clone(),
-                        &mut dw,
-                        &mut db,
-                        hh,
-                        ww,
-                        c,
-                        m,
-                        k,
-                    );
-                    (dw, db)
-                };
-                let portable = run(conv_weight_grad_rows_portable);
-                assert_eq!(portable, run(conv_weight_grad_rows), "w={ww} k={k} m={m}");
+            let x = init::uniform(&[3, c, hh, ww], -1.0, 1.0, 47);
+            let dy = init::uniform(&[3, m, hh, ww], -1.0, 1.0, 53);
+            for mrange in std::iter::once(0..m).chain((m > 2).then_some(1..m - 1)) {
+                let case = format!("w={ww} k={k} m={m} mrange={mrange:?}");
+                let alone: Vec<_> = (1..3)
+                    .map(|ni| {
+                        let run = |body| run_weight_grad::<1>(body, &x, &dy, ni, mrange.clone(), k);
+                        let portable = run(conv_weight_grad_rows_portable::<1>);
+                        assert_eq!(portable, run(conv_weight_grad_rows::<1>), "{case}");
+                        portable.into_iter().next().unwrap()
+                    })
+                    .collect();
+                let run = |body| run_weight_grad::<2>(body, &x, &dy, 1, mrange.clone(), k);
+                let portable = run(conv_weight_grad_rows_portable::<2>);
+                assert_eq!(portable, run(conv_weight_grad_rows::<2>), "{case}");
+                assert_eq!(portable, alone, "packed pair vs alone: {case}");
             }
         }
     }

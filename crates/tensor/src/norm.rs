@@ -246,9 +246,21 @@ impl GroupNorm {
     ///
     /// Takes the forward input `x` alongside the cache: the forward pass
     /// caches only the per-group `f64` moments, and this pass recomputes
-    /// `x̂ = ((x − mean) · inv_std) as f32` where needed — the identical
-    /// chain the forward normalization used, so every x̂ consumed here is
-    /// bit-for-bit the forward value.
+    /// `x̂ = ((x − mean) · inv_std) as f32` once per sample into arena
+    /// scratch — the identical chain the forward normalization used, so
+    /// every x̂ consumed here is bit-for-bit the forward value.
+    ///
+    /// Per sample, one sweep then advances every reduction chain of a
+    /// block of up to two groups together: the `f32` `dγ`/`dβ` chain of
+    /// each channel (over its pixels in order, from `+0.0`) and the `f64`
+    /// `Σ dx̂` and `Σ dx̂·x̂` chains of each group (over its channels, then
+    /// pixels, in order), with `dx̂ = dy·γ`. Interleaving independent
+    /// chains hides the add latency without reordering any chain. The
+    /// final `dx = istd·(dx̂ − mean(dx̂) − x̂·mean(dx̂·x̂))` and the x̂ pass
+    /// are elementwise and run 4-wide `f64` AVX bodies that transcribe the
+    /// scalar expression lane for lane (see `crate::simd`). Every output is
+    /// bitwise equal to the three-sweep loop that recomputes x̂ per sweep
+    /// and runs one chain at a time.
     ///
     /// Parallel across samples. `dx` is disjoint per sample; the
     /// `dgamma`/`dbeta` batch reductions combine per-sample partials in
@@ -275,7 +287,8 @@ impl GroupNorm {
         assert_eq!(c, self.channels, "channel mismatch");
         let cg = c / self.groups;
         let hw = h * w;
-        let group_len = (cg * hw) as f32;
+        let slab_len = cg * hw;
+        let group_len = slab_len as f32 as f64;
         let groups = self.groups;
         let dydata = dy.data();
         let xdata = x.data();
@@ -283,6 +296,40 @@ impl GroupNorm {
         let mut dgamma = Tensor::zeros(&[c]);
         let mut dbeta = Tensor::zeros(&[c]);
         let mut dx = Tensor::zeros_like(dy);
+        // One sample: x̂ into `xhat`, then per block of two groups (the last
+        // may hold one) the interleaved reduction sweep and the dx rows.
+        let sample_grad = |ni: usize, xhat: &mut [f32], dxs: &mut [f32], part: &mut [f32]| {
+            let sample = ni * c * hw..(ni + 1) * c * hw;
+            let (dys, xs) = (&dydata[sample.clone()], &xdata[sample]);
+            let (dgp, dbp) = part.split_at_mut(c);
+            let stats = |g: usize| cache.stats(ni * groups + g);
+            for g in 0..groups {
+                let (mean, istd) = stats(g);
+                let slab = g * slab_len..(g + 1) * slab_len;
+                xhat_row(&xs[slab.clone()], &mut xhat[slab], mean, istd);
+            }
+            for g0 in (0..groups).step_by(2) {
+                let g1 = groups.min(g0 + 2);
+                let (chans, elems) = (g0 * cg..g1 * cg, g0 * slab_len..g1 * slab_len);
+                let (dyb, xhb, gmb) = (&dys[elems.clone()], &xhat[elems], &gdata[chans.clone()]);
+                let (dgb, dbb) = (&mut dgp[chans.clone()], &mut dbp[chans]);
+                let mut sums = [(0.0, 0.0); 2];
+                if g1 - g0 == 2 {
+                    sums = group_sums::<2>(dyb, xhb, gmb, hw, dgb, dbb);
+                } else {
+                    [sums[0]] = group_sums::<1>(dyb, xhb, gmb, hw, dgb, dbb);
+                }
+                for (g, (s, sx)) in (g0..g1).zip(sums) {
+                    let istd = stats(g).1 as f32 as f64;
+                    let (md, mdx) = (s / group_len, sx / group_len);
+                    for (j, &gm) in gdata[g * cg..(g + 1) * cg].iter().enumerate() {
+                        let row = (g * cg + j) * hw..(g * cg + j + 1) * hw;
+                        let (dyr, xhr) = (&dys[row.clone()], &xhat[row.clone()]);
+                        dx_row(dyr, xhr, &mut dxs[row], gm as f64, md, mdx, istd);
+                    }
+                }
+            }
+        };
         let grain = parallel::grain_for(8 * c * hw);
         // Per-sample partial (dgamma, dbeta) rows, combined serially below.
         parallel::with_scratch_f32(n * 2 * c, |partials| {
@@ -292,64 +339,16 @@ impl GroupNorm {
                 n,
                 grain,
                 |range, dx_slab, part_slab| {
-                    for (local, ni) in range.enumerate() {
-                        let dys = &dydata[ni * c * hw..(ni + 1) * c * hw];
-                        let xs = &xdata[ni * c * hw..(ni + 1) * c * hw];
-                        let part = &mut part_slab[local * 2 * c..(local + 1) * 2 * c];
-                        let (dgp, dbp) = part.split_at_mut(c);
-                        for ci in 0..c {
-                            let (mean, istd64) = cache.stats(ni * groups + ci / cg);
-                            let mut dg = 0.0f32;
-                            let mut db = 0.0f32;
-                            for (&g, &v) in dys[ci * hw..(ci + 1) * hw]
-                                .iter()
-                                .zip(&xs[ci * hw..(ci + 1) * hw])
-                            {
-                                let xh = ((v as f64 - mean) * istd64) as f32;
-                                dg += g * xh;
-                                db += g;
-                            }
-                            dgp[ci] = dg;
-                            dbp[ci] = db;
+                    parallel::with_scratch_f32(c * hw, |xhat| {
+                        for (local, ni) in range.enumerate() {
+                            sample_grad(
+                                ni,
+                                xhat,
+                                &mut dx_slab[local * c * hw..(local + 1) * c * hw],
+                                &mut part_slab[local * 2 * c..(local + 1) * 2 * c],
+                            );
                         }
-                        let dxs = &mut dx_slab[local * c * hw..(local + 1) * c * hw];
-                        for g in 0..groups {
-                            let (mean, istd64) = cache.stats(ni * groups + g);
-                            let istd = istd64 as f32;
-                            // dxhat = dy * gamma; then the standard normalization
-                            // backward: dx = istd*(dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
-                            let mut mean_dxhat = 0.0f64;
-                            let mut mean_dxhat_xhat = 0.0f64;
-                            for ci in g * cg..(g + 1) * cg {
-                                let gm = gdata[ci] as f64;
-                                for (&gy, &v) in dys[ci * hw..(ci + 1) * hw]
-                                    .iter()
-                                    .zip(&xs[ci * hw..(ci + 1) * hw])
-                                {
-                                    let xh = ((v as f64 - mean) * istd64) as f32;
-                                    let dxh = gy as f64 * gm;
-                                    mean_dxhat += dxh;
-                                    mean_dxhat_xhat += dxh * xh as f64;
-                                }
-                            }
-                            mean_dxhat /= group_len as f64;
-                            mean_dxhat_xhat /= group_len as f64;
-                            for ci in g * cg..(g + 1) * cg {
-                                let gm = gdata[ci] as f64;
-                                for ((dxv, &gy), &v) in dxs[ci * hw..(ci + 1) * hw]
-                                    .iter_mut()
-                                    .zip(&dys[ci * hw..(ci + 1) * hw])
-                                    .zip(&xs[ci * hw..(ci + 1) * hw])
-                                {
-                                    let xh = ((v as f64 - mean) * istd64) as f32;
-                                    let dxh = gy as f64 * gm;
-                                    *dxv = (istd as f64
-                                        * (dxh - mean_dxhat - xh as f64 * mean_dxhat_xhat))
-                                        as f32;
-                                }
-                            }
-                        }
-                    }
+                    });
                 },
             );
             for ni in 0..n {
@@ -510,16 +509,209 @@ unsafe fn normalize_row_avx(xs: &[f32], ys: &mut [f32], gm: f32, bt: f32, mean: 
     let py = ys.as_mut_ptr();
     let mut j = 0usize;
     while j + 8 <= len {
-        let x8 = _mm256_loadu_ps(px.add(j));
-        let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x8));
-        let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(x8, 1));
-        let nlo = _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_sub_pd(lo, meanv), istdv));
-        let nhi = _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_sub_pd(hi, meanv), istdv));
-        let xh8 = _mm256_insertf128_ps(_mm256_castps128_ps256(nlo), nhi, 1);
+        let xh8 = xhat8_avx(px.add(j), meanv, istdv);
         _mm256_storeu_ps(py.add(j), _mm256_add_ps(_mm256_mul_ps(gmv, xh8), btv));
         j += 8;
     }
     normalize_row_portable(&xs[j..], &mut ys[j..], gm, bt, mean, istd);
+}
+
+/// `x̂ = ((x − mean) · istd) as f32` for the eight floats at `px`: widen
+/// each half to `f64`, subtract, multiply, and round back
+/// (`vcvtpd2ps` rounds to nearest-even exactly like `as f32`).
+///
+/// # Safety
+///
+/// The host must support AVX and `px` must point at eight readable floats.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn xhat8_avx(
+    px: *const f32,
+    meanv: std::arch::x86_64::__m256d,
+    istdv: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    let x8 = _mm256_loadu_ps(px);
+    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(x8));
+    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(x8, 1));
+    let nlo = _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_sub_pd(lo, meanv), istdv));
+    let nhi = _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_sub_pd(hi, meanv), istdv));
+    _mm256_insertf128_ps(_mm256_castps128_ps256(nlo), nhi, 1)
+}
+
+/// The normalized values alone, `x̂ = ((x − mean) · istd) as f32` per
+/// element — the first half of [`normalize_row`], which the backward pass
+/// materializes once per sample. The AVX body shares [`xhat8_avx`] with
+/// the forward's, so both bodies agree bitwise.
+fn xhat_row(xs: &[f32], xh: &mut [f32], mean: f64, istd: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX support verified at runtime; the body asserts the
+        // two lengths match before its pointer walk.
+        unsafe { xhat_row_avx(xs, xh, mean, istd) };
+        return;
+    }
+    xhat_row_portable(xs, xh, mean, istd);
+}
+
+fn xhat_row_portable(xs: &[f32], xh: &mut [f32], mean: f64, istd: f64) {
+    for (o, &v) in xh.iter_mut().zip(xs) {
+        *o = ((v as f64 - mean) * istd) as f32;
+    }
+}
+
+/// AVX body of [`xhat_row`]: eight elements per step, the tail portable.
+///
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn xhat_row_avx(xs: &[f32], xh: &mut [f32], mean: f64, istd: f64) {
+    use core::arch::x86_64::*;
+    let len = xs.len();
+    assert_eq!(xh.len(), len);
+    let meanv = _mm256_set1_pd(mean);
+    let istdv = _mm256_set1_pd(istd);
+    let mut j = 0usize;
+    while j + 8 <= len {
+        _mm256_storeu_ps(
+            xh.as_mut_ptr().add(j),
+            xhat8_avx(xs.as_ptr().add(j), meanv, istdv),
+        );
+        j += 8;
+    }
+    xhat_row_portable(&xs[j..], &mut xh[j..], mean, istd);
+}
+
+/// The reduction sweep of [`GroupNorm::backward`] over `G` consecutive
+/// groups of one sample: `dy`, `xhat` are the groups' `[G·cg, hw]` rows,
+/// `gamma`, `dg`, `db` their `G·cg` channels. Writes each channel's `f32`
+/// chains `dg = Σ dy·x̂` and `db = Σ dy` (pixels in order, from `+0.0`) and
+/// returns each group's `f64` chains `(Σ dx̂, Σ dx̂·x̂)` with `dx̂ = dy·γ`
+/// (channels, then pixels, in order, from `+0.0`).
+///
+/// The loop visits channel `j` of every group at each pixel, so the `4·G`
+/// chains of a step are independent and overlap their add latency; each
+/// chain still sees its elements in its own serial order.
+fn group_sums<const G: usize>(
+    dy: &[f32],
+    xhat: &[f32],
+    gamma: &[f32],
+    hw: usize,
+    dg: &mut [f32],
+    db: &mut [f32],
+) -> [(f64, f64); G] {
+    let cg = gamma.len() / G;
+    assert_eq!(dy.len(), G * cg * hw);
+    assert_eq!(xhat.len(), dy.len());
+    let mut s = [0.0f64; G];
+    let mut sx = [0.0f64; G];
+    for j in 0..cg {
+        let ch: [usize; G] = std::array::from_fn(|b| b * cg + j);
+        let dyr = ch.map(|ci| &dy[ci * hw..(ci + 1) * hw]);
+        let xhr = ch.map(|ci| &xhat[ci * hw..(ci + 1) * hw]);
+        let gm = ch.map(|ci| gamma[ci] as f64);
+        let mut dgc = [0.0f32; G];
+        let mut dbc = [0.0f32; G];
+        for p in 0..hw {
+            for b in 0..G {
+                let (gy, xh) = (dyr[b][p], xhr[b][p]);
+                dgc[b] += gy * xh;
+                dbc[b] += gy;
+                let dxh = gy as f64 * gm[b];
+                s[b] += dxh;
+                sx[b] += dxh * xh as f64;
+            }
+        }
+        for (b, ci) in ch.into_iter().enumerate() {
+            dg[ci] = dgc[b];
+            db[ci] = dbc[b];
+        }
+    }
+    std::array::from_fn(|b| (s[b], sx[b]))
+}
+
+/// Input gradient of one channel row: per element
+/// `dx = (istd · (dy·γ − md − x̂·mdx)) as f32` in `f64`, where `md` and
+/// `mdx` are the group's `mean(dx̂)` and `mean(dx̂·x̂)` and `istd` is the
+/// group's `f64` inverse deviation already rounded through `f32`. The AVX
+/// body runs the same widen, mul, sub, sub, mul, round sequence 4-wide.
+fn dx_row(dy: &[f32], xhat: &[f32], dx: &mut [f32], gm: f64, md: f64, mdx: f64, istd: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX support verified at runtime; the body asserts the
+        // three lengths match before its pointer walk.
+        unsafe { dx_row_avx(dy, xhat, dx, gm, md, mdx, istd) };
+        return;
+    }
+    dx_row_portable(dy, xhat, dx, gm, md, mdx, istd);
+}
+
+fn dx_row_portable(
+    dy: &[f32],
+    xhat: &[f32],
+    dx: &mut [f32],
+    gm: f64,
+    md: f64,
+    mdx: f64,
+    istd: f64,
+) {
+    for ((o, &gy), &xh) in dx.iter_mut().zip(dy).zip(xhat) {
+        let dxh = gy as f64 * gm;
+        *o = (istd * (dxh - md - xh as f64 * mdx)) as f32;
+    }
+}
+
+/// AVX body of [`dx_row`]: eight elements per step as two 4-wide `f64`
+/// halves, the tail portable.
+///
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn dx_row_avx(
+    dy: &[f32],
+    xhat: &[f32],
+    dx: &mut [f32],
+    gm: f64,
+    md: f64,
+    mdx: f64,
+    istd: f64,
+) {
+    use core::arch::x86_64::*;
+    let len = dx.len();
+    assert!(dy.len() == len && xhat.len() == len);
+    let (gmv, mdv, mdxv, istdv) = (
+        _mm256_set1_pd(gm),
+        _mm256_set1_pd(md),
+        _mm256_set1_pd(mdx),
+        _mm256_set1_pd(istd),
+    );
+    // Four lanes: dy and x̂ widened to f64, then the scalar expression.
+    let lanes4 = |gy: __m128, xh: __m128| {
+        let dxh = _mm256_mul_pd(_mm256_cvtps_pd(gy), gmv);
+        let t = _mm256_sub_pd(
+            _mm256_sub_pd(dxh, mdv),
+            _mm256_mul_pd(_mm256_cvtps_pd(xh), mdxv),
+        );
+        _mm256_cvtpd_ps(_mm256_mul_pd(istdv, t))
+    };
+    let mut j = 0usize;
+    while j + 8 <= len {
+        let gy = _mm256_loadu_ps(dy.as_ptr().add(j));
+        let xh = _mm256_loadu_ps(xhat.as_ptr().add(j));
+        let lo = lanes4(_mm256_castps256_ps128(gy), _mm256_castps256_ps128(xh));
+        let hi = lanes4(_mm256_extractf128_ps(gy, 1), _mm256_extractf128_ps(xh, 1));
+        _mm256_storeu_ps(
+            dx.as_mut_ptr().add(j),
+            _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1),
+        );
+        j += 8;
+    }
+    dx_row_portable(&dy[j..], &xhat[j..], &mut dx[j..], gm, md, mdx, istd);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,8 +754,8 @@ pub fn forward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAcc
 /// `ni` writes its stride of `dx` and its `(dgamma, dbeta)` partial row
 /// (a `parallel_for_disjoint2` whose second buffer is the scratch
 /// partials arena, folded serially in sample order after the join). x̂ is
-/// recomputed from `x` and the cached per-group moments rather than read
-/// from a materialized buffer.
+/// recomputed from `x` and the cached per-group moments into a per-lane
+/// `[C, H·W]` arena, one sample at a time.
 pub fn backward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAccessSummary {
     KernelAccessSummary {
         kernel: "groupnorm.backward",
@@ -588,7 +780,10 @@ pub fn backward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAc
             StridedAccess::contiguous("inv_std", AccessKind::Read, groups),
             StridedAccess::broadcast_read("gamma", c),
         ],
-        scratch: vec![ScratchDecl::arena("partials", n * 2 * c)],
+        scratch: vec![
+            ScratchDecl::arena("partials", n * 2 * c),
+            ScratchDecl::arena("xhat", c * hw),
+        ],
     }
 }
 
@@ -726,6 +921,38 @@ mod tests {
     #[should_panic(expected = "divide")]
     fn bad_group_count_rejected() {
         let _ = GroupNorm::new(6, 4);
+    }
+
+    // The dispatched x̂ and dx rows of the backward pass must agree
+    // bitwise with their portable bodies over full 8-lane blocks and ragged
+    // tails, including signed zeros, inputs at the mean (x̂ = 0) and a NaN.
+    #[test]
+    fn backward_rows_dispatch_match_portable_bitwise() {
+        for len in [1usize, 3, 8, 15, 16, 64, 67] {
+            let mut x = init::uniform(&[len], -3.0, 3.0, 71 + len as u64);
+            let mut dy = init::uniform(&[len], -1.0, 1.0, 73 + len as u64);
+            for (i, (xv, g)) in x.data_mut().iter_mut().zip(dy.data_mut()).enumerate() {
+                match i % 5 {
+                    1 => *g = -0.0,
+                    2 => *xv = 0.5,
+                    3 if i == 13 => *g = f32::NAN,
+                    _ => {}
+                }
+            }
+            let (mean, istd) = (0.5, 1.7);
+            let mut xh_d = vec![0.0f32; len];
+            let mut xh_p = vec![0.0f32; len];
+            xhat_row(x.data(), &mut xh_d, mean, istd);
+            xhat_row_portable(x.data(), &mut xh_p, mean, istd);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&xh_d), bits(&xh_p), "x̂ len {len}");
+            let (gm, md, mdx, istd32) = (-1.3, 0.021, -0.37, 1.7f32 as f64);
+            let mut dx_d = vec![0.0f32; len];
+            let mut dx_p = vec![0.0f32; len];
+            dx_row(dy.data(), &xh_p, &mut dx_d, gm, md, mdx, istd32);
+            dx_row_portable(dy.data(), &xh_p, &mut dx_p, gm, md, mdx, istd32);
+            assert_eq!(bits(&dx_d), bits(&dx_p), "dx len {len}");
+        }
     }
 
     // The dispatched (AVX where available) moment and normalize kernels

@@ -125,11 +125,15 @@ fn dense_kernels_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn groupnorm_is_bit_identical_across_thread_counts() {
-    // Batch 3 and batch 1, H*W = 15.
-    for (i, n) in [3usize, 1].into_iter().enumerate() {
+    // Batch 3 and batch 1 at H*W = 15, and the training shape: batch 8
+    // of 8x8 maps, whose rows fill the AVX bodies.
+    for (i, (n, h, w)) in [(3usize, 5usize, 3usize), (1, 5, 3), (8, 8, 8)]
+        .into_iter()
+        .enumerate()
+    {
         let gn = GroupNorm::new(4, 2);
-        let x = init::uniform(&[n, 4, 5, 3], -2.0, 2.0, 61);
-        let dy = init::uniform(&[n, 4, 5, 3], -1.0, 1.0, 62);
+        let x = init::uniform(&[n, 4, h, w], -2.0, 2.0, 61);
+        let dy = init::uniform(&[n, 4, h, w], -1.0, 1.0, 62);
         assert_same_bits(&format!("groupnorm case {i}"), || {
             let (y, cache) = gn.forward(&x);
             let (dx, dgamma, dbeta) = gn.backward(&x, &cache, &dy);

@@ -72,10 +72,20 @@ fn dense_all_three_passes_survive_schedule_audit() {
 
 #[test]
 fn groupnorm_both_passes_survive_schedule_audit() {
+    // Batch 5 at H*W = 15, and the training shape: batch 8 of 8x8 maps.
+    for (i, (n, h, w)) in [(5usize, 5usize, 3usize), (8, 8, 8)]
+        .into_iter()
+        .enumerate()
+    {
+        groupnorm_survives_schedule_audit(&format!("groupnorm.forward+backward case {i}"), n, h, w);
+    }
+}
+
+fn groupnorm_survives_schedule_audit(label: &str, n: usize, h: usize, w: usize) {
     let gn = GroupNorm::new(4, 2);
-    let x = init::uniform(&[5, 4, 5, 3], -2.0, 2.0, 61);
-    let dy = init::uniform(&[5, 4, 5, 3], -1.0, 1.0, 62);
-    audit::assert_deterministic("groupnorm.forward+backward", || {
+    let x = init::uniform(&[n, 4, h, w], -2.0, 2.0, 61);
+    let dy = init::uniform(&[n, 4, h, w], -1.0, 1.0, 62);
+    audit::assert_deterministic(label, || {
         let (y, cache) = gn.forward(&x);
         let (dx, dgamma, dbeta) = gn.backward(&x, &cache, &dy);
         let mut out = bufs(&[&y, &dx, &dgamma, &dbeta]);
