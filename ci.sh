@@ -71,6 +71,19 @@ cargo run -q --release -p enode-bench --bin fleet_bench -- --check >/dev/null
 echo "==> cost_table_json --check (COST_TABLE.json byte identity with the simulator)"
 cargo run -q --release -p enode-bench --bin cost_table_json -- --check
 
+echo "==> perfbench self-tests (its own package, built against the workspace crates)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# The served solve (no recorder) and the solo traced solve (ACA checkpoint
+# recorder) run on one stepping core; perfbench's gate compares every
+# served response bit for bit with its solo solve. The exit status is the
+# gate.
+for workload in serve_dynsys serve_image; do
+  echo "==> perfbench $workload (3 s, --trace 0; exit status gates served == solo bits)"
+  cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0 >/dev/null
+done
+
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-Dwarnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -262,7 +262,7 @@ pub struct LoweredPipeline {
 /// value-identical, and keeping every stage explicit keeps per-stage
 /// facts addressable.
 pub fn lower_pipeline(artifact: &PipelineArtifact) -> LoweredPipeline {
-    let tableau = artifact.solver.tableau_kind.tableau();
+    let tableau = artifact.solver.tableau_kind.tableau().clone();
     let (t0, t1) = artifact.model.t_span();
     let span = (t1 - t0).max(f64::MIN_POSITIVE);
     let n_steps =

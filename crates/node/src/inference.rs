@@ -2,20 +2,18 @@
 //! search (paper §II-A/B, Fig 3 "forward pass").
 
 use crate::model::{HeadCache, NodeModel};
-use crate::priority::{
-    find_window, judge_with_priority, num_rows, PriorityOptions, PriorityWindow,
-};
+use crate::priority::{num_rows, PriorityNorm, PriorityOptions};
 use enode_ode::controller::{
     ClassicController, ConventionalSearchController, SlopeAdaptiveController, StepController,
-    TrialDecision,
 };
-use enode_ode::state::StateOps;
-use enode_ode::step::{rk_step_with, StepScratch};
+use enode_ode::solver::{AdaptiveOptions, SolveError};
+use enode_ode::stepper::{Accepted, DecisionNorm, FullNorm, Recorder, Stepper};
 use enode_ode::tableau::ButcherTableau;
 use enode_tensor::network::Network;
 use enode_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Which stepsize-search policy drives the forward pass.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -139,14 +137,16 @@ pub enum TableauKind {
 }
 
 impl TableauKind {
-    /// Materializes the Butcher tableau.
-    pub fn tableau(self) -> ButcherTableau {
-        match self {
-            TableauKind::HeunEuler => ButcherTableau::heun_euler(),
-            TableauKind::Rk23 => ButcherTableau::rk23_bogacki_shampine(),
-            TableauKind::Rkf45 => ButcherTableau::rkf45(),
-            TableauKind::Dopri5 => ButcherTableau::dopri5(),
-        }
+    /// The Butcher tableau, built once per process.
+    pub fn tableau(self) -> &'static ButcherTableau {
+        static TABLEAUX: [OnceLock<ButcherTableau>; 4] = [const { OnceLock::new() }; 4];
+        let (slot, build): (usize, fn() -> ButcherTableau) = match self {
+            TableauKind::HeunEuler => (0, ButcherTableau::heun_euler),
+            TableauKind::Rk23 => (1, ButcherTableau::rk23_bogacki_shampine),
+            TableauKind::Rkf45 => (2, ButcherTableau::rkf45),
+            TableauKind::Dopri5 => (3, ButcherTableau::dopri5),
+        };
+        TABLEAUX[slot].get_or_init(build)
     }
 }
 
@@ -298,6 +298,19 @@ pub struct LayerStats {
     pub early_stops: usize,
 }
 
+impl LayerStats {
+    /// Adds `other`'s counts to these.
+    fn absorb(&mut self, other: &LayerStats) {
+        self.points += other.points;
+        self.trials += other.trials;
+        self.rejected += other.rejected;
+        self.nfe += other.nfe;
+        self.rows_processed += other.rows_processed;
+        self.rows_total += other.rows_total;
+        self.early_stops += other.early_stops;
+    }
+}
+
 /// One stored ACA checkpoint: the state at the *left edge* of step
 /// `step` (so `step == 0` is the layer input).
 #[derive(Clone, Debug)]
@@ -351,13 +364,7 @@ impl ForwardTrace {
     pub fn total_stats(&self) -> LayerStats {
         let mut acc = LayerStats::default();
         for l in &self.layers {
-            acc.points += l.stats.points;
-            acc.trials += l.stats.trials;
-            acc.rejected += l.stats.rejected;
-            acc.nfe += l.stats.nfe;
-            acc.rows_processed += l.stats.rows_processed;
-            acc.rows_total += l.stats.rows_total;
-            acc.early_stops += l.stats.early_stops;
+            acc.absorb(&l.stats);
         }
         acc
     }
@@ -368,19 +375,85 @@ impl ForwardTrace {
     }
 }
 
-/// Solves one integration layer `[t0, t1]` with iterative stepsize search.
-///
-/// # Errors
-///
-/// Returns [`NodeError`] on stepsize underflow or non-finite states
-/// (`layer` is reported as 0; [`forward_model`] rewrites it).
-pub fn forward_layer(
+/// The ACA recorder: a [`StepRecord`] per accepted step and every
+/// `stride`-th state as a [`Checkpoint`], starting from the layer input.
+struct AcaRecorder {
+    stride: usize,
+    checkpoints: Vec<Checkpoint>,
+    steps: Vec<StepRecord>,
+}
+
+impl AcaRecorder {
+    fn new(y0: &Tensor, t0: f64, stride: usize) -> Self {
+        AcaRecorder {
+            stride,
+            checkpoints: vec![Checkpoint {
+                step: 0,
+                t: t0,
+                state: y0.clone(),
+            }],
+            steps: Vec::new(),
+        }
+    }
+
+    fn into_trace(self, stats: LayerStats, tableau: TableauKind) -> LayerTrace {
+        LayerTrace {
+            checkpoints: self.checkpoints,
+            steps: self.steps,
+            stats,
+            tableau,
+        }
+    }
+}
+
+impl Recorder<Tensor> for AcaRecorder {
+    fn record(&mut self, p: Accepted<'_, Tensor>) {
+        self.steps.push(StepRecord {
+            t0: p.t - p.dt,
+            dt: p.dt,
+            trials: p.trials,
+        });
+        if self.steps.len().is_multiple_of(self.stride) {
+            self.checkpoints.push(Checkpoint {
+                step: self.steps.len(),
+                t: p.t,
+                state: p.y.clone(),
+            });
+        }
+    }
+}
+
+/// Rounds every element through IEEE binary16 (the FP16 storage
+/// datapath).
+fn quantize_f16(y: &mut Tensor) {
+    for v in y.data_mut() {
+        *v = enode_tensor::F16::from_f32(*v).to_f32();
+    }
+}
+
+/// A stepper for `opts`' integrator and storage precision over states
+/// shaped like `like`.
+fn stepper_for(opts: &NodeSolveOptions, like: &Tensor) -> Stepper<'static, Tensor> {
+    let stepper = Stepper::new(opts.tableau_kind.tableau(), like);
+    if opts.fp16_storage {
+        stepper.with_rounding(quantize_f16)
+    } else {
+        stepper
+    }
+}
+
+/// Solves one integration layer on `stepper`, advancing `y` in place:
+/// the search of [`Stepper::search`] with `f` evaluated into the
+/// stepper's buffers, the decision norm `opts.priority` asks for, and
+/// `rec` recording the accepted points.
+fn solve_layer<R: Recorder<Tensor>>(
+    stepper: &mut Stepper<'static, Tensor>,
     f: &Network,
-    y0: &Tensor,
+    y: &mut Tensor,
     t_span: (f64, f64),
     opts: &NodeSolveOptions,
-) -> Result<(Tensor, LayerTrace), NodeError> {
-    let tableau = opts.tableau_kind.tableau();
+    rec: &mut R,
+) -> Result<LayerStats, SolveError> {
     // Preflights mirroring the static lints (E062, E055): a violated
     // bound here means the artifact was never run through `enode-lint`.
     debug_assert!(
@@ -397,182 +470,172 @@ pub fn forward_layer(
         "tolerance {} is unrepresentable in f16 state (lint E055)",
         opts.tolerance
     );
-    let mut controller = opts.controller.build(&tableau, opts.default_dt);
     let (t0, t1) = t_span;
     debug_assert!(
         t0.is_finite() && t1.is_finite() && t1 > t0,
         "integration span must be finite and increasing, got ({t0}, {t1})"
     );
-    debug_assert!(
-        y0.data().iter().all(|v| v.is_finite()),
-        "initial state contains NaN/Inf"
-    );
-    let rows_per_map = num_rows(y0) as u64;
+    let mut controller = opts
+        .controller
+        .build(opts.tableau_kind.tableau(), opts.default_dt);
+    let limits = AdaptiveOptions {
+        tolerance: opts.tolerance,
+        dt_min: opts.dt_min,
+        dt_max: f64::INFINITY,
+        max_trials_per_point: opts.max_trials_per_point,
+        max_points: opts.max_points,
+    };
+    let mut eval = |t: f64, p: &Tensor, out: &mut Tensor| f.eval_into(t as f32, p, out);
+    let rows_per_map = num_rows(y) as u64;
+    let mut priority = opts
+        .priority
+        .map(|p| PriorityNorm::new(p.window_rows, rows_per_map));
+    let norm: &mut dyn DecisionNorm<Tensor> = match &mut priority {
+        Some(p) => p,
+        None => &mut FullNorm,
+    };
+    let solved = stepper.search(
+        &mut eval,
+        t_span,
+        y,
+        controller.as_mut(),
+        &limits,
+        norm,
+        rec,
+    )?;
+    let rows_total = solved.total_trials() as u64 * rows_per_map;
+    let (rows_processed, early_stops) = match priority {
+        Some(p) => (p.rows_processed, p.early_stops),
+        None => (rows_total, 0),
+    };
+    Ok(LayerStats {
+        points: solved.accepted,
+        trials: solved.total_trials(),
+        rejected: solved.rejected,
+        nfe: solved.nfe,
+        rows_processed,
+        rows_total,
+        early_stops,
+    })
+}
 
-    let mut y = y0.clone();
-    let mut t = t0;
-    let mut checkpoints = vec![Checkpoint {
-        step: 0,
-        t: t0,
-        state: y0.clone(),
-    }];
-    let mut steps = Vec::new();
-    let mut stats = LayerStats::default();
-    let mut dt_hint: Option<f64> = None;
-    let mut fsal: Option<Tensor> = None;
-    // One buffer pool across the layer's whole stepsize search: rejected
-    // trials and spent stages are full feature-map tensors, and recycling
-    // them keeps the search loop allocation-free at steady state.
-    let mut scratch = StepScratch::new();
-
-    while t < t1 - 1e-12 {
-        // Budget accepted steps, not stored checkpoints: at a checkpoint
-        // stride above 1 only every stride-th step stores one.
-        if steps.len() >= opts.max_points {
-            return Err(NodeError::StepsizeUnderflow { layer: 0 });
-        }
-        let remaining = t1 - t;
-        let mut dt = controller
-            .begin_point(dt_hint, remaining)
-            .max(opts.dt_min)
-            .min(remaining);
-        let mut trials = 0usize;
-        let mut k1: Option<Tensor> = fsal.take();
-        let mut window: Option<PriorityWindow> = None;
-        loop {
-            trials += 1;
-            stats.trials += 1;
-            if trials > opts.max_trials_per_point {
-                return Err(NodeError::StepsizeUnderflow { layer: 0 });
-            }
-            let mut eval = |tt: f64, yy: &Tensor| f.eval(tt as f32, yy);
-            // k1 = f(t, y) is dt-independent: it moves into the trial and,
-            // after a rejection, back out of `stages[0]` for the retrial.
-            let out = rk_step_with(&tableau, &mut eval, t, dt, &y, k1.take(), &mut scratch);
-            stats.nfe += out.nfe;
-            if !out.y_next.is_finite() {
-                return Err(NodeError::NonFiniteState { layer: 0 });
-            }
-            let error = out.error.as_ref().expect("adaptive tableau");
-
-            // Decision norm: full map on the first trial (which also
-            // initializes the priority window), window-only afterwards.
-            let (decision_norm, rows_this_trial, early) = match (opts.priority, trials) {
-                (Some(p), 1) => {
-                    window = Some(find_window(error, p.window_rows));
-                    (StateOps::norm_l2(error), rows_per_map, false)
-                }
-                (Some(_), _) => {
-                    let w = window.expect("window set on first trial");
-                    let j = judge_with_priority(error, w, opts.tolerance);
-                    (j.decision_norm, j.rows_processed as u64, j.early_stopped)
-                }
-                (None, _) => (StateOps::norm_l2(error), rows_per_map, false),
-            };
-            stats.rows_processed += rows_this_trial;
-            stats.rows_total += rows_per_map;
-            if early {
-                stats.early_stops += 1;
-            }
-
-            let ratio = decision_norm / opts.tolerance;
-            match controller.on_trial(dt, ratio) {
-                TrialDecision::Accept { dt_next_hint } => {
-                    t += dt;
-                    let prev_y = std::mem::replace(&mut y, out.y_next);
-                    scratch.recycle([prev_y]);
-                    scratch.recycle(out.error);
-                    if opts.fp16_storage {
-                        for v in y.data_mut() {
-                            *v = enode_tensor::F16::from_f32(*v).to_f32();
-                        }
-                    }
-                    if tableau.is_fsal() {
-                        let mut stages = out.stages;
-                        fsal = stages.pop();
-                        scratch.recycle(stages);
-                    } else {
-                        scratch.recycle(out.stages);
-                    }
-                    steps.push(StepRecord {
-                        t0: t - dt,
-                        dt,
-                        trials,
-                    });
-                    if steps.len() % opts.checkpoint_stride == 0 {
-                        checkpoints.push(Checkpoint {
-                            step: steps.len(),
-                            t,
-                            state: y.clone(),
-                        });
-                    }
-                    stats.points += 1;
-                    dt_hint = Some(dt_next_hint);
-                    controller.end_point(trials == 1);
-                    break;
-                }
-                TrialDecision::Reject { dt_retry } => {
-                    stats.rejected += 1;
-                    scratch.recycle([out.y_next]);
-                    scratch.recycle(out.error);
-                    let mut stages = out.stages.into_iter();
-                    k1 = stages.next();
-                    scratch.recycle(stages);
-                    if dt_retry < opts.dt_min {
-                        return Err(NodeError::StepsizeUnderflow { layer: 0 });
-                    }
-                    dt = dt_retry;
-                }
-            }
+/// The [`NodeError`] of a failed layer solve.
+fn layer_error(e: SolveError, layer: usize) -> NodeError {
+    match e {
+        SolveError::NonFiniteState => NodeError::NonFiniteState { layer },
+        SolveError::StepsizeUnderflow | SolveError::MaxStepsExceeded => {
+            NodeError::StepsizeUnderflow { layer }
         }
     }
+}
 
-    let trace = LayerTrace {
-        checkpoints,
-        steps,
-        stats,
-        tableau: opts.tableau_kind,
-    };
-    Ok((y, trace))
+/// Solves one integration layer `[t0, t1]` with iterative stepsize search.
+///
+/// # Errors
+///
+/// Returns [`NodeError`] on stepsize underflow, an exhausted point
+/// budget, or a non-finite state — including a non-finite `y0`, which is
+/// refused before any evaluation (`layer` is reported as 0;
+/// [`forward_model`] rewrites it).
+pub fn forward_layer(
+    f: &Network,
+    y0: &Tensor,
+    t_span: (f64, f64),
+    opts: &NodeSolveOptions,
+) -> Result<(Tensor, LayerTrace), NodeError> {
+    let mut y = y0.clone();
+    let mut rec = AcaRecorder::new(y0, t_span.0, opts.checkpoint_stride);
+    let stats = solve_layer(
+        &mut stepper_for(opts, &y),
+        f,
+        &mut y,
+        t_span,
+        opts,
+        &mut rec,
+    )
+    .map_err(|e| layer_error(e, 0))?;
+    Ok((y, rec.into_trace(stats, opts.tableau_kind)))
+}
+
+/// Integrates every layer of `model` from `x` on one stepper, recording
+/// each with the recorder `recorder` builds from the layer input. Returns
+/// the final state projected to the model's original width, and each
+/// layer's recorder and stats.
+#[allow(clippy::type_complexity)]
+fn integrate<R: Recorder<Tensor>>(
+    model: &NodeModel,
+    x: &Tensor,
+    opts: &NodeSolveOptions,
+    mut recorder: impl FnMut(&Tensor) -> R,
+) -> Result<(Tensor, Vec<(R, LayerStats)>), NodeError> {
+    let orig_width = x.shape()[1];
+    let mut y = crate::augment::augment(x, model.augment_dims());
+    let mut stepper = stepper_for(opts, &y);
+    let mut layers = Vec::with_capacity(model.num_layers());
+    for (li, f) in model.layers().iter().enumerate() {
+        let mut rec = recorder(&y);
+        let stats = solve_layer(&mut stepper, f, &mut y, model.t_span(), opts, &mut rec)
+            .map_err(|e| layer_error(e, li))?;
+        layers.push((rec, stats));
+    }
+    // ANODE: predictions live in the original dimensions.
+    Ok((crate::augment::project(&y, orig_width), layers))
 }
 
 /// Runs the full NODE forward pass: every integration layer in sequence,
 /// then the classifier head if present. Returns the model output (logits
-/// when a head exists, else the final state) and the full trace.
+/// when a head exists, else the final state) and the full trace: every
+/// layer's step records and its ACA checkpoints.
 ///
 /// # Errors
 ///
-/// Returns [`NodeError`] identifying the failing layer.
+/// Returns [`NodeError`] identifying the failing layer; a non-finite
+/// input fails layer 0 with [`NodeError::NonFiniteState`].
 pub fn forward_model(
     model: &NodeModel,
     x: &Tensor,
     opts: &NodeSolveOptions,
 ) -> Result<(Tensor, ForwardTrace), NodeError> {
-    debug_assert!(
-        x.data().iter().all(|v| v.is_finite()),
-        "model input contains NaN/Inf"
-    );
-    let orig_width = x.shape()[1];
-    let mut state = crate::augment::augment(x, model.augment_dims());
-    let mut layers = Vec::with_capacity(model.num_layers());
-    for (li, f) in model.layers().iter().enumerate() {
-        let (y, trace) = forward_layer(f, &state, model.t_span(), opts).map_err(|e| match e {
-            NodeError::StepsizeUnderflow { .. } => NodeError::StepsizeUnderflow { layer: li },
-            NodeError::NonFiniteState { .. } => NodeError::NonFiniteState { layer: li },
-        })?;
-        state = y;
-        layers.push(trace);
-    }
-    // ANODE: predictions live in the original dimensions.
-    let projected = crate::augment::project(&state, orig_width);
+    let t0 = model.t_span().0;
+    let (state, solved) = integrate(model, x, opts, |y0| {
+        AcaRecorder::new(y0, t0, opts.checkpoint_stride)
+    })?;
+    let layers = solved
+        .into_iter()
+        .map(|(rec, stats)| rec.into_trace(stats, opts.tableau_kind))
+        .collect();
     let (output, head_cache) = match model.head() {
         Some(head) => {
-            let (logits, cache) = head.forward(&projected);
+            let (logits, cache) = head.forward(&state);
             (logits, Some(cache))
         }
-        None => (projected, None),
+        None => (state, None),
     };
     Ok((output, ForwardTrace { layers, head_cache }))
+}
+
+/// [`forward_model`] without the trace: the same output bits and the
+/// same summed [`LayerStats`] as `forward_model(..).1.total_stats()`,
+/// with no step records or checkpoints kept — the serving path.
+///
+/// # Errors
+///
+/// As [`forward_model`].
+pub fn forward_model_stats(
+    model: &NodeModel,
+    x: &Tensor,
+    opts: &NodeSolveOptions,
+) -> Result<(Tensor, LayerStats), NodeError> {
+    let (state, solved) = integrate(model, x, opts, |_| ())?;
+    let mut total = LayerStats::default();
+    for (_, stats) in &solved {
+        total.absorb(stats);
+    }
+    let output = match model.head() {
+        Some(head) => head.forward(&state).0,
+        None => state,
+    };
+    Ok((output, total))
 }
 
 #[cfg(test)]
@@ -705,6 +768,40 @@ mod tests {
             NodeError::NonFiniteState { layer } => assert_eq!(layer, 1),
             NodeError::StepsizeUnderflow { layer } => assert_eq!(layer, 1),
         }
+    }
+
+    #[test]
+    fn stats_only_forward_matches_the_traced_one() {
+        for model in [
+            NodeModel::dynamic_system(2, 8, 2, 3),
+            NodeModel::image_classifier_normed(4, 2, 2, 10, 2, 7),
+        ] {
+            let dims: &[usize] = if model.head().is_some() {
+                &[1, 4, 6, 6]
+            } else {
+                &[1, 2]
+            };
+            let x = enode_tensor::init::uniform(dims, -1.0, 1.0, 5);
+            let opts = NodeSolveOptions::new(1e-4).with_checkpoint_stride(2);
+            let (y, trace) = forward_model(&model, &x, &opts).unwrap();
+            let (y_stats, stats) = forward_model_stats(&model, &x, &opts).unwrap();
+            assert_eq!(y.data(), y_stats.data());
+            assert_eq!(stats, trace.total_stats());
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_refused_in_every_build() {
+        let model = NodeModel::new(vec![decay_network(), decay_network()], (0.0, 1.0));
+        let x = Tensor::from_vec(vec![f32::INFINITY], &[1, 1]);
+        let opts = NodeSolveOptions::new(1e-5);
+        let err = NodeError::NonFiniteState { layer: 0 };
+        assert_eq!(forward_model(&model, &x, &opts).unwrap_err(), err);
+        assert_eq!(forward_model_stats(&model, &x, &opts).unwrap_err(), err);
+        assert_eq!(
+            forward_layer(&decay_network(), &x, (0.0, 1.0), &opts).unwrap_err(),
+            err
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! admit slightly-too-large steps — the accuracy/latency trade-off of
 //! Fig 13.
 
+use enode_ode::state::StateOps;
+use enode_ode::stepper::DecisionNorm;
 use enode_tensor::Tensor;
 
 /// Configuration of priority processing.
@@ -154,6 +156,49 @@ pub fn judge_with_priority(
             decision_norm: wnorm,
             rows_processed: total_rows,
             early_stopped: false,
+        }
+    }
+}
+
+/// The §VII-B decision norm for the stepping core: a point's first
+/// trial is judged on the full map and picks the window; later trials are
+/// judged on the window and may stop early. Counts the rows processed and
+/// the early stops.
+#[derive(Clone, Debug)]
+pub(crate) struct PriorityNorm {
+    window_rows: usize,
+    rows_per_map: u64,
+    window: PriorityWindow,
+    /// Rows processed across all trials.
+    pub(crate) rows_processed: u64,
+    /// Trials that stopped after the window.
+    pub(crate) early_stops: usize,
+}
+
+impl PriorityNorm {
+    /// A window of `window_rows` rows over maps of `rows_per_map` rows.
+    pub(crate) fn new(window_rows: usize, rows_per_map: u64) -> Self {
+        PriorityNorm {
+            window_rows,
+            rows_per_map,
+            window: PriorityWindow { start: 0, len: 0 },
+            rows_processed: 0,
+            early_stops: 0,
+        }
+    }
+}
+
+impl DecisionNorm<Tensor> for PriorityNorm {
+    fn decide(&mut self, error: &Tensor, trial: usize, tolerance: f64) -> f64 {
+        if trial == 1 {
+            self.window = find_window(error, self.window_rows);
+            self.rows_processed += self.rows_per_map;
+            StateOps::norm_l2(error)
+        } else {
+            let j = judge_with_priority(error, self.window, tolerance);
+            self.rows_processed += j.rows_processed as u64;
+            self.early_stops += usize::from(j.early_stopped);
+            j.decision_norm
         }
     }
 }

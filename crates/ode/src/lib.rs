@@ -5,8 +5,12 @@
 //! * [`tableau`] — generic Butcher tableaux: Euler, Midpoint, Heun, the
 //!   RK23 (Bogacki–Shampine) pair the paper uses throughout, classic RK4,
 //!   RKF45 and DOPRI5.
-//! * [`step`] — one Runge–Kutta step over any [`StateOps`] state, with
-//!   embedded error estimation and FSAL reuse.
+//! * [`stepper`] — the stepping core every solve runs on: per-solve stage,
+//!   partial-state, candidate and error buffers, one Runge–Kutta trial with
+//!   embedded error estimation and FSAL reuse, and one iterative stepsize
+//!   search parameterized by a recorder of accepted points and a decision
+//!   norm.
+//! * [`step`] — one allocating Runge–Kutta step over any [`StateOps`] state.
 //! * [`solver`] — fixed-step and adaptive initial-value-problem solvers with
 //!   full search statistics (evaluation points, trials, function
 //!   evaluations) as profiled in paper §II.
@@ -46,6 +50,7 @@ pub mod problems;
 pub mod solver;
 pub mod state;
 pub mod step;
+pub mod stepper;
 pub mod stiffness;
 pub mod tableau;
 pub mod verify;
@@ -56,4 +61,5 @@ pub use controller::{
 };
 pub use solver::{solve_adaptive, solve_fixed, AdaptiveOptions, Solution};
 pub use state::StateOps;
+pub use stepper::Stepper;
 pub use tableau::ButcherTableau;

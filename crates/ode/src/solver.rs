@@ -1,9 +1,9 @@
 //! Initial-value-problem solvers: fixed-step and adaptive with iterative
 //! stepsize search.
 
-use crate::controller::{StepController, TrialDecision};
+use crate::controller::StepController;
 use crate::state::StateOps;
-use crate::step::{rk_step_with, StepScratch};
+use crate::stepper::{FullNorm, Stepper};
 use crate::tableau::ButcherTableau;
 use std::error::Error;
 use std::fmt;
@@ -232,54 +232,29 @@ pub fn solve_fixed<S: StateOps>(
 ) -> Solution<S> {
     assert!(n_steps > 0, "n_steps must be positive");
     let h = (t1 - t0) / n_steps as f64;
-    let mut points = Vec::with_capacity(n_steps);
     let mut y = y0.clone();
-    let mut t = t0;
-    let mut nfe = 0;
-    let mut fsal: Option<S> = None;
-    // One buffer pool for the whole solve: spent stages and superseded
-    // states feed the next step's temporaries instead of the allocator.
-    let mut scratch = StepScratch::new();
-    for _ in 0..n_steps {
-        let out = rk_step_with(tableau, &mut f, t, h.abs(), &y, fsal.take(), &mut scratch);
-        nfe += out.nfe;
-        let prev_y = std::mem::replace(&mut y, out.y_next);
-        scratch.recycle([prev_y]);
-        scratch.recycle(out.error);
-        let dy = if tableau.is_fsal() {
-            let mut stages = out.stages;
-            let last = stages.pop();
-            scratch.recycle(stages);
-            fsal = last.clone();
-            last
-        } else {
-            scratch.recycle(out.stages);
-            None
-        };
-        t += h;
-        points.push(EvalPoint {
-            t,
-            dt: h,
-            y: y.clone(),
-            trials: 1,
-            dy,
-        });
-    }
+    let mut points = Vec::with_capacity(n_steps);
+    let stats = Stepper::new(tableau, &y).fixed(
+        &mut |t, p: &S, out: &mut S| *out = f(t, p),
+        t0,
+        h,
+        n_steps,
+        &mut y,
+        &mut points,
+    );
     Solution {
         t0,
         y0,
         points,
-        stats: SolveStats {
-            nfe,
-            accepted: n_steps,
-            rejected: 0,
-        },
+        stats,
     }
 }
 
 /// Integrates `t0 → t1` with iterative stepsize search (paper §II-B): at
 /// each evaluation point, trial integrations are repeated under the
-/// [`StepController`]'s policy until `‖e‖₂ ≤ ε`.
+/// [`StepController`]'s policy until `‖e‖₂ ≤ ε`. Runs
+/// [`Stepper::search`] with [`FullNorm`] and dense output; `k₁ = f(t, y)`
+/// is evaluated once per point, not once per trial.
 ///
 /// Only forward spans (`t1 > t0`) are supported; integrate the reversed
 /// ODE for backward passes (as the adjoint method does).
@@ -304,81 +279,16 @@ pub fn solve_adaptive<S: StateOps>(
     );
     assert!(t1 > t0, "solve_adaptive requires t1 > t0");
     let mut y = y0.clone();
-    let mut t = t0;
     let mut points = Vec::new();
-    let mut stats = SolveStats::default();
-    let mut dt_hint: Option<f64> = None;
-    let mut fsal: Option<S> = None;
-    // One buffer pool for the whole solve: rejected trials' states feed
-    // the retries instead of the allocator — the stepsize search is the
-    // solver's hot loop and used to clone the full state every trial.
-    let mut scratch = StepScratch::new();
-
-    while t < t1 - 1e-12 {
-        if points.len() >= opts.max_points {
-            return Err(SolveError::MaxStepsExceeded);
-        }
-        let remaining = t1 - t;
-        let mut dt = controller
-            .begin_point(dt_hint, remaining)
-            .clamp(opts.dt_min, opts.dt_max)
-            .min(remaining);
-        let mut trials = 0;
-        loop {
-            trials += 1;
-            if trials > opts.max_trials_per_point {
-                return Err(SolveError::StepsizeUnderflow);
-            }
-            // A truncated-to-remaining step invalidates the FSAL stage only
-            // if dt changed vs the step it came from; recompute when absent.
-            let out = rk_step_with(tableau, &mut f, t, dt, &y, fsal.take(), &mut scratch);
-            stats.nfe += out.nfe;
-            if !out.y_next.is_finite() {
-                return Err(SolveError::NonFiniteState);
-            }
-            let err = out.error_norm();
-            let ratio = err / opts.tolerance;
-            match controller.on_trial(dt, ratio) {
-                TrialDecision::Accept { dt_next_hint } => {
-                    stats.accepted += 1;
-                    t += dt;
-                    let prev_y = std::mem::replace(&mut y, out.y_next);
-                    scratch.recycle([prev_y]);
-                    scratch.recycle(out.error);
-                    let dy = if tableau.is_fsal() {
-                        let mut stages = out.stages;
-                        let last = stages.pop();
-                        scratch.recycle(stages);
-                        fsal = last.clone();
-                        last
-                    } else {
-                        scratch.recycle(out.stages);
-                        None
-                    };
-                    points.push(EvalPoint {
-                        t,
-                        dt,
-                        y: y.clone(),
-                        trials,
-                        dy,
-                    });
-                    dt_hint = Some(dt_next_hint.clamp(opts.dt_min, opts.dt_max));
-                    controller.end_point(trials == 1);
-                    break;
-                }
-                TrialDecision::Reject { dt_retry } => {
-                    stats.rejected += 1;
-                    scratch.recycle([out.y_next]);
-                    scratch.recycle(out.error);
-                    scratch.recycle(out.stages);
-                    dt = dt_retry.max(opts.dt_min);
-                    if dt <= opts.dt_min && dt_retry < opts.dt_min {
-                        return Err(SolveError::StepsizeUnderflow);
-                    }
-                }
-            }
-        }
-    }
+    let stats = Stepper::new(tableau, &y).search(
+        &mut |t, p: &S, out: &mut S| *out = f(t, p),
+        (t0, t1),
+        &mut y,
+        controller,
+        opts,
+        &mut FullNorm,
+        &mut points,
+    )?;
     Ok(Solution {
         t0,
         y0,

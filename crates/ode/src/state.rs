@@ -78,30 +78,37 @@ impl StateOps for Vec<f64> {
 }
 
 impl StateOps for Tensor {
+    #[inline]
     fn zeros_like(&self) -> Self {
         Tensor::zeros_like(self)
     }
 
+    #[inline]
     fn axpy(&mut self, k: f64, other: &Self) {
         Tensor::axpy(self, k as f32, other);
     }
 
+    #[inline]
     fn scale_mut(&mut self, k: f64) {
         Tensor::scale_mut(self, k as f32);
     }
 
+    #[inline]
     fn norm_l2(&self) -> f64 {
         Tensor::norm_l2(self) as f64
     }
 
+    #[inline]
     fn dof(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn is_finite(&self) -> bool {
         Tensor::is_finite(self)
     }
 
+    #[inline]
     fn copy_from(&mut self, other: &Self) {
         Tensor::copy_from(self, other);
     }

@@ -1,6 +1,7 @@
 //! A single Runge–Kutta integration step.
 
 use crate::state::StateOps;
+use crate::stepper::Stepper;
 use crate::tableau::ButcherTableau;
 
 /// The result of one Runge–Kutta step (one "integration trial" in the
@@ -33,73 +34,13 @@ impl<S: StateOps> StepOutcome<S> {
     }
 }
 
-/// A pool of reusable state buffers threaded through [`rk_step_with`],
-/// eliminating the per-trial `y_next`/partial/error allocations of the
-/// stepsize-search inner loop (the paper's integration trials dominate
-/// solver time, and each used to clone the full state two or three
-/// times).
-///
-/// Callers keep one `StepScratch` alive across a solve and feed rejected
-/// trials' states back via [`StepScratch::recycle`]. All pooled buffers
-/// must share the solve's state shape — `copy_from` rebuilds a pooled
-/// buffer element-wise before any read, which is exactly what `clone`
-/// produces, so pooling is bit-invisible. Call [`StepScratch::clear`]
-/// before reusing a pool for a solve with a different state shape.
-#[derive(Debug)]
-pub struct StepScratch<S> {
-    pool: Vec<S>,
-}
-
-impl<S> Default for StepScratch<S> {
-    fn default() -> Self {
-        StepScratch::new()
-    }
-}
-
-impl<S> StepScratch<S> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        StepScratch { pool: Vec::new() }
-    }
-
-    /// Returns retired states (a rejected trial's `y_next`, error state,
-    /// or spent stages) to the pool for reuse by later steps.
-    pub fn recycle(&mut self, states: impl IntoIterator<Item = S>) {
-        self.pool.extend(states);
-    }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Drops every pooled buffer (required before switching state shapes).
-    pub fn clear(&mut self) {
-        self.pool.clear();
-    }
-}
-
-impl<S: StateOps> StepScratch<S> {
-    /// A buffer holding a copy of `src`: a pooled buffer rebuilt with
-    /// `copy_from` when available, a fresh `clone` otherwise.
-    fn take_copy_of(&mut self, src: &S) -> S {
-        match self.pool.pop() {
-            Some(mut s) => {
-                s.copy_from(src);
-                s
-            }
-            None => src.clone(),
-        }
-    }
-}
-
 /// Performs one explicit Runge–Kutta step `y(t) → y(t + h)`.
 ///
 /// `k1` may carry the previous step's FSAL stage to save one `f`
 /// evaluation; pass `None` to evaluate from scratch.
 ///
-/// Allocates fresh state buffers per step; the solver loops use
-/// [`rk_step_with`] with a shared [`StepScratch`] instead.
+/// A one-shot form of [`Stepper::trial`](crate::stepper::Stepper::trial)
+/// that returns owned states; the solvers drive a [`Stepper`] directly.
 ///
 /// # Panics
 ///
@@ -112,98 +53,15 @@ pub fn rk_step<S: StateOps>(
     y: &S,
     k1: Option<S>,
 ) -> StepOutcome<S> {
-    rk_step_with(tableau, f, t, h, y, k1, &mut StepScratch::new())
-}
-
-/// [`rk_step`] drawing every temporary state from `scratch` instead of
-/// allocating. Bit-identical to [`rk_step`]: pooled buffers are rebuilt
-/// with `copy_from` before use and the arithmetic is unchanged.
-pub fn rk_step_with<S: StateOps>(
-    tableau: &ButcherTableau,
-    f: &mut impl FnMut(f64, &S) -> S,
-    t: f64,
-    h: f64,
-    y: &S,
-    mut k1: Option<S>,
-    scratch: &mut StepScratch<S>,
-) -> StepOutcome<S> {
-    assert!(
-        h > 0.0 && h.is_finite(),
-        "stepsize must be positive, got {h}"
-    );
-    debug_assert!(t.is_finite(), "integration time must be finite, got {t}");
-    debug_assert!(
-        y.norm_l2().is_finite(),
-        "state contains NaN/Inf entering rk_step at t = {t}"
-    );
-    let s = tableau.stages();
-    let mut stages: Vec<S> = Vec::with_capacity(s);
-    let mut nfe = 0;
-
-    // One reusable partial-state buffer across all stages (instead of a
-    // fresh clone per stage): `p` is rebuilt from `y` by copy_from.
-    let mut partial: Option<S> = None;
-    for i in 0..s {
-        if i == 0 {
-            if let Some(k) = k1.take() {
-                stages.push(k);
-                continue;
-            }
-            // fall through to evaluate k1
-        }
-        // Partial state p_i = y + h * sum_{j<i} a[i][j] * k_j  (the paper's
-        // p_{i,j} chain, fully accumulated).
-        let p = match partial.as_mut() {
-            Some(p) => {
-                p.copy_from(y);
-                p
-            }
-            None => partial.insert(scratch.take_copy_of(y)),
-        };
-        for (j, &aij) in tableau.a()[i].iter().enumerate() {
-            if aij != 0.0 {
-                p.axpy(h * aij, &stages[j]);
-            }
-        }
-        stages.push(f(t + tableau.c()[i] * h, p));
-        nfe += 1;
+    let mut stepper = Stepper::new(tableau, y);
+    if let Some(k) = k1 {
+        stepper.set_first_stage(k);
     }
-    if let Some(p) = partial {
-        scratch.pool.push(p);
-    }
-
-    // y_next = y + h * sum b_i k_i.
-    let mut y_next = scratch.take_copy_of(y);
-    for (i, &bi) in tableau.b().iter().enumerate() {
-        if bi != 0.0 {
-            y_next.axpy(h * bi, &stages[i]);
-        }
-    }
-
-    // e = h * sum d_i k_i — seeded by scaling the first contributing
-    // stage rather than axpy-ing onto a zero state, saving the per-step
-    // zeros allocation. (`0.0 + x` and `x` agree bitwise except on the
-    // sign of a zero, which `==` cannot observe.)
-    let error = tableau.error_weights().map(|d| {
-        let mut e: Option<S> = None;
-        for (i, &di) in d.iter().enumerate() {
-            if di != 0.0 {
-                match e.as_mut() {
-                    Some(e) => e.axpy(h * di, &stages[i]),
-                    None => {
-                        let mut first = scratch.take_copy_of(&stages[i]);
-                        first.scale_mut(h * di);
-                        e = Some(first);
-                    }
-                }
-            }
-        }
-        e.unwrap_or_else(|| y.zeros_like())
-    });
-
+    let nfe = stepper.trial(&mut |t, p: &S, out: &mut S| *out = f(t, p), t, h, y);
+    let (stages, y_next, error) = stepper.into_parts();
     StepOutcome {
         y_next,
-        error,
+        error: tableau.is_adaptive().then_some(error),
         stages,
         nfe,
     }
@@ -295,32 +153,5 @@ mod tests {
     fn nonpositive_stepsize_rejected() {
         let tab = ButcherTableau::euler();
         let _ = rk_step(&tab, &mut decay(), 0.0, 0.0, &vec![1.0], None);
-    }
-
-    #[test]
-    fn pooled_scratch_is_bit_identical_and_reuses_buffers() {
-        let tab = ButcherTableau::rk23_bogacki_shampine();
-        let mut scratch = StepScratch::new();
-        let mut y = vec![1.0, -0.5];
-        let f = |_t: f64, s: &Vec<f64>| vec![-s[0], 0.5 * s[1]];
-        let mut t = 0.0;
-        for _ in 0..8 {
-            let pooled = rk_step_with(&tab, &mut f.clone(), t, 0.1, &y, None, &mut scratch);
-            let fresh = rk_step(&tab, &mut f.clone(), t, 0.1, &y, None);
-            assert_eq!(pooled.y_next, fresh.y_next);
-            assert_eq!(pooled.error, fresh.error);
-            assert_eq!(pooled.stages, fresh.stages);
-            t += 0.1;
-            y = pooled.y_next;
-            // Retire the spent states the way the solver loops do.
-            scratch.recycle(pooled.stages);
-            scratch.recycle(pooled.error);
-        }
-        // After the first couple of steps the pool satisfies every
-        // checkout; the steady state allocates nothing.
-        assert!(
-            scratch.pooled() >= 3,
-            "pool should accumulate retired states"
-        );
     }
 }

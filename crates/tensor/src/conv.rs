@@ -173,19 +173,38 @@ impl Conv2d {
     /// Panics if the input is not `[N, C, H, W]` with `C` matching
     /// [`Conv2d::in_channels`].
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        let (n, _, h, w) = x.shape_obj().nchw();
+        let mut y = Tensor::zeros(&[n, self.out_channels, h, w]);
+        self.forward_into(x.data(), x.shape_obj().nchw(), y.data_mut());
+        y
+    }
+
+    /// [`Conv2d::forward`] over a row-major `[N, C, H, W]` slice with the
+    /// given extents, writing the `[N, M, H, W]` result into `ydata`
+    /// (every element overwritten, so it may hold stale scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `C` differs from [`Conv2d::in_channels`] or a slice
+    /// length does not match its extents.
+    pub(crate) fn forward_into(
+        &self,
+        xdata: &[f32],
+        (n, c, h, w): (usize, usize, usize, usize),
+        ydata: &mut [f32],
+    ) {
         let _kernel = sanitize::kernel_scope("conv2d.forward");
-        let (n, c, h, w) = x.shape_obj().nchw();
         assert_eq!(c, self.in_channels, "input channel mismatch");
         let k = self.kernel;
         let m = self.out_channels;
+        assert_eq!(xdata.len(), n * c * h * w, "input must be [N, C, H, W]");
+        assert_eq!(ydata.len(), n * m * h * w, "output must be [N, M, H, W]");
         let ckk = c * k * k;
         let hw = h * w;
         let pad = k / 2;
         let xpad_len = c * (h + 2 * pad) * (w + 2 * pad);
         let wmat = self.weight.data();
         let bias = self.bias.data();
-        let mut y = Tensor::zeros(&[n, m, h, w]);
-        let ydata = y.data_mut();
         if n >= parallel::current_threads() || m == 1 {
             // Batch split: each lane pads its own samples into per-thread
             // arena scratch and runs the direct kernel over all output
@@ -193,7 +212,7 @@ impl Conv2d {
             parallel::parallel_for_disjoint(ydata, n, 1, |range, slab| {
                 parallel::with_scratch_f32(xpad_len, |xpad| {
                     for (local, ni) in range.enumerate() {
-                        pad_sample(x, ni, 1, pad, xpad);
+                        pad_planes(xdata, (c, h, w), ni, 1, pad, xpad);
                         let ys = &mut slab[local * m * hw..(local + 1) * m * hw];
                         conv_direct_rows(xpad, wmat, bias, 0..m, ys, h, w, c, k);
                     }
@@ -205,7 +224,7 @@ impl Conv2d {
             // the kernel's per-element reduction-order contract.
             parallel::with_scratch_f32(xpad_len, |xpad| {
                 for ni in 0..n {
-                    pad_sample(x, ni, 1, pad, xpad);
+                    pad_planes(xdata, (c, h, w), ni, 1, pad, xpad);
                     let xpad_ref: &[f32] = xpad;
                     let ys = &mut ydata[ni * m * hw..(ni + 1) * m * hw];
                     let grain = parallel::grain_for(ckk * hw);
@@ -215,7 +234,6 @@ impl Conv2d {
                 }
             });
         }
-        y
     }
 
     /// Fused conv→GroupNorm→activation forward: one batch-split kernel
@@ -249,11 +267,34 @@ impl Conv2d {
         gn: Option<&GroupNorm>,
         act: Option<Activation>,
     ) -> Tensor {
+        let (n, _, h, w) = x.shape_obj().nchw();
+        let mut y = Tensor::zeros(&[n, self.out_channels, h, w]);
+        self.forward_fused_into(x.data(), x.shape_obj().nchw(), gn, act, y.data_mut());
+        y
+    }
+
+    /// [`Conv2d::forward_fused`] over a row-major `[N, C, H, W]` slice with
+    /// the given extents, writing the `[N, M, H, W]` result into `ydata`
+    /// (every element overwritten, so it may hold stale scratch).
+    ///
+    /// # Panics
+    ///
+    /// As [`Conv2d::forward_fused`], and if a slice length does not match
+    /// its extents.
+    pub(crate) fn forward_fused_into(
+        &self,
+        xdata: &[f32],
+        (n, c, h, w): (usize, usize, usize, usize),
+        gn: Option<&GroupNorm>,
+        act: Option<Activation>,
+        ydata: &mut [f32],
+    ) {
         let _kernel = sanitize::kernel_scope("conv2d.fused_forward");
-        let (n, c, h, w) = x.shape_obj().nchw();
         assert_eq!(c, self.in_channels, "input channel mismatch");
         let k = self.kernel;
         let m = self.out_channels;
+        assert_eq!(xdata.len(), n * c * h * w, "input must be [N, C, H, W]");
+        assert_eq!(ydata.len(), n * m * h * w, "output must be [N, M, H, W]");
         if let Some(g) = gn {
             assert_eq!(
                 g.channels(),
@@ -266,14 +307,12 @@ impl Conv2d {
         let xpad_len = c * (h + 2 * pad) * (w + 2 * pad);
         let wmat = self.weight.data();
         let bias = self.bias.data();
-        let mut y = Tensor::zeros(&[n, m, h, w]);
-        let ydata = y.data_mut();
         let flops = fused_flops_per_item(c, m, k, hw, gn.is_some(), act.is_some());
         let grain = parallel::grain_for_sized(n, flops);
         parallel::parallel_for_disjoint(ydata, n, grain, |range, slab| {
             parallel::with_scratch_f32(xpad_len, |xpad| {
                 for (local, ni) in range.enumerate() {
-                    pad_sample(x, ni, 1, pad, xpad);
+                    pad_planes(xdata, (c, h, w), ni, 1, pad, xpad);
                     let ys = &mut slab[local * m * hw..(local + 1) * m * hw];
                     match gn {
                         Some(g) => {
@@ -294,7 +333,6 @@ impl Conv2d {
                 }
             });
         });
-        y
     }
 
     /// Direct (loop-nest) forward convolution — the verification oracle
@@ -578,11 +616,23 @@ fn im2col(x: &Tensor, ni: usize, k: usize, cols: &mut [f32]) {
 /// the interior.
 fn pad_sample(x: &Tensor, ni: usize, spv: usize, pad: usize, dst: &mut [f32]) {
     let (_, c, h, w) = x.shape_obj().nchw();
+    pad_planes(x.data(), (c, h, w), ni, spv, pad, dst);
+}
+
+/// [`pad_sample`] over a row-major `[N, C, H, W]` slice with per-sample
+/// extents `(C, H, W)`.
+fn pad_planes(
+    xdata: &[f32],
+    (c, h, w): (usize, usize, usize),
+    ni: usize,
+    spv: usize,
+    pad: usize,
+    dst: &mut [f32],
+) {
     let ph = h + 2 * pad;
     let pw = w + 2 * pad;
     debug_assert_eq!(dst.len(), c * ph * pw * spv);
     dst.fill(0.0);
-    let xdata = x.data();
     for ci in 0..c {
         let dch = &mut dst[ci * ph * pw * spv..(ci + 1) * ph * pw * spv];
         for ih in 0..h {

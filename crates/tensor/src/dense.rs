@@ -118,16 +118,30 @@ impl Dense {
     ///
     /// Panics if the input is not `[N, in]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let _kernel = sanitize::kernel_scope("dense.forward");
         let (n, d) = batch_dims(x);
         assert_eq!(d, self.in_features, "input feature mismatch");
+        let mut y = Tensor::zeros(&[n, self.out_features]);
+        self.forward_into(x.data(), n, y.data_mut());
+        y
+    }
+
+    /// [`Dense::forward`] over a row-major `[n, in]` slice, writing the
+    /// `[n, out]` result into `y` (every element overwritten, so `y` may
+    /// hold stale scratch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `n · in` long or `y` not `n · out` long.
+    pub(crate) fn forward_into(&self, xdata: &[f32], n: usize, y: &mut [f32]) {
+        let _kernel = sanitize::kernel_scope("dense.forward");
+        let d = self.in_features;
         let o = self.out_features;
+        assert_eq!(xdata.len(), n * d, "input must be [n, in]");
+        assert_eq!(y.len(), n * o, "output must be [n, out]");
         let wdata = self.weight.data();
         let bdata = self.bias.data();
-        let xdata = x.data();
-        let mut y = Tensor::zeros(&[n, o]);
         if n < matmul::MR {
-            for (yrow, xrow) in y.data_mut().chunks_exact_mut(o).zip(xdata.chunks_exact(d)) {
+            for (yrow, xrow) in y.chunks_exact_mut(o).zip(xdata.chunks_exact(d)) {
                 for ((yv, wrow), &b) in yrow.iter_mut().zip(wdata.chunks_exact(d)).zip(bdata) {
                     let mut acc = b;
                     for (&xv, &wv) in xrow.iter().zip(wrow) {
@@ -136,7 +150,7 @@ impl Dense {
                     *yv = acc;
                 }
             }
-            return y;
+            return;
         }
         // Batch rows are independent; the packed microkernel accumulates
         // each output element along k in the serial order, so any row
@@ -147,7 +161,7 @@ impl Dense {
         parallel::with_scratch_f32(matmul::packed_b_len(d, o), |wpack| {
             matmul::pack_b_t(wpack, wdata, d, o);
             let wpack: &[f32] = wpack;
-            parallel::parallel_for_disjoint(y.data_mut(), n, grain, |range, rows| {
+            parallel::parallel_for_disjoint(y, n, grain, |range, rows| {
                 let chunk = range.len();
                 parallel::with_scratch_f32(matmul::packed_a_len(chunk, d), |xpack| {
                     matmul::pack_a(xpack, &xdata[range.start * d..range.end * d], chunk, d);
@@ -155,7 +169,6 @@ impl Dense {
                 });
             });
         });
-        y
     }
 
     /// Input gradient: `dx = W^T dy`.

@@ -59,13 +59,29 @@ impl Shape {
     }
 
     /// The dimension extents.
+    #[inline]
     pub fn dims(&self) -> &[usize] {
         &self.dims[..self.rank]
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn rank(&self) -> usize {
         self.rank
+    }
+
+    /// This shape with the extent of `axis` replaced by `extent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axis` is not below the rank or `extent` is zero.
+    pub(crate) fn with_extent(mut self, axis: usize, extent: usize) -> Shape {
+        assert!(
+            axis < self.rank && extent > 0,
+            "cannot set extent {extent} on axis {axis} of {self:?}"
+        );
+        self.dims[axis] = extent;
+        self
     }
 
     /// Total number of elements.

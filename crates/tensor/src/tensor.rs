@@ -80,27 +80,32 @@ impl Tensor {
     }
 
     /// The dimension extents.
+    #[inline]
     pub fn shape(&self) -> &[usize] {
         self.shape.dims()
     }
 
     /// The shape object (strides, offsets).
+    #[inline]
     pub fn shape_obj(&self) -> &Shape {
         &self.shape
     }
 
     /// Total number of elements.
     #[allow(clippy::len_without_is_empty)]
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Read-only view of the element storage.
+    #[inline]
     pub fn data(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable view of the element storage.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
@@ -115,6 +120,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes differ.
+    #[inline]
     pub fn copy_from(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "copy_from shape mismatch");
         self.data.copy_from_slice(&other.data);
@@ -179,6 +185,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes differ.
+    #[inline]
     pub fn axpy(&mut self, k: f32, other: &Tensor) {
         self.assert_same_shape(other);
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
@@ -187,6 +194,7 @@ impl Tensor {
     }
 
     /// In-place scale: `self *= k`.
+    #[inline]
     pub fn scale_mut(&mut self, k: f32) {
         for a in self.data.iter_mut() {
             *a *= k;
@@ -232,6 +240,7 @@ impl Tensor {
     }
 
     /// True when every element is finite.
+    #[inline]
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
@@ -242,6 +251,7 @@ impl Tensor {
         self.len() * bytes_per_element
     }
 
+    #[inline]
     fn assert_same_shape(&self, other: &Tensor) {
         assert_eq!(
             self.shape(),
