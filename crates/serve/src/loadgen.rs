@@ -60,6 +60,11 @@ impl CostModel {
     /// Simulated service time (µs) for a batch with the given per-sample
     /// NFE counts: dispatch overhead plus the slowest-lane makespan under
     /// the pool's balanced contiguous decomposition.
+    ///
+    /// Fed [`crate::server::SolvedBatch::per_sample_nfe`], which lists
+    /// only the samples that solved, a partly failed batch is priced as a
+    /// smaller batch: its lanes are re-split over the successes and the
+    /// work of a failed solve costs nothing, so the model undercounts it.
     pub fn service_us(&self, per_sample_nfe: &[u64]) -> u64 {
         let n = per_sample_nfe.len();
         if n == 0 {

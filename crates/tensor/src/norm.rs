@@ -138,6 +138,20 @@ impl GroupNorm {
     ///
     /// Panics if the input channel count does not match.
     pub fn forward(&self, x: &Tensor) -> (Tensor, GroupNormCache) {
+        let mut y = Tensor::zeros_like(x);
+        let cache = self.forward_into(x, y.data_mut());
+        (y, cache)
+    }
+
+    /// [`GroupNorm::forward`] writing the output into `ydata` (every
+    /// element overwritten, so it may hold stale scratch); returns the
+    /// cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input channel count does not match or `ydata` is not
+    /// as long as `x`.
+    pub(crate) fn forward_into(&self, x: &Tensor, ydata: &mut [f32]) -> GroupNormCache {
         let _kernel = sanitize::kernel_scope("groupnorm.forward");
         debug_assert!(
             self.preflight_groups().is_ok(),
@@ -153,9 +167,9 @@ impl GroupNorm {
         let xdata = x.data();
         let gdata = self.gamma.data();
         let bdata = self.beta.data();
+        assert_eq!(ydata.len(), x.len(), "output must match the input");
         let mut mean = vec![0.0f64; n * groups];
         let mut inv_std = vec![0.0f64; n * groups];
-        let mut y = Tensor::zeros_like(x);
         // Samples are independent (GroupNorm statistics never cross the
         // batch), so split the batch; per-sample arithmetic is the serial
         // loop verbatim — bit-identical for any thread count. Tiny inputs
@@ -164,7 +178,7 @@ impl GroupNorm {
         // floor existed).
         let grain = parallel::grain_for_sized(n, 4 * c * hw);
         parallel::parallel_for_disjoint3(
-            y.data_mut(),
+            ydata,
             &mut mean,
             &mut inv_std,
             n,
@@ -196,7 +210,7 @@ impl GroupNorm {
                 }
             },
         );
-        (y, GroupNormCache { mean, inv_std })
+        GroupNormCache { mean, inv_std }
     }
 
     /// Normalizes one sample's `[C, H·W]` slab from `src` into `dst`,
