@@ -71,6 +71,12 @@ cargo run -q --release -p enode-bench --bin fleet_bench -- --check >/dev/null
 echo "==> cost_table_json --check (COST_TABLE.json byte identity with the simulator)"
 cargo run -q --release -p enode-bench --bin cost_table_json -- --check
 
+echo "==> ablations (output identical to experiments_output.txt from '=== Ablation: packetized' to the end)"
+ablations_out="$(mktemp)"
+cargo run -q --release -p enode-bench --bin ablations > "$ablations_out"
+# The bin prints one leading blank line the committed section does not have.
+diff <(tail -n +2 "$ablations_out") <(sed -n '/^=== Ablation: packetized/,$p' experiments_output.txt)
+
 echo "==> perfbench self-tests (its own package, built against the workspace crates)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 

@@ -13,7 +13,8 @@
 //!
 //! The scanner is shared by [`crate::cost`] (roofline cross-check against
 //! the kernel bench baseline) and [`crate::schedcheck`] (schedulability
-//! verdicts against the simulator-derived serving cost table).
+//! verdicts against the simulator-derived serving cost table). The
+//! writing side shares one piece too: [`json_escape`].
 
 /// The raw text after `"key":` on `line`, whitespace-trimmed, or `None`
 /// if the key does not occur.
@@ -50,6 +51,26 @@ pub fn field_f64(line: &str, key: &str) -> Option<f64> {
         .find(|c: char| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Escapes a string for embedding in a JSON string literal (quotes,
+/// backslashes, and control characters; everything else passes through).
+/// The one escape every JSON emitter in the workspace uses: the lint
+/// diagnostics here and the bench artifacts in `enode-bench`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A quoted string field (no escape handling — the emitters write plain
@@ -228,6 +249,14 @@ pub fn parse_cost_table(json: &str) -> Option<ParsedCostTable> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_handles_specials() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("x\n\t"), "x\\n\\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn field_scanners_pull_one_pair_per_line() {

@@ -309,6 +309,16 @@ mod tests {
     }
 
     #[test]
+    fn serial_floor_is_32_dispatches_of_lane_work() {
+        // The planner's floor (`enode_tensor` cannot depend on this crate)
+        // is derived from these roofline constants; recalibrating one
+        // must move the other.
+        let m = RooflineModel::EDGE;
+        let floor = (32.0 * m.dispatch_overhead_s * m.peak_flops_per_lane).round() as usize;
+        assert_eq!(floor, enode_tensor::parallel::SERIAL_FLOOR_FLOPS);
+    }
+
+    #[test]
     fn arithmetic_intensity_is_flops_over_bytes() {
         let s = KernelAccessSummary::coarse_fanout("x", 4, 1000, 8);
         let c = cost_of(&RooflineModel::EDGE, &s);

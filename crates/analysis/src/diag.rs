@@ -30,6 +30,7 @@
 //! [`crate::registry`], emit it from the pass, and add a negative test
 //! that triggers it on a deliberately broken input.
 
+use crate::benchjson::json_escape;
 use std::fmt;
 
 /// How bad a finding is.
@@ -42,7 +43,8 @@ pub enum Severity {
 }
 
 /// Stable lint codes. The numeric part is permanent: codes are never
-/// renumbered, only retired.
+/// renumbered, only retired ([`crate::registry::RETIRED`] keeps the
+/// retired numbers reserved).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Code {
     // --- tableau lints (E001-E009 / W001-W009) ---
@@ -106,27 +108,18 @@ pub enum Code {
     W034HwDegenerateParallelSplit,
 
     // --- parallel kernel-split lints (E040-E049 / W040-W049) ---
-    /// A split buffer's length is not a whole number of strides per item,
-    /// so the disjoint decomposition would be rejected at runtime.
+    /// A written region's length is not a whole number of strides per
+    /// item, so the disjoint decomposition would be rejected at runtime.
     E040ParStrideIndivisible,
-    /// A per-lane scratch arena is smaller than the bytes the
-    /// decomposition writes through it.
-    E041ParScratchUndersized,
-    /// A reduction kernel declares a non-serial partial combine, which
-    /// breaks the bit-identical determinism contract.
-    E042ParUnorderedReduction,
     /// The split degenerates to a single chunk on a live pool despite
     /// substantial work (generalizes W034 beyond batch-1 runs).
     W040ParDegenerateSplit,
-    /// Per-lane partial buffers dwarf the reduced output (memory blowup
-    /// that scales with pool width).
+    /// A per-item partials region dwarfs the reduced output (memory that
+    /// grows with the item count).
     W041ParPartialBlowup,
-    /// Every split buffer gives each lane less than one cache line, so
+    /// Every written region gives each lane less than one cache line, so
     /// lanes ping-pong ownership of shared lines.
     W042ParFalseSharing,
-    /// The scratch arena is provisioned far beyond what the decomposition
-    /// can touch.
-    W043ParScratchOverprovision,
     /// The split planner's work-size floor (`grain_for_sized`) kept a
     /// kernel serial on a live pool because its total work cannot amortize
     /// one dispatch — deliberate, but recorded so small-shape serial runs
@@ -369,12 +362,9 @@ impl Code {
             Code::W033HwBufferHeadroom => "W033",
             Code::W034HwDegenerateParallelSplit => "W034",
             Code::E040ParStrideIndivisible => "E040",
-            Code::E041ParScratchUndersized => "E041",
-            Code::E042ParUnorderedReduction => "E042",
             Code::W040ParDegenerateSplit => "W040",
             Code::W041ParPartialBlowup => "W041",
             Code::W042ParFalseSharing => "W042",
-            Code::W043ParScratchOverprovision => "W043",
             Code::W044ParSerialFloorEngaged => "W044",
             Code::E050PrecOpOverflow => "E050",
             Code::E051PrecCombineOverflow => "E051",
@@ -435,7 +425,7 @@ impl Code {
 
     /// Every code the crate can emit, in code order. New codes must be
     /// appended here (a registry test enforces it).
-    pub const ALL: [Code; 87] = [
+    pub const ALL: [Code; 84] = [
         Code::E001TableauRowSum,
         Code::E002TableauNotExplicit,
         Code::E003TableauOrderCondition,
@@ -462,12 +452,9 @@ impl Code {
         Code::W033HwBufferHeadroom,
         Code::W034HwDegenerateParallelSplit,
         Code::E040ParStrideIndivisible,
-        Code::E041ParScratchUndersized,
-        Code::E042ParUnorderedReduction,
         Code::W040ParDegenerateSplit,
         Code::W041ParPartialBlowup,
         Code::W042ParFalseSharing,
-        Code::W043ParScratchOverprovision,
         Code::W044ParSerialFloorEngaged,
         Code::E050PrecOpOverflow,
         Code::E051PrecCombineOverflow,
@@ -564,13 +551,10 @@ impl Code {
             Code::W034HwDegenerateParallelSplit => {
                 "parallel pool live but work split is degenerate"
             }
-            Code::E040ParStrideIndivisible => "split buffer not a whole number of strides",
-            Code::E041ParScratchUndersized => "scratch arena below the decomposition's demand",
-            Code::E042ParUnorderedReduction => "reduction combines partials in non-serial order",
+            Code::E040ParStrideIndivisible => "written region not a whole number of strides",
             Code::W040ParDegenerateSplit => "kernel split degenerates to one chunk",
-            Code::W041ParPartialBlowup => "per-lane partials dwarf the reduced output",
+            Code::W041ParPartialBlowup => "per-item partials dwarf the reduced output",
             Code::W042ParFalseSharing => "per-lane span below one cache line",
-            Code::W043ParScratchOverprovision => "scratch arena far exceeds the demand",
             Code::W044ParSerialFloorEngaged => "work-size floor keeps the kernel serial",
             Code::E050PrecOpOverflow => "op output can overflow f16 in the solver schedule",
             Code::E051PrecCombineOverflow => "RK combine can overflow f16",
@@ -699,25 +683,6 @@ impl Diagnostic {
         out.push('}');
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through —
-/// the repo's diagnostics are ASCII).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for Diagnostic {

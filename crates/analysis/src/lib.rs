@@ -19,9 +19,10 @@
 //! * [`hwcheck`] — hardware-configuration feasibility (`E030`–`E033`,
 //!   `W030`–`W033`): buffer provisioning, weight residency, DRAM and
 //!   ring-link bandwidth, layer-to-core mapping.
-//! * [`parallelcheck`] — parallel kernel-split decompositions
-//!   (`E040`–`E042`, `W040`–`W043`): stride divisibility, scratch
-//!   provisioning, reduction order, grain degeneracy, false sharing.
+//! * [`parallelcheck`] — parallel kernel-split decompositions (`E040`,
+//!   `W040`–`W042`, `W044`), read from the same access summaries as
+//!   [`affine`]: stride divisibility, grain degeneracy, partial-buffer
+//!   size, false sharing, the serial work floor.
 //! * [`precision`] — FP16 range and rounding-error accumulation across
 //!   the unrolled solver schedule (`E050`–`E056`, `W050`–`W053`).
 //! * [`consistency`] — cross-artifact agreement between the model, the
@@ -54,7 +55,8 @@
 //!   published-version fingerprint provenance.
 //!
 //! [`benchjson`] holds the shared line scanner both committed-artifact
-//! ingests ([`cost`], [`schedcheck`]) parse with.
+//! ingests ([`cost`], [`schedcheck`]) parse with, and the one JSON string
+//! escape every emitter in the workspace writes with.
 //!
 //! [`registry`] carries a rustc-style long explanation for every code
 //! (`enode-lint --explain CODE`, `docs/LINTS.md`).

@@ -161,18 +161,10 @@ pub fn explanation(code: Code) -> &'static str {
              paying the pool's coordination overhead."
         }
         Code::E040ParStrideIndivisible => {
-            "A buffer registered for parallel splitting is not a whole number of per-item \
-             strides, so the disjoint chunk decomposition would misalign item boundaries and \
-             be rejected at runtime. Fix the declared stride or the buffer length."
-        }
-        Code::E041ParScratchUndersized => {
-            "A per-lane scratch arena is smaller than the bytes the kernel decomposition \
-             writes through it; lanes would overrun the arena at runtime."
-        }
-        Code::E042ParUnorderedReduction => {
-            "A reduction kernel declares a non-serial partial combine. Floating-point addition \
-             is not associative: combining partials in pool-dependent order breaks the \
-             repository's bit-identical determinism contract. Combine partials in lane order."
+            "A region the kernel's access summary declares written by the split is not a \
+             whole number of per-item strides, so the disjoint chunk decomposition would \
+             misalign item boundaries and be rejected at runtime. Fix the region length or \
+             the item count in the kernel's `*_access` summary (or the kernel itself)."
         }
         Code::W040ParDegenerateSplit => {
             "The kernel split degenerates to a single chunk on a live pool despite substantial \
@@ -180,17 +172,15 @@ pub fn explanation(code: Code) -> &'static str {
              too coarse for the problem shape."
         }
         Code::W041ParPartialBlowup => {
-            "Per-lane partial buffers are much larger than the reduced output; memory scales \
-             with pool width. Consider tree reduction or smaller partials."
+            "A partials region — written by the split, not live past the kernel, folded \
+             serially after the join — is more than 8x the reduced output (one item's \
+             stride) and over 64 KiB. The buffer grows with the item count; consider \
+             accumulating per lane or shrinking the per-item partials."
         }
         Code::W042ParFalseSharing => {
-            "Every split gives each lane less than one cache line of output, so lanes \
-             ping-pong ownership of shared lines and the parallel run can be slower than \
-             serial. Coarsen the split."
-        }
-        Code::W043ParScratchOverprovision => {
-            "The scratch arena is provisioned far beyond what the decomposition can touch; \
-             on-chip memory is wasted that the training buffer could use."
+            "Every region the split writes gives each lane less than one 64-byte cache line \
+             at the modeled pool width, so lanes ping-pong ownership of shared lines and the \
+             parallel run can be slower than serial. Coarsen the split."
         }
         Code::E050PrecOpOverflow => {
             "Range propagation through the unrolled solver schedule proves a network op's \
@@ -616,6 +606,29 @@ pub fn explanation(code: Code) -> &'static str {
     }
 }
 
+/// Codes no pass emits any more, with the reason each was retired. The
+/// numbers stay reserved — a retired code is never reused for another
+/// check (a test keeps them out of [`Code::ALL`]) — and `docs/LINTS.md`
+/// lists them.
+pub const RETIRED: [(&str, &str); 3] = [
+    (
+        "E041",
+        "compared a hand-declared kernel scratch size with a second hand-declared copy \
+         of itself; the kernels' access summaries declare each scratch size once, and the \
+         shadow-memory sanitizer tracks every scratch checkout at runtime",
+    ),
+    (
+        "E042",
+        "read a combine-order flag that no kernel declared unordered; the \
+         schedule-permutation audit catches an unordered fold by its output bits",
+    ),
+    (
+        "W043",
+        "compared the same hand-declared scratch pair as E041, warning on \
+         over-provisioning instead",
+    ),
+];
+
 /// The full `--explain` text for one code: header line, summary, and the
 /// long explanation.
 pub fn explain(code: Code) -> String {
@@ -665,6 +678,14 @@ pub fn render_lints_md() -> String {
             explanation(code)
         ));
     }
+    out.push_str(
+        "## Retired codes\n\n\
+         No pass emits these any more; their numbers stay reserved.\n\n\
+         | Code | Retired because it |\n|---|---|\n",
+    );
+    for (code, why) in RETIRED {
+        out.push_str(&format!("| {code} | {why} |\n"));
+    }
     out
 }
 
@@ -695,6 +716,13 @@ mod tests {
         assert_eq!(parse_code("E999"), None);
         assert_eq!(parse_code(""), None);
         assert_eq!(parse_code("bogus"), None);
+    }
+
+    #[test]
+    fn retired_codes_stay_reserved() {
+        for (code, _) in RETIRED {
+            assert_eq!(parse_code(code), None, "{code} is retired");
+        }
     }
 
     #[test]

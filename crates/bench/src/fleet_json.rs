@@ -5,7 +5,7 @@
 //! [`enode_serve::fleet`]: every request really routes through the
 //! consistent-hash ring into a whole [`enode_serve::Server`] instance and
 //! solves the ODE (true outputs, true degradation tiers), but service
-//! time is charged by the same fixed [`CostModel`] as `BENCH_serve.json`,
+//! time is charged by the same fixed [`cost_model`] as `BENCH_serve.json`,
 //! so a rerun with the same seed produces the same bytes on any host —
 //! only `host_cpus` and `enode_threads_default` are host metadata.
 //!
@@ -46,29 +46,15 @@
 //! cost model (nearest-rank over completed requests), not wall time: they
 //! characterise routing, queueing and batching, not the emitting host.
 
-use crate::report::{host_cpus, json_escape};
+use crate::report::host_cpus;
+// Every cell runs under the `BENCH_serve.json` cost model, lane count and
+// seed, so fleet and single-server numbers compare.
+use crate::serve_json::{cost_model, LANES, SEED};
+use enode_analysis::benchjson::json_escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
-use enode_serve::loadgen::CostModel;
 use enode_serve::{simulate_fleet, FleetConfig, FleetLoad, FleetRunResult, TenantBinding};
 use enode_tensor::parallel;
-
-/// Lane count the cost model charges batches against. Fixed (rather than
-/// host-derived) so the committed JSON is byte-identical across hosts.
-pub const LANES: usize = 4;
-
-/// Master seed for arrival jitter and request inputs.
-pub const SEED: u64 = 24301;
-
-/// The fixed service-time model every cell runs under — identical to the
-/// `BENCH_serve.json` model so fleet and single-server numbers compare.
-pub fn cost_model() -> CostModel {
-    CostModel {
-        per_nfe_us: 20.0,
-        dispatch_overhead_us: 150,
-        lanes: LANES,
-    }
-}
 
 /// The model every instance serves under both published names: the small
 /// dynamic system the fleet determinism suite pins, cheap enough to sweep

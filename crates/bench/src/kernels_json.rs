@@ -46,7 +46,8 @@
 use crate::driver::{expedited_opts, run_inference_only, Bench};
 use crate::micro::Micro;
 use crate::referent;
-use crate::report::{host_cpus, json_escape};
+use crate::report::host_cpus;
+use enode_analysis::benchjson::json_escape;
 use enode_node::eval::forward_model_batched;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;

@@ -127,23 +127,6 @@ pub fn host_caveat(threads_high: usize) -> Option<String> {
     })
 }
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,14 +150,6 @@ mod tests {
         assert!(first_difference_ignoring_host(committed, &renamed).is_some());
         assert!(first_difference_ignoring_host(committed, committed.trim_end()).is_some());
         assert!(first_difference_ignoring_host(committed, "{\n").is_some());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t"), "x\\n\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

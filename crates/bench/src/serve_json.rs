@@ -64,7 +64,8 @@
 //!
 //! `"cost_table_version"` records which table generation produced both.
 
-use crate::report::{host_cpus, json_escape};
+use crate::report::host_cpus;
+use enode_analysis::benchjson::json_escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::loadgen::{simulate, sweep};

@@ -713,7 +713,7 @@ pub fn simulate_fleet(
         for i in 0..n {
             if busy[i] == Some(event_us) {
                 let solved = in_service[i].take().expect("busy implies a batch");
-                tier_counts[i][solved.tier()] += solved.len() as u64;
+                tier_counts[i][solved.tier()] += solved.per_sample_nfe().len() as u64;
                 fleet.instances[i].server.deliver_batch(solved);
                 busy[i] = None;
             }

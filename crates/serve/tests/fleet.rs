@@ -8,7 +8,10 @@
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::loadgen::CostModel;
-use enode_serve::{simulate_fleet, Clock, Fleet, FleetConfig, FleetLoad};
+use enode_serve::{
+    simulate_fleet, Clock, Fleet, FleetConfig, FleetLoad, Registry, ServeConfig, TenantBinding,
+    ToleranceClass,
+};
 use enode_tensor::init;
 
 const TENANTS: [&str; 4] = ["vision_a", "vision_b", "keyword_a", "keyword_b"];
@@ -152,5 +155,51 @@ fn node_loss_mid_run_preserves_determinism_for_survivors() {
         if x.1 .1 == y.1 .1 {
             assert_eq!(x.1 .0, y.1 .0, "same tier must mean same bits");
         }
+    }
+}
+
+#[test]
+fn simulated_tier_counts_count_only_completed_requests() {
+    // One trial per step on every tier: the Strict solves fail, and a
+    // failed request is not a completed one in any tier.
+    let mut policy = ServeConfig::edge_default();
+    for tier in &mut policy.tiers {
+        tier.max_trials = 1;
+    }
+    let registry = Registry::new();
+    registry.publish(policy.name, policy);
+    registry.bind(TenantBinding {
+        tenant: "strict".to_string(),
+        model: "edge_default".to_string(),
+        class: ToleranceClass::Strict,
+        sla_deadline_us: 1_000_000,
+        quota: 16,
+        rate_rps: 60.0,
+    });
+    let mut cfg = FleetConfig::shipped();
+    cfg.instances = 1;
+    cfg.assignment = vec!["edge_default".to_string()];
+    cfg.registry = (*registry.snapshot()).clone();
+    let load = FleetLoad {
+        requests_per_tenant: 16,
+        rate_rps: 60.0,
+        input_dim: 2,
+        seed: 24301,
+    };
+    let cost = CostModel {
+        per_nfe_us: 20.0,
+        dispatch_overhead_us: 150,
+        lanes: 4,
+    };
+    let run = simulate_fleet(&cfg, &models(), &NodeSolveOptions::new(1e-4), &load, &cost);
+    assert!(run.instances[0].metrics.failed > 0, "{run:?}");
+    for inst in &run.instances {
+        assert_eq!(
+            inst.tier_counts.iter().sum::<u64>(),
+            inst.metrics.completed,
+            "instance {}: {:?}",
+            inst.instance,
+            inst.tier_counts
+        );
     }
 }

@@ -124,6 +124,11 @@ impl RegionDecl {
         }
     }
 
+    /// The same region with `elem_bytes`-byte elements (e.g. 8 for `f64`).
+    pub fn with_elem_bytes(self, elem_bytes: usize) -> Self {
+        RegionDecl { elem_bytes, ..self }
+    }
+
     /// A per-call partial buffer: written by the split, reduced serially
     /// after the join, not live past the kernel. Coverage obligations
     /// still apply (a gap would leave stale partials in the fold).
@@ -180,7 +185,7 @@ impl ScratchDecl {
 /// of its item decomposition plus every per-item region access.
 #[derive(Clone, Debug)]
 pub struct KernelAccessSummary {
-    /// Kernel label, matching the `parallelcheck` registry (e.g.
+    /// Kernel label, the subject of every diagnostic on this split (e.g.
     /// `"conv2d.forward (batch split)"`).
     pub kernel: &'static str,
     /// Number of independent items the kernel splits.
@@ -211,21 +216,8 @@ impl KernelAccessSummary {
             items,
             grain: 1,
             flops_per_item,
-            regions: vec![RegionDecl {
-                name: "data",
-                elems: items,
-                elem_bytes,
-                live_output: true,
-                slack_elems: 0,
-            }],
-            accesses: vec![StridedAccess {
-                region: "data",
-                kind: AccessKind::Write,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: 1,
-                count: 1,
-            }],
+            regions: vec![RegionDecl::output("data", items).with_elem_bytes(elem_bytes)],
+            accesses: vec![StridedAccess::contiguous("data", AccessKind::Write, 1)],
             scratch: Vec::new(),
         }
     }

@@ -1501,14 +1501,7 @@ pub fn forward_rows_access(
         accesses: vec![
             StridedAccess::contiguous("ys", AccessKind::Write, hw),
             StridedAccess::contiguous("w", AccessKind::Read, ckk),
-            StridedAccess {
-                region: "bias",
-                kind: AccessKind::Read,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: 1,
-                count: 1,
-            },
+            StridedAccess::contiguous("bias", AccessKind::Read, 1),
             StridedAccess::broadcast_read("xpad", xpad_len),
         ],
         scratch: vec![ScratchDecl::arena("xpad", xpad_len)],
@@ -1652,14 +1645,7 @@ pub fn backward_params_rows_access(
         ],
         accesses: vec![
             StridedAccess::contiguous("dw", AccessKind::Write, ckk),
-            StridedAccess {
-                region: "db",
-                kind: AccessKind::Write,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: 1,
-                count: 1,
-            },
+            StridedAccess::contiguous("db", AccessKind::Write, 1),
             StridedAccess::broadcast_read("xpad", xpad_len),
             StridedAccess::broadcast_read("dyt", dyt_len),
         ],

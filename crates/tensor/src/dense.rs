@@ -321,14 +321,7 @@ pub fn backward_params_access(n: usize, d: usize, o: usize) -> KernelAccessSumma
         ],
         accesses: vec![
             StridedAccess::contiguous("dw", AccessKind::Write, d),
-            StridedAccess {
-                region: "db",
-                kind: AccessKind::Write,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: 1,
-                count: 1,
-            },
+            StridedAccess::contiguous("db", AccessKind::Write, 1),
             StridedAccess::broadcast_read("x", n * d),
             StridedAccess {
                 region: "dy",

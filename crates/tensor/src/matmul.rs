@@ -321,14 +321,7 @@ pub fn row_split_access(rows: usize, q: usize, p: usize) -> crate::access::Kerne
         accesses: vec![
             StridedAccess::contiguous("y", AccessKind::Write, p),
             StridedAccess::contiguous("w", AccessKind::Read, q),
-            StridedAccess {
-                region: "bias",
-                kind: AccessKind::Read,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: 1,
-                count: 1,
-            },
+            StridedAccess::contiguous("bias", AccessKind::Read, 1),
             StridedAccess::broadcast_read("cols", q * p),
         ],
         scratch: vec![

@@ -736,8 +736,9 @@ use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, St
 
 /// Access summary of the batch split in [`GroupNorm::forward`]: item
 /// `ni` writes its own stride of `y`, `mean`, and `inv_std` (a
-/// `parallel_for_disjoint3`; x̂ is never materialized) and reads
-/// `x[ni, :, :, :]`; the affine parameters are resident broadcast reads.
+/// `parallel_for_disjoint3`; x̂ is never materialized; the moments are
+/// `f64`) and reads `x[ni, :, :, :]`; the affine parameters are resident
+/// broadcast reads.
 pub fn forward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAccessSummary {
     KernelAccessSummary {
         kernel: "groupnorm.forward",
@@ -746,8 +747,8 @@ pub fn forward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAcc
         flops_per_item: 4 * c * hw,
         regions: vec![
             RegionDecl::output("y", n * c * hw),
-            RegionDecl::output("mean", n * groups),
-            RegionDecl::output("inv_std", n * groups),
+            RegionDecl::output("mean", n * groups).with_elem_bytes(8),
+            RegionDecl::output("inv_std", n * groups).with_elem_bytes(8),
             RegionDecl::input("x", n * c * hw),
             RegionDecl::input("gamma", c),
             RegionDecl::input("beta", c),
@@ -781,8 +782,8 @@ pub fn backward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAc
             RegionDecl::partials("partials", n * 2 * c),
             RegionDecl::input("dy", n * c * hw),
             RegionDecl::input("x", n * c * hw),
-            RegionDecl::input("mean", n * groups),
-            RegionDecl::input("inv_std", n * groups),
+            RegionDecl::input("mean", n * groups).with_elem_bytes(8),
+            RegionDecl::input("inv_std", n * groups).with_elem_bytes(8),
             RegionDecl::input("gamma", c),
         ],
         accesses: vec![
@@ -853,6 +854,18 @@ mod tests {
                     vals.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / vals.len() as f32;
                 assert!(mean.abs() < 1e-4, "mean {mean}");
                 assert!((var - 1.0).abs() < 1e-2, "var {var}");
+            }
+        }
+    }
+
+    #[test]
+    fn access_summaries_declare_the_cached_moment_width() {
+        let gn = GroupNorm::new(4, 2);
+        let (_, cache) = gn.forward(&init::uniform(&[2, 4, 3, 3], -1.0, 1.0, 1));
+        let width = std::mem::size_of_val(&cache.mean[0]);
+        for s in [forward_access(2, 4, 2, 9), backward_access(2, 4, 2, 9)] {
+            for name in ["mean", "inv_std"] {
+                assert_eq!(s.region(name).unwrap().elem_bytes, width, "{}", s.kernel);
             }
         }
     }

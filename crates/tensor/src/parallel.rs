@@ -510,24 +510,28 @@ pub fn parallel_for<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, f: F) {
     parallel_for_lanes(n, grain, |r, _lane| f(r));
 }
 
+/// Minimum scalar work one chunk should carry: below ~16k operations per
+/// chunk, dispatch overhead dominates.
+pub const MIN_CHUNK_FLOPS: usize = 16 * 1024;
+
 /// Suggested `grain` for items that each perform roughly `flops_per_item`
 /// scalar operations: enough items per chunk that a chunk carries at least
-/// ~16k operations, below which dispatch overhead dominates.
+/// [`MIN_CHUNK_FLOPS`].
 pub fn grain_for(flops_per_item: usize) -> usize {
-    const MIN_CHUNK_FLOPS: usize = 16 * 1024;
     MIN_CHUNK_FLOPS.div_ceil(flops_per_item.max(1))
 }
 
 /// Minimum *total* scalar work that justifies fanning a kernel out at all.
 ///
-/// Derived from the `analysis::cost` roofline constants (mirrored there by
-/// a cross-crate equality test, since `enode_tensor` cannot depend on
-/// `enode-analysis`): one dispatch costs 5 µs and a lane retires 2 Gflop/s,
-/// so a broadcast burns ~10k flops of latency per dispatch before any lane
-/// does useful work. Requiring 32 dispatch-equivalents of total work keeps
-/// the worst-case overhead share near 3% — below that, the measured
-/// baselines on this host (GroupNorm 0.61×, dense 0.86× under 4 threads)
-/// show fan-out losing outright, so the planner runs serial instead.
+/// Derived from the `analysis::cost` roofline constants (`enode_tensor`
+/// cannot depend on `enode-analysis`, so a test in `analysis::cost` pins
+/// this value to `32 × dispatch_overhead_s × peak_flops_per_lane`): one
+/// dispatch costs 5 µs and a lane retires 2 Gflop/s, so a broadcast burns
+/// ~10k flops of latency per dispatch before any lane does useful work.
+/// Requiring 32 dispatch-equivalents of total work keeps the worst-case
+/// overhead share near 3% — below that, the measured baselines on this
+/// host (GroupNorm 0.61×, dense 0.86× under 4 threads) show fan-out
+/// losing outright, so the planner runs serial instead.
 pub const SERIAL_FLOOR_FLOPS: usize = 32 * 5 * 2_000;
 
 /// Work-size-aware variant of [`grain_for`]: when the kernel's *total*

@@ -33,9 +33,10 @@
 //! reports say `conv2d::backward_params`, not just a buffer name.
 //!
 //! The static complement of these runtime checks — stride divisibility,
-//! grain degeneracy, scratch sizing, and reduction-order lints over the
-//! registered kernel splits — lives in `enode_analysis::parallelcheck`
-//! (codes `E040`–`E042`, `W040`–`W043`).
+//! grain degeneracy, partial-buffer size, false-sharing and serial-floor
+//! lints over the kernels' access summaries ([`crate::access`]) — lives
+//! in `enode_analysis::parallelcheck` (codes `E040`, `W040`–`W042`,
+//! `W044`).
 
 use std::ops::Range;
 
