@@ -90,6 +90,17 @@ for workload in serve_dynsys serve_image; do
     --workload "$workload" --seed 1 --seconds 3 --trace 0 >/dev/null
 done
 
+# The training workload runs the unfused conv forward, the ACA local
+# forward and the conv backward kernels. Its traced run gates
+# Trainer::step == forward_model + aca_backward_model and bit-identical
+# logits at pool widths 1 and 2; its untraced part (40 % of --seconds, here
+# ~4.8 s, ~130 steps) reaches the cycle's second round, where each batch's
+# loss must have fallen. A 3-s run stops inside the first round and checks
+# no descent. The exit status is the gate.
+echo "==> perfbench train_image (12 s, --trace 1; exit status gates descent, step parity, width parity)"
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perfbench -- \
+  --workload train_image --seed 1 --seconds 12 --trace 1 >/dev/null
+
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-Dwarnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 

@@ -226,6 +226,23 @@ pub fn simulate(
     let mut tier_counts = vec![0u64; policy.tiers.len()];
     let mut makespan_us = 0u64;
 
+    // Closed loop: each request that resolved since the last call, whatever
+    // the outcome (completed, failed, shed or refused at the door), frees
+    // its client, which submits its next request at `now_us`.
+    let mut resolved_seen = 0u64;
+    let mut refill = |arrival_times: &mut Vec<u64>, now_us: u64, submitted_total: usize| {
+        if closed_clients == 0 {
+            return;
+        }
+        let m = server.snapshot();
+        let resolved = m.completed + m.failed + m.shed + m.cancelled + m.rejected_full;
+        if submitted_total < spec.requests {
+            let freed = (resolved - resolved_seen) as usize;
+            arrival_times.extend(std::iter::repeat_n(now_us, freed));
+        }
+        resolved_seen = resolved;
+    };
+
     loop {
         // Next event: arrival, completion, or window expiry (the latter
         // only matters when the executor is free to act on it). Once the
@@ -257,17 +274,10 @@ pub fn simulate(
         if busy_until == Some(event_us) {
             let solved = in_service.take().expect("busy implies a batch in service");
             let tier = solved.tier();
-            let completed = solved.per_sample_nfe().len() as u64;
-            tier_counts[tier] += completed;
+            tier_counts[tier] += solved.per_sample_nfe().len() as u64;
             server.deliver_batch(solved);
             busy_until = None;
-            if closed_clients > 0 {
-                for _ in 0..completed {
-                    if submitted_total < spec.requests {
-                        arrival_times.push(event_us);
-                    }
-                }
-            }
+            refill(&mut arrival_times, event_us, submitted_total);
         }
 
         // 2. Admit every arrival scheduled at or before this instant.
@@ -292,6 +302,10 @@ pub fn simulate(
                 in_service = Some(solved);
             }
         }
+
+        // 4. Closed loop: refill the clients of requests refused at the
+        // door in step 2 or shed in step 3; they arrive at this instant.
+        refill(&mut arrival_times, event_us, submitted_total);
     }
 
     let metrics = server.snapshot();
@@ -396,6 +410,43 @@ mod tests {
         // Closed loop never overruns the queue: nothing is rejected.
         assert_eq!(r.metrics.rejected_full, 0);
         assert_eq!(r.metrics.completed + r.metrics.shed, 24);
+    }
+
+    #[test]
+    fn closed_loop_clients_resubmit_after_a_failed_request() {
+        // One trial per step on every tier: every Strict solve fails. A
+        // client whose request failed must still send its next one, so
+        // the whole budget is offered.
+        let (model, opts, mut policy, cost) = setup();
+        for tier in &mut policy.tiers {
+            tier.max_trials = 1;
+        }
+        let spec = LoadSpec {
+            class: ToleranceClass::Strict,
+            ..LoadSpec::closed_loop(32, 4, 200_000)
+        };
+        let r = simulate(&model, &opts, &policy, &spec, &cost);
+        assert_eq!(r.offered, 32, "{:?}", r.metrics);
+        assert!(r.metrics.reconciles(), "{:?}", r.metrics);
+        assert_eq!(r.metrics.failed, 32, "{:?}", r.metrics);
+    }
+
+    #[test]
+    fn closed_loop_clients_resubmit_after_shed_and_refused_requests() {
+        // A queue of two behind four clients refuses two submissions at
+        // the door, and a 1-µs deadline sheds every admitted request when
+        // its batch window expires. Nothing completes, yet every client
+        // resubmits after each outcome, so the whole budget is offered.
+        let (model, opts, mut policy, cost) = setup();
+        policy.queue_capacity = 2;
+        let spec = LoadSpec::closed_loop(24, 4, 1);
+        let r = simulate(&model, &opts, &policy, &spec, &cost);
+        let m = &r.metrics;
+        assert_eq!(r.offered, 24, "{m:?}");
+        assert!(m.reconciles(), "{m:?}");
+        assert_eq!(m.completed, 0, "{m:?}");
+        assert!(m.shed > 0 && m.rejected_full > 0, "{m:?}");
+        assert_eq!(m.shed + m.rejected_full, 24, "{m:?}");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! transcribes its portable body lane for lane:
 //!
 //! - forward (`conv_direct_rows`): taps in `(c, kh, kw)` order over the
-//!   padded `x`, 8-wide blocks along each output row;
-//! - input gradient (`conv_input_grad_rows`): the same walk over the
-//!   padded `dy` with the taps flipped and one partial per output
-//!   channel, 8-wide blocks along each `dx` row;
+//!   padded `x`, 8-wide blocks (16-wide with AVX-512F) along each output
+//!   row, each pass holding 4 output channels × 2 blocks so one input load
+//!   feeds four channels;
+//! - input gradient (`conv_input_grad_rows`): the forward's taps flipped
+//!   over the padded `dy`, one partial per output channel, four 8-wide
+//!   blocks of one `dx` channel per pass;
 //! - weight gradient (`conv_weight_grad_rows`): 8-wide lanes across
 //!   output channels over the padded `x` and `dy` transposed to
 //!   `[H·W][M rounded up to 8]`, one chain per `(m, tap)` over pixels; at
@@ -761,7 +763,9 @@ unsafe fn transpose_blocks_avx(
 /// explicit zero from the padded border, where im2col would have stored
 /// the same zero in the column matrix — so the result is bitwise equal
 /// to [`crate::matmul::gemm_bias`] over im2col columns, independent of
-/// both the split and the SIMD dispatch below.
+/// both the split and the SIMD dispatch below: the AVX-512F body for rows
+/// of whole 16-wide blocks, the AVX body for rows of whole 8-wide blocks,
+/// the portable loop otherwise.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
 fn conv_direct_rows(
     xpad: &[f32],
@@ -774,17 +778,27 @@ fn conv_direct_rows(
     c: usize,
     k: usize,
 ) {
-    let pad = k / 2;
-    let ph = h + 2 * pad;
-    let pw = w + 2 * pad;
-    debug_assert_eq!(xpad.len(), c * ph * pw);
-    debug_assert_eq!(out.len(), mrange.len() * h * w);
+    // Once per call: the SIMD bodies' pointer walk relies on every one.
+    assert_eq!(k % 2, 1, "odd kernel");
+    assert_eq!(xpad.len(), padded_plane_len(c, k, h, w));
+    assert!(wmat.len() >= mrange.end * c * k * k && bias.len() >= mrange.end);
+    assert_eq!(out.len(), mrange.len() * h * w);
     #[cfg(target_arch = "x86_64")]
-    if w.is_multiple_of(8) && crate::simd::avx() {
-        // SAFETY: AVX is present (runtime check); the slice bounds are
-        // asserted above and the kernel stays inside them.
-        unsafe { conv_direct_rows_avx(xpad, wmat, bias, mrange, out, h, w, c, k) };
-        return;
+    {
+        if w.is_multiple_of(16) && crate::simd::avx512f() {
+            // SAFETY: AVX-512F is present (runtime check) and `w` is a whole
+            // number of 16-wide blocks; the kernel is odd and the slice
+            // lengths and channel range are asserted above, so every load
+            // (at most K−1 rows and columns past an output pixel, inside the
+            // padded plane) and every store stays inside its slice.
+            unsafe { conv_direct_rows_avx512(xpad, wmat, bias, mrange, out, h, w, c, k) };
+            return;
+        }
+        if w.is_multiple_of(8) && crate::simd::avx() {
+            // SAFETY: as above, with AVX and 8-wide blocks.
+            unsafe { conv_direct_rows_avx(xpad, wmat, bias, mrange, out, h, w, c, k) };
+            return;
+        }
     }
     conv_direct_rows_portable(xpad, wmat, bias, mrange, out, h, w, c, k);
 }
@@ -829,106 +843,191 @@ fn conv_direct_rows_portable(
     }
 }
 
-/// AVX body of [`conv_direct_rows`] (`w % 8 == 0`): the output plane is
-/// tiled into 8-wide blocks, processed four at a time so four independent
-/// accumulator chains hide the vector-add latency. Each lane still runs
-/// the scalar chain — bias, then mul+add per tap in `(c, kh, kw)` order,
-/// never FMA — so the result is bitwise identical to the portable body.
+/// Geometry of one padded sample, shared by the passes of a SIMD body of
+/// [`conv_direct_rows`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-unsafe fn conv_direct_rows_avx(
-    xpad: &[f32],
-    wmat: &[f32],
-    bias: &[f32],
-    mrange: std::ops::Range<usize>,
-    out: &mut [f32],
-    h: usize,
-    w: usize,
+#[derive(Clone, Copy)]
+struct DirectGeometry {
     c: usize,
     k: usize,
-) {
-    use std::arch::x86_64::*;
-    let pad = k / 2;
-    let ph = h + 2 * pad;
-    let pw = w + 2 * pad;
-    let phpw = ph * pw;
-    let ckk = c * k * k;
-    let wblocks = w / 8; // caller guarantees w % 8 == 0
-    let blocks = h * wblocks;
-    let xp = xpad.as_ptr();
-    for (local, mi) in mrange.enumerate() {
-        let wrow = wmat.as_ptr().add(mi * ckk);
-        let b8 = _mm256_broadcast_ss(&bias[mi]);
-        let oplane = out.as_mut_ptr().add(local * h * w);
-        let mut j = 0;
-        while j + 4 <= blocks {
-            // Padded-plane offset of each block's lane 0 (kh = kw = 0).
-            let mut off = [0usize; 4];
-            for (t, o) in off.iter_mut().enumerate() {
-                let bj = j + t;
-                *o = (bj / wblocks) * pw + (bj % wblocks) * 8;
-            }
-            let mut acc0 = b8;
-            let mut acc1 = b8;
-            let mut acc2 = b8;
-            let mut acc3 = b8;
-            let mut q = wrow;
-            for ci in 0..c {
-                let xc = xp.add(ci * phpw);
-                for kh in 0..k {
-                    let xr = xc.add(kh * pw);
-                    for kw in 0..k {
-                        let tap = _mm256_broadcast_ss(&*q);
-                        q = q.add(1);
-                        let xrk = xr.add(kw);
-                        acc0 = _mm256_add_ps(
-                            acc0,
-                            _mm256_mul_ps(tap, _mm256_loadu_ps(xrk.add(off[0]))),
-                        );
-                        acc1 = _mm256_add_ps(
-                            acc1,
-                            _mm256_mul_ps(tap, _mm256_loadu_ps(xrk.add(off[1]))),
-                        );
-                        acc2 = _mm256_add_ps(
-                            acc2,
-                            _mm256_mul_ps(tap, _mm256_loadu_ps(xrk.add(off[2]))),
-                        );
-                        acc3 = _mm256_add_ps(
-                            acc3,
-                            _mm256_mul_ps(tap, _mm256_loadu_ps(xrk.add(off[3]))),
-                        );
-                    }
-                }
-            }
-            // Blocks tile the row-major plane exactly, so block j's
-            // output starts at element j·8.
-            _mm256_storeu_ps(oplane.add(j * 8), acc0);
-            _mm256_storeu_ps(oplane.add((j + 1) * 8), acc1);
-            _mm256_storeu_ps(oplane.add((j + 2) * 8), acc2);
-            _mm256_storeu_ps(oplane.add((j + 3) * 8), acc3);
-            j += 4;
-        }
-        while j < blocks {
-            let off = (j / wblocks) * pw + (j % wblocks) * 8;
-            let mut acc = b8;
-            let mut q = wrow;
-            for ci in 0..c {
-                let xc = xp.add(ci * phpw);
-                for kh in 0..k {
-                    let xr = xc.add(kh * pw + off);
-                    for kw in 0..k {
-                        let tap = _mm256_broadcast_ss(&*q);
-                        q = q.add(1);
-                        acc = _mm256_add_ps(acc, _mm256_mul_ps(tap, _mm256_loadu_ps(xr.add(kw))));
-                    }
-                }
-            }
-            _mm256_storeu_ps(oplane.add(j * 8), acc);
-            j += 1;
-        }
-    }
+    /// Padded row length `W + 2·pad`.
+    pw: usize,
+    /// Padded plane length `(H + 2·pad)·(W + 2·pad)`.
+    phpw: usize,
+    /// Taps per output channel, `C·K·K` (one weight row).
+    ckk: usize,
+    /// Output plane length `H·W`.
+    hw: usize,
 }
+
+/// Stamps one SIMD body of [`conv_direct_rows`] for a vector of `$lanes`
+/// floats, so the 8-wide and 16-wide bodies are one source.
+///
+/// The output planes are tiled into `$lanes`-wide blocks along each row.
+/// A pass holds up to 4 output channels × 2 blocks in 8 accumulators: per
+/// tap it loads each block's input vector once, broadcasts each channel's
+/// weight, and multiplies then adds into every accumulator — the eNODE NN
+/// core's broadcast of one input-channel packet to every output-channel
+/// PE. Block offsets are stepped, not divided. Tails run the same pass
+/// with fewer channels (`mrange.len() % 4`) or one block (an odd block
+/// count). Each lane runs the portable chain — bias, then mul+add per tap
+/// in `(c, kh, kw)` order, never FMA — so the result is bitwise identical
+/// to the portable body.
+#[cfg(target_arch = "x86_64")]
+macro_rules! conv_direct_rows_simd {
+    (
+        $(#[$doc:meta])*
+        $name:ident, $feature:literal, $lanes:literal,
+        $load:ident, $splat:ident, $add:ident, $mul:ident, $store:ident
+    ) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        ///
+        /// The host must support the body's ISA, `w` must be a multiple of
+        /// its lane count, and the arguments must satisfy the length and
+        /// range assertions of [`conv_direct_rows`].
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+        unsafe fn $name(
+            xpad: &[f32],
+            wmat: &[f32],
+            bias: &[f32],
+            mrange: std::ops::Range<usize>,
+            out: &mut [f32],
+            h: usize,
+            w: usize,
+            c: usize,
+            k: usize,
+        ) {
+            use std::arch::x86_64::*;
+
+            /// One pass: channels `0..MC` of the group whose first weight
+            /// row, bias and output plane are `wrow`, `bias` and `out`, over
+            /// the `NB` blocks whose lane 0 sits at padded offset `offs[b]`
+            /// (tap `(0, 0)`) and output offset `outs[b]`.
+            #[target_feature(enable = $feature)]
+            unsafe fn pass<const MC: usize, const NB: usize>(
+                g: DirectGeometry,
+                xp: *const f32,
+                offs: [usize; NB],
+                outs: [usize; NB],
+                wrow: *const f32,
+                bias: *const f32,
+                out: *mut f32,
+            ) {
+                let mut acc = [[$splat(0.0); NB]; MC];
+                for (ch, row) in acc.iter_mut().enumerate() {
+                    *row = [$splat(*bias.add(ch)); NB];
+                }
+                let mut q = 0;
+                for ci in 0..g.c {
+                    let xc = xp.add(ci * g.phpw);
+                    for kh in 0..g.k {
+                        let xr = xc.add(kh * g.pw);
+                        for kw in 0..g.k {
+                            let mut xv = [$splat(0.0); NB];
+                            for (v, &o) in xv.iter_mut().zip(&offs) {
+                                *v = $load(xr.add(o + kw));
+                            }
+                            for (ch, row) in acc.iter_mut().enumerate() {
+                                let tap = $splat(*wrow.add(ch * g.ckk + q));
+                                for (a, &v) in row.iter_mut().zip(&xv) {
+                                    *a = $add(*a, $mul(tap, v));
+                                }
+                            }
+                            q += 1;
+                        }
+                    }
+                }
+                for (ch, row) in acc.iter().enumerate() {
+                    for (&a, &o) in row.iter().zip(&outs) {
+                        $store(out.add(ch * g.hw + o), a);
+                    }
+                }
+            }
+
+            /// Every block of channels `0..MC` of one group: pairs, then a
+            /// last single block when the count is odd.
+            #[target_feature(enable = $feature)]
+            unsafe fn group<const MC: usize>(
+                g: DirectGeometry,
+                wblocks: usize,
+                blocks: usize,
+                xp: *const f32,
+                wrow: *const f32,
+                bias: *const f32,
+                out: *mut f32,
+            ) {
+                // Padded offset of the next block's lane 0 and its column:
+                // a row's last block steps over the 2·pad border columns.
+                let (mut off, mut col) = (0, 0);
+                let mut next = || {
+                    let o = off;
+                    col += 1;
+                    off += $lanes;
+                    if col == wblocks {
+                        col = 0;
+                        off += g.pw - wblocks * $lanes;
+                    }
+                    o
+                };
+                let mut j = 0;
+                while j + 2 <= blocks {
+                    let offs = [next(), next()];
+                    let outs = [j * $lanes, (j + 1) * $lanes];
+                    pass::<MC, 2>(g, xp, offs, outs, wrow, bias, out);
+                    j += 2;
+                }
+                if j < blocks {
+                    pass::<MC, 1>(g, xp, [next()], [j * $lanes], wrow, bias, out);
+                }
+            }
+
+            let pad = k / 2;
+            let pw = w + 2 * pad;
+            let g = DirectGeometry {
+                c,
+                k,
+                pw,
+                phpw: (h + 2 * pad) * pw,
+                ckk: c * k * k,
+                hw: h * w,
+            };
+            let wblocks = w / $lanes; // caller guarantees w % $lanes == 0
+            let blocks = h * wblocks;
+            let xp = xpad.as_ptr();
+            let mut mi = mrange.start;
+            while mi < mrange.end {
+                let wrow = wmat.as_ptr().add(mi * g.ckk);
+                let b = bias.as_ptr().add(mi);
+                let o = out.as_mut_ptr().add((mi - mrange.start) * g.hw);
+                match mrange.end - mi {
+                    1 => group::<1>(g, wblocks, blocks, xp, wrow, b, o),
+                    2 => group::<2>(g, wblocks, blocks, xp, wrow, b, o),
+                    3 => group::<3>(g, wblocks, blocks, xp, wrow, b, o),
+                    _ => group::<4>(g, wblocks, blocks, xp, wrow, b, o),
+                }
+                mi += 4;
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+conv_direct_rows_simd!(
+    /// AVX body of [`conv_direct_rows`] (`w % 8 == 0`): 8-wide blocks.
+    conv_direct_rows_avx, "avx", 8,
+    _mm256_loadu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps, _mm256_storeu_ps
+);
+
+#[cfg(target_arch = "x86_64")]
+conv_direct_rows_simd!(
+    /// AVX-512F body of [`conv_direct_rows`] (`w % 16 == 0`): 16-wide
+    /// blocks, one per register.
+    conv_direct_rows_avx512, "avx512f", 16,
+    _mm512_loadu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps, _mm512_storeu_ps
+);
 
 /// Input-gradient convolution of one zero-padded `dy` sample
 /// (`dypad = [M][H+2·pad][W+2·pad]`, see [`pad_sample`]) over the input-
@@ -1810,74 +1909,195 @@ mod tests {
         }
     }
 
+    /// A body of `conv_direct_rows` or `conv_input_grad_rows`.
+    #[derive(Clone, Copy, Debug)]
+    enum Body {
+        Portable,
+        Avx,
+        Avx512,
+    }
+
+    /// The bodies this host runs at row width `w`: the portable loop, the
+    /// AVX body when AVX is present and `w % 8 == 0`, and (when `wide`,
+    /// only the forward has one) the AVX-512F body when AVX-512F is
+    /// present and `w % 16 == 0`.
+    fn bodies(w: usize, wide: bool) -> Vec<Body> {
+        let mut bodies = vec![Body::Portable];
+        if w.is_multiple_of(8) && crate::simd::avx() {
+            bodies.push(Body::Avx);
+        }
+        if wide && w.is_multiple_of(16) && crate::simd::avx512f() {
+            bodies.push(Body::Avx512);
+        }
+        bodies
+    }
+
+    /// Bits of `v`, every NaN mapped to one pattern: a NaN need only match
+    /// a NaN, while `−0.0` and `+0.0` must match exactly.
+    fn canonical_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|f| if f.is_nan() { f32::NAN } else { *f }.to_bits())
+            .collect()
+    }
+
+    /// Uniform values in `[−1, 1)` with every third one replaced in turn
+    /// by `±0.0`, a subnormal of either sign or a large magnitude (whose
+    /// ulp is near the size of the other terms, so the order in which they
+    /// are added shows in the bits).
+    fn special_values(len: usize, seed: u64) -> Vec<f32> {
+        let special = [
+            0.0,
+            -0.0,
+            f32::from_bits(3),
+            -f32::MIN_POSITIVE / 8.0,
+            6.5e5,
+            -3.0e7,
+        ];
+        let mut v = init::uniform(&[len], -1.0, 1.0, seed).data().to_vec();
+        for (i, x) in v.iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
+            *x = special[(i / 3) % special.len()];
+        }
+        v
+    }
+
+    /// Shapes `(c, m, h, w, k)` of the dispatch tests: m ∈ {1, 3, 4, 5, 9},
+    /// w ∈ {8, 16, 24, 32}, k ∈ {1, 3, 5}, and odd block counts for both
+    /// vector widths (5×8, 3×24 and 5×16 pixels).
+    const DISPATCH_SHAPES: [(usize, usize, usize, usize, usize); 7] = [
+        (4, 4, 8, 8, 3),
+        (3, 5, 5, 16, 5),
+        (2, 9, 3, 24, 1),
+        (4, 3, 3, 32, 3),
+        (1, 1, 5, 8, 5),
+        (2, 4, 7, 16, 1),
+        (3, 5, 2, 32, 5),
+    ];
+
+    /// Full, tail-starting and head-only channel ranges of `0..m`.
+    fn channel_ranges(m: usize) -> Vec<std::ops::Range<usize>> {
+        let mut ranges = vec![0..m, 1..m, 0..m.div_ceil(2), m / 2..m];
+        ranges.retain(|r| !r.is_empty());
+        ranges.dedup();
+        ranges
+    }
+
+    /// Runs one body of `conv_direct_rows` over NaN-filled output and
+    /// returns its canonical bits.
+    #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+    fn run_direct(
+        body: Body,
+        xpad: &[f32],
+        wmat: &[f32],
+        bias: &[f32],
+        mrange: std::ops::Range<usize>,
+        h: usize,
+        w: usize,
+        c: usize,
+        k: usize,
+    ) -> Vec<u32> {
+        let mut out = vec![f32::NAN; mrange.len() * h * w];
+        match body {
+            Body::Portable => {
+                conv_direct_rows_portable(xpad, wmat, bias, mrange, &mut out, h, w, c, k)
+            }
+            // SAFETY: `bodies` lists a SIMD body only when its ISA is
+            // present and `w` is a whole number of its blocks; the callers
+            // build every slice at the lengths `conv_direct_rows` asserts.
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx => unsafe {
+                conv_direct_rows_avx(xpad, wmat, bias, mrange, &mut out, h, w, c, k)
+            },
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512 => unsafe {
+                conv_direct_rows_avx512(xpad, wmat, bias, mrange, &mut out, h, w, c, k)
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("no SIMD body off x86-64"),
+        }
+        canonical_bits(&out)
+    }
+
     #[test]
     fn direct_conv_avx_and_portable_agree_bitwise() {
-        // Dispatch transparency: whatever body `conv_direct_rows` picks on
-        // this host must agree with the portable loop bit-for-bit
-        // (trivially true on non-AVX hosts, a real check with AVX).
-        for (c, m, hh, ww, k) in [(4usize, 4usize, 8usize, 8usize, 3usize), (3, 5, 2, 16, 5)] {
-            let mut conv = Conv2d::new_seeded(c, m, k, 31);
-            conv.bias_mut()
-                .data_mut()
-                .iter_mut()
-                .enumerate()
-                .for_each(|(i, b)| *b = 0.7 - i as f32 * 0.2);
-            let x = init::uniform(&[1, c, hh, ww], -1.0, 1.0, 37);
-            let mut xpad = vec![0.0f32; padded_plane_len(c, k, hh, ww)];
+        // Every forward body this host runs must equal the portable loop
+        // bit for bit, and so must the dispatcher: over full and partial
+        // channel ranges (4-channel passes and 1–3-channel tails), odd
+        // block counts, and inputs, weights and biases holding ±0.0,
+        // subnormals and overflowing magnitudes. Channel 0's weights are
+        // all ±0.0 and its bias −0.0, so its outputs are signed zeros.
+        for (c, m, hh, ww, k) in DISPATCH_SHAPES {
+            let ckk = c * k * k;
+            let x = Tensor::from_vec(special_values(c * hh * ww, 37), &[1, c, hh, ww]);
+            let mut xpad = vec![f32::NAN; padded_plane_len(c, k, hh, ww)];
             pad_sample(&x, 0, 1, k / 2, &mut xpad);
-            let wd = conv.weight().data();
-            let bd = conv.bias().data();
-            let mut portable = vec![0.0f32; m * hh * ww];
-            conv_direct_rows_portable(&xpad, wd, bd, 0..m, &mut portable, hh, ww, c, k);
-            let mut dispatched = vec![1.0f32; m * hh * ww];
-            conv_direct_rows(&xpad, wd, bd, 0..m, &mut dispatched, hh, ww, c, k);
-            assert_eq!(portable, dispatched, "w={ww} k={k}");
+            let mut wmat = special_values(m * ckk, 31);
+            for (q, v) in wmat[..ckk].iter_mut().enumerate() {
+                *v = if q % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            let mut bias = special_values(m, 29);
+            bias[0] = -0.0;
+            for mrange in channel_ranges(m) {
+                let case = format!("c={c} m={m} {hh}x{ww} k={k} mrange={mrange:?}");
+                let run =
+                    |body| run_direct(body, &xpad, &wmat, &bias, mrange.clone(), hh, ww, c, k);
+                let portable = run(Body::Portable);
+                for body in bodies(ww, true) {
+                    assert_eq!(run(body), portable, "{body:?}: {case}");
+                }
+                let mut dispatched = vec![f32::NAN; mrange.len() * hh * ww];
+                conv_direct_rows(
+                    &xpad,
+                    &wmat,
+                    &bias,
+                    mrange.clone(),
+                    &mut dispatched,
+                    hh,
+                    ww,
+                    c,
+                    k,
+                );
+                assert_eq!(canonical_bits(&dispatched), portable, "dispatch: {case}");
+            }
         }
     }
 
     #[test]
     fn input_grad_avx_and_portable_agree_bitwise() {
-        // Dispatch transparency of `conv_input_grad_rows`, over a full
-        // channel range and a partial one (the channel split's shape); 5
-        // blocks of 8 leave the AVX body a short last pass.
-        type Body = fn(
-            &[f32],
-            &[f32],
-            std::ops::Range<usize>,
-            &mut [f32],
-            usize,
-            usize,
-            usize,
-            usize,
-            usize,
-        );
-        for (c, m, hh, ww, k) in [
-            (4usize, 4usize, 8usize, 8usize, 3usize),
-            (3, 5, 2, 16, 5),
-            (2, 9, 5, 8, 1),
-        ] {
-            let conv = Conv2d::new_seeded(c, m, k, 41);
-            let dy = init::uniform(&[1, m, hh, ww], -1.0, 1.0, 43);
-            let mut dypad = vec![0.0f32; padded_plane_len(m, k, hh, ww)];
+        // Every input-gradient body this host runs must equal the portable
+        // loop bit for bit, over the shapes, ranges and special values of
+        // the forward test (input channels play the ranges' part here).
+        for (c, m, hh, ww, k) in DISPATCH_SHAPES {
+            let wmat = special_values(m * c * k * k, 41);
+            let dy = Tensor::from_vec(special_values(m * hh * ww, 43), &[1, m, hh, ww]);
+            let mut dypad = vec![f32::NAN; padded_plane_len(m, k, hh, ww)];
             pad_sample(&dy, 0, 1, k / 2, &mut dypad);
-            for crange in [0..c, 1..c] {
-                let run = |body: Body| {
-                    let mut out = vec![1.0f32; crange.len() * hh * ww];
-                    body(
-                        &dypad,
-                        conv.weight().data(),
-                        crange.clone(),
-                        &mut out,
-                        hh,
-                        ww,
-                        c,
-                        m,
-                        k,
-                    );
-                    out
+            for crange in channel_ranges(c) {
+                let case = format!("c={c} m={m} {hh}x{ww} k={k} crange={crange:?}");
+                let run = |body| {
+                    let mut out = vec![f32::NAN; crange.len() * hh * ww];
+                    let (dy, wm, cr) = (&dypad[..], &wmat[..], crange.clone());
+                    match body {
+                        Body::Portable => {
+                            conv_input_grad_rows_portable(dy, wm, cr, &mut out, hh, ww, c, m, k)
+                        }
+                        // SAFETY: `bodies` lists the AVX body only when AVX
+                        // is present and `w % 8 == 0`; the slices have the
+                        // lengths `conv_input_grad_rows` asserts.
+                        #[cfg(target_arch = "x86_64")]
+                        Body::Avx => unsafe {
+                            conv_input_grad_rows_avx(dy, wm, cr, &mut out, hh, ww, c, m, k)
+                        },
+                        _ => unreachable!("the input gradient has no {body:?} body"),
+                    }
+                    canonical_bits(&out)
                 };
-                let portable = run(conv_input_grad_rows_portable);
-                assert_eq!(portable, run(conv_input_grad_rows), "w={ww} k={k} m={m}");
+                let portable = run(Body::Portable);
+                for body in bodies(ww, false) {
+                    assert_eq!(run(body), portable, "{body:?}: {case}");
+                }
+                let mut dispatched = vec![f32::NAN; crange.len() * hh * ww];
+                conv_input_grad_rows(&dypad, &wmat, crange, &mut dispatched, hh, ww, c, m, k);
+                assert_eq!(canonical_bits(&dispatched), portable, "dispatch: {case}");
             }
         }
     }

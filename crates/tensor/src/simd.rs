@@ -4,18 +4,22 @@
 //! the autovectorizer can never emit wider vectors no matter how the
 //! loops are written. The hot microkernels ([`crate::matmul`],
 //! [`crate::norm`], [`crate::conv`]) therefore carry explicit
-//! `std::arch` AVX bodies behind the runtime check here, falling back to
-//! the portable loops elsewhere.
+//! `std::arch` AVX bodies behind the runtime checks here, falling back to
+//! the portable loops elsewhere. The conv forward also has an AVX-512F
+//! body (16-wide row blocks, one per register) behind [`avx512f`],
+//! stamped from the same source as its AVX body. The host's ISA alone
+//! picks the body: there is no option or environment variable.
 //!
 //! # Determinism
 //!
-//! The AVX bodies are *transcriptions*, not reassociations: every output
-//! element runs the identical IEEE-754 operation sequence as the portable
-//! loop (mul then add, per-element chains in the same reduction order —
-//! never FMA, which would fuse the rounding). A lane of a vector op is
-//! the same `f32`/`f64` operation as its scalar counterpart, so the AVX
-//! and portable paths are bitwise identical, and the cross-thread-count
-//! determinism contract (DESIGN.md §8) holds unchanged on every host.
+//! The AVX and AVX-512F bodies are *transcriptions*, not reassociations:
+//! every output element runs the identical IEEE-754 operation sequence as
+//! the portable loop (mul then add, per-element chains in the same
+//! reduction order — never FMA, which would fuse the rounding). A lane of
+//! a vector op is the same `f32`/`f64` operation as its scalar
+//! counterpart, whatever the vector width, so every body and the portable
+//! path are bitwise identical, and the cross-thread-count determinism
+//! contract (DESIGN.md §8) holds unchanged on every host.
 
 /// True when the host supports AVX (256-bit float vectors). The result
 /// is cached by `std::arch`'s detection macro, so calling this in a
@@ -33,6 +37,21 @@ pub(crate) fn avx() -> bool {
     false
 }
 
+/// True when the host supports AVX-512F (512-bit float vectors), cached
+/// like [`avx`]. Only the conv forward has a 16-wide body.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn avx512f() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+}
+
+/// Non-x86 hosts always take the portable loops.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+pub(crate) fn avx512f() -> bool {
+    false
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -40,5 +59,6 @@ mod tests {
         // Whatever the host supports, repeated queries must agree — the
         // kernels assume one dispatch decision per process.
         assert_eq!(super::avx(), super::avx());
+        assert_eq!(super::avx512f(), super::avx512f());
     }
 }

@@ -240,9 +240,16 @@ impl Tensor {
     }
 
     /// True when every element is finite.
+    ///
+    /// An element is `±inf` or NaN exactly when its exponent bits are all
+    /// ones. The test is OR-folded over every element with no early exit,
+    /// so the loop vectorizes; the adaptive stepper scans each trial's
+    /// candidate state with it.
     #[inline]
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        const EXPONENT: u32 = 0x7f80_0000;
+        let non_finite = |x: &f32| u32::from(x.to_bits() & EXPONENT == EXPONENT);
+        self.data.iter().fold(0, |acc, x| acc | non_finite(x)) == 0
     }
 
     /// Storage footprint in bytes at the given element width (the eNODE
@@ -374,9 +381,24 @@ mod tests {
 
     #[test]
     fn finite_detection() {
-        let mut a = Tensor::zeros(&[3]);
-        assert!(a.is_finite());
-        a.data_mut()[1] = f32::NAN;
-        assert!(!a.is_finite());
+        // Extreme finite values (largest, smallest subnormal, −0.0) pass;
+        // one NaN or ±inf anywhere fails, whatever the length and offset
+        // within the vectorized fold.
+        let finite = [f32::MAX, f32::MIN, f32::from_bits(1), -0.0, 1.0, -3.5];
+        for len in 1..=70usize {
+            let clean: Vec<f32> = (0..len).map(|i| finite[i % finite.len()]).collect();
+            assert!(
+                Tensor::from_vec(clean.clone(), &[len]).is_finite(),
+                "len {len}"
+            );
+            for pos in 0..len {
+                for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut data = clean.clone();
+                    data[pos] = bad;
+                    let t = Tensor::from_vec(data, &[len]);
+                    assert!(!t.is_finite(), "len {len} pos {pos} value {bad}");
+                }
+            }
+        }
     }
 }
