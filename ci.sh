@@ -47,9 +47,6 @@ cargo test -q -p enode-analysis --test mutations -- \
 echo "==> serving runtime suite under a 4-lane pool (batcher determinism audit)"
 ENODE_THREADS=4 cargo test -q -p enode-serve
 
-echo "==> fleet determinism suite under a 4-lane pool (ENODE_THREADS=4)"
-ENODE_THREADS=4 cargo test -q -p enode-serve --test fleet
-
 echo "==> serve suite + sync-parity under the synctrace recorder (ENODE_THREADS=4)"
 ENODE_THREADS=4 cargo test -q -p enode-serve --features synctrace
 

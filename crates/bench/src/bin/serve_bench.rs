@@ -56,7 +56,7 @@ fn main() {
     ]);
     for sw in &sweeps {
         for r in &sw.rows {
-            let m = &r.metrics;
+            let m = &r.server.metrics;
             report::row(&[
                 sw.policy.name,
                 &sw.deadline_us.to_string(),
@@ -85,9 +85,10 @@ fn main() {
         "energy_uJ/req",
     ]);
     for row in &hw {
-        let m = &row.result.metrics;
+        let m = &row.result.server.metrics;
         let tiers = row
             .result
+            .server
             .tier_counts
             .iter()
             .map(u64::to_string)

@@ -1,13 +1,17 @@
 //! The machine-readable fleet-serving benchmark (`BENCH_fleet.json`).
 //!
 //! Sweeps fleet size × tenants × offered load over the shipped registry
-//! using the deterministic discrete-event fleet simulation in
-//! [`enode_serve::fleet`]: every request really routes through the
-//! consistent-hash ring into a whole [`enode_serve::Server`] instance and
-//! solves the ODE (true outputs, true degradation tiers), but service
-//! time is charged by the same fixed [`cost_model`] as `BENCH_serve.json`,
-//! so a rerun with the same seed produces the same bytes on any host —
-//! only `host_cpus` and `enode_threads_default` are host metadata.
+//! using the deterministic discrete-event simulation in
+//! [`enode_serve::fleet`] — the same event loop that runs
+//! `BENCH_serve.json`'s single-server cells: every request really routes
+//! through the consistent-hash ring into a whole [`enode_serve::Server`]
+//! instance and solves the ODE (true outputs, true degradation tiers),
+//! but service time is charged by the same fixed [`cost_model`] as
+//! `BENCH_serve.json`, so a rerun with the same seed produces the same
+//! bytes on any host — only `host_cpus` and `enode_threads_default` are
+//! host metadata. Each cell's traffic is an open-loop
+//! [`enode_serve::FleetLoad`]: per tenant, an arrival stream and then an
+//! input stream are forked off [`SEED`].
 //!
 //! # JSON format (`schema: "enode-bench-fleet/v1"`)
 //!
@@ -53,7 +57,9 @@ use crate::serve_json::{cost_model, LANES, SEED};
 use enode_analysis::benchjson::json_escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
-use enode_serve::{simulate_fleet, FleetConfig, FleetLoad, FleetRunResult, TenantBinding};
+use enode_serve::{
+    simulate_fleet, Arrivals, FleetConfig, FleetLoad, FleetRunResult, TenantBinding,
+};
 use enode_tensor::parallel;
 
 /// The model every instance serves under both published names: the small
@@ -145,7 +151,7 @@ pub fn sweep_fleet(quick: bool) -> Vec<FleetCell> {
                 let cfg = fleet_config(size, tenants);
                 let load = FleetLoad {
                     requests_per_tenant: requests,
-                    rate_rps: rate,
+                    arrivals: Arrivals::OpenLoop { rate_rps: rate },
                     input_dim: INPUT_DIM,
                     seed: SEED,
                 };

@@ -2,10 +2,11 @@
 //!
 //! Sweeps offered load × batch window over every shipped serving policy
 //! using the deterministic discrete-event simulation in
-//! [`enode_serve::loadgen`]: batches really run through the solver (true
-//! outputs and NFE counts), but service time is charged by a fixed
-//! [`CostModel`] with an explicit lane count, so a rerun with the same
-//! seed produces the same bytes on any host — only `host_cpus` and
+//! [`enode_serve::fleet`], each cell a one-instance fleet
+//! ([`run_single`]): batches really run through the solver (true outputs
+//! and NFE counts), but service time is charged by a fixed [`CostModel`]
+//! with an explicit lane count, so a rerun with the same seed produces
+//! the same bytes on any host — only `host_cpus` and
 //! `enode_threads_default` are host metadata and may differ.
 //!
 //! # JSON format (`schema: "enode-bench-serve/v1"`)
@@ -55,8 +56,8 @@
 //!   `(policy, tier)` at the policy's `max_batch`, straight from the
 //!   simulated table (µs and µJ *per request*). Deeper tiers must be
 //!   strictly cheaper on both axes.
-//! * `"hw_sweep"` — the measured ladder walk: the same discrete-event
-//!   loadgen, but with service time charged by
+//! * `"hw_sweep"` — the measured ladder walk: the same one-instance
+//!   fleet runs, but with service time charged by
 //!   [`CostModel::from_table`] (simulator-calibrated, not the guessed
 //!   constant above), run per policy at a descending deadline grid.
 //!   As deadlines tighten, tier selection walks down the ladder and the
@@ -68,9 +69,13 @@ use crate::report::host_cpus;
 use enode_analysis::benchjson::json_escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
-use enode_serve::loadgen::{simulate, sweep};
-use enode_serve::{shipped_cost_table, CostModel, LoadSpec, RunResult, ServeConfig};
+use enode_serve::fleet::InstanceStats;
+use enode_serve::{
+    shipped_cost_table, simulate_traffic, Arrivals, CostModel, FleetConfig, ServeConfig,
+    TenantTraffic, ToleranceClass,
+};
 use enode_tensor::parallel;
+use enode_tensor::rng::Rng64;
 
 /// Lane count the cost model charges batches against. Fixed (rather than
 /// host-derived) so the committed JSON is byte-identical across hosts.
@@ -98,6 +103,53 @@ pub fn bench_model() -> NodeModel {
     NodeModel::dynamic_system(2, 16, 2, 42)
 }
 
+/// State dimension of [`bench_model`] (request input shape `[1, dim]`).
+const INPUT_DIM: usize = 2;
+
+/// One single-server cell: a policy at one batch window and offered load.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServeRow {
+    /// The policy's batch window during the run (µs).
+    pub batch_window_us: u64,
+    /// Open-loop offered load (requests/s).
+    pub offered_rps: f64,
+    /// Requests offered (submitted + rejected at the door).
+    pub offered: u64,
+    /// Virtual time of the last event (µs).
+    pub makespan_us: u64,
+    /// The server: completions per tier and drained metrics.
+    pub server: InstanceStats,
+}
+
+/// Runs `policy` serving [`bench_model`] as a one-instance fleet: one
+/// Standard client stamping `deadline_us`, with a quota of its whole
+/// budget, offers `requests` open-loop at `rate_rps`. This artifact's
+/// seed derivation: from the [`SEED`] master, the input stream is forked
+/// first, then the arrival jitter is drawn from the master itself.
+pub fn run_single(
+    policy: &ServeConfig,
+    rate_rps: f64,
+    deadline_us: u64,
+    requests: usize,
+    cost: &CostModel,
+) -> ServeRow {
+    let mut master = Rng64::seed_from_u64(SEED);
+    let mut input_rng = master.fork();
+    let arrivals = Arrivals::OpenLoop { rate_rps };
+    let traffic = TenantTraffic::draw(arrivals, requests, &mut master, &mut input_rng);
+    let config = FleetConfig::single(policy, ToleranceClass::Standard, deadline_us, requests);
+    let models = [(policy.name, bench_model())];
+    let opts = NodeSolveOptions::new(1e-4);
+    let mut run = simulate_traffic(&config, &models, &opts, &[traffic], INPUT_DIM, cost);
+    ServeRow {
+        batch_window_us: policy.batch_window_us,
+        offered_rps: rate_rps,
+        offered: run.tenants[0].offered,
+        makespan_us: run.makespan_us,
+        server: run.instances.remove(0),
+    }
+}
+
 /// One (policy, deadline) slice of the sweep grid.
 #[derive(Clone, Debug)]
 pub struct PolicySweep {
@@ -110,14 +162,14 @@ pub struct PolicySweep {
     /// forces the degradation ladder and load shedding to actually fire.
     pub deadline_us: u64,
     /// One result per (batch window, offered load) cell.
-    pub rows: Vec<RunResult>,
+    pub rows: Vec<ServeRow>,
 }
 
-/// Runs the full sweep over every shipped policy. `quick` shrinks the
-/// grid and the request count (the CI smoke configuration).
+/// Runs the full sweep over every shipped policy: per (policy, deadline),
+/// one [`run_single`] per (batch window, offered load) cell with the
+/// policy's window overridden. `quick` shrinks the grid and the request
+/// count (the CI smoke configuration).
 pub fn sweep_shipped(quick: bool) -> Vec<PolicySweep> {
-    let model = bench_model();
-    let opts = NodeSolveOptions::new(1e-4);
     let cost = cost_model();
     let (requests, rates, windows): (usize, Vec<f64>, Vec<u64>) = if quick {
         (40, vec![200.0], vec![0, 2_000])
@@ -137,9 +189,16 @@ pub fn sweep_shipped(quick: bool) -> Vec<PolicySweep> {
             vec![floor, floor * 2 / 5]
         };
         for deadline_us in deadlines {
-            let mut spec = LoadSpec::open_loop(requests, rates[0], deadline_us);
-            spec.seed = SEED;
-            let rows = sweep(&model, &opts, &policy, &rates, &windows, &spec, &cost);
+            let mut rows = Vec::with_capacity(rates.len() * windows.len());
+            for &batch_window_us in &windows {
+                let p = ServeConfig {
+                    batch_window_us,
+                    ..policy.clone()
+                };
+                for &rate in &rates {
+                    rows.push(run_single(&p, rate, deadline_us, requests, &cost));
+                }
+            }
             out.push(PolicySweep {
                 policy: policy.clone(),
                 deadline_us,
@@ -195,8 +254,8 @@ pub fn pareto_frontier() -> Vec<ParetoPoint> {
     out
 }
 
-/// One measured row of the hardware-calibrated ladder walk: a loadgen
-/// run under [`CostModel::from_table`] at one deadline.
+/// One measured row of the hardware-calibrated ladder walk: a
+/// single-server run under [`CostModel::from_table`] at one deadline.
 #[derive(Clone, Debug)]
 pub struct HwSweepRow {
     /// Policy name.
@@ -204,20 +263,18 @@ pub struct HwSweepRow {
     /// Relative deadline stamped on every request (µs).
     pub deadline_us: u64,
     /// The discrete-event run (tier counts, latency percentiles, …).
-    pub result: RunResult,
+    pub result: ServeRow,
     /// Tier-count-weighted simulated energy per completed request, µJ
     /// (each completion charged its serving tier's frontier cost).
     pub energy_uj_per_req: f64,
 }
 
-/// Runs the ladder walk: per shipped policy, the loadgen at the policy's
-/// own window and design rate under the simulator-calibrated cost model,
+/// Runs the ladder walk: per shipped policy, a single server at the
+/// policy's own window and design rate under the simulator-calibrated cost model,
 /// across a descending deadline grid (the design floor down to a fifth
 /// of it — clients violating the envelope, which drives tier selection
 /// down the ladder).
 pub fn hw_sweep(quick: bool) -> Vec<HwSweepRow> {
-    let model = bench_model();
-    let opts = NodeSolveOptions::new(1e-4);
     let table = shipped_cost_table();
     let frontier = pareto_frontier();
     let requests = if quick { 40 } else { 400 };
@@ -232,10 +289,10 @@ pub fn hw_sweep(quick: bool) -> Vec<HwSweepRow> {
             vec![floor, floor * 3 / 5, floor * 2 / 5, floor / 5]
         };
         for deadline_us in deadlines {
-            let mut spec = LoadSpec::open_loop(requests, policy.design_rate_rps, deadline_us);
-            spec.seed = SEED;
-            let result = simulate(&model, &opts, &policy, &spec, &cost);
+            let rate = policy.design_rate_rps;
+            let result = run_single(&policy, rate, deadline_us, requests, &cost);
             let energy_uj: f64 = result
+                .server
                 .tier_counts
                 .iter()
                 .enumerate()
@@ -247,7 +304,7 @@ pub fn hw_sweep(quick: bool) -> Vec<HwSweepRow> {
                     n as f64 * per_req
                 })
                 .sum();
-            let completed = result.metrics.completed;
+            let completed = result.server.metrics.completed;
             out.push(HwSweepRow {
                 policy: policy.name.to_string(),
                 deadline_us,
@@ -287,6 +344,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
         for r in &sw.rows {
             emitted += 1;
             let tiers = r
+                .server
                 .tier_counts
                 .iter()
                 .map(u64::to_string)
@@ -303,7 +361,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
                 r.offered,
                 r.makespan_us,
                 tiers,
-                r.metrics.to_json(),
+                r.server.metrics.to_json(),
                 if emitted < total { "," } else { "" }
             ));
         }
@@ -334,6 +392,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
     for (i, row) in hw.iter().enumerate() {
         let r = &row.result;
         let tiers = r
+            .server
             .tier_counts
             .iter()
             .map(u64::to_string)
@@ -351,7 +410,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
             r.makespan_us,
             tiers,
             row.energy_uj_per_req,
-            r.metrics.to_json(),
+            r.server.metrics.to_json(),
             if i + 1 < hw.len() { "," } else { "" }
         ));
     }
@@ -553,7 +612,7 @@ mod tests {
         assert!(sweeps
             .iter()
             .flat_map(|p| &p.rows)
-            .all(|r| r.metrics.reconciles()));
+            .all(|r| r.server.metrics.reconciles()));
         let hw = hw_sweep(true);
         let json = render_json(&sweeps, &hw, true);
         validate(&json).expect("emitted document must validate");
@@ -573,6 +632,21 @@ mod tests {
                 "{}: rerun must be bit-identical",
                 x.policy.name
             );
+        }
+    }
+
+    #[test]
+    fn sweep_covers_the_grid() {
+        // The quick grid: per policy, windows {0, 2000} × one rate, each
+        // cell run with its own window.
+        for sw in sweep_shipped(true) {
+            let cells: Vec<(u64, f64)> = sw
+                .rows
+                .iter()
+                .map(|r| (r.batch_window_us, r.offered_rps))
+                .collect();
+            assert_eq!(cells, [(0, 200.0), (2_000, 200.0)], "{}", sw.policy.name);
+            assert!(sw.rows.iter().all(|r| r.server.metrics.reconciles()));
         }
     }
 
@@ -638,12 +712,12 @@ mod tests {
             let (floor, tight) = (rows[0], rows[1]);
             assert!(floor.deadline_us > tight.deadline_us);
             assert_eq!(
-                floor.result.tier_counts[0], floor.result.metrics.completed,
+                floor.result.server.tier_counts[0], floor.result.server.metrics.completed,
                 "{}: at the design floor every completion is full quality",
                 policy.name
             );
             assert!(
-                tight.result.metrics.degraded > 0,
+                tight.result.server.metrics.degraded > 0,
                 "{}: at a fifth of the floor the ladder must engage",
                 policy.name
             );
@@ -658,8 +732,9 @@ mod tests {
     }
 
     #[test]
-    fn static_feasibility_matches_loadgen() {
-        // The schedcheck verdict is an over-approximation of the loadgen:
+    fn static_feasibility_matches_the_simulation() {
+        // The schedcheck verdict is an over-approximation of the simulated
+        // run:
         // if the backward demand pass proves every class feasible under
         // COST_TABLE.json (no E09x on the shipped policies), the
         // discrete-event run at the design floor must meet every
@@ -676,7 +751,7 @@ mod tests {
                 .iter()
                 .find(|r| r.policy == policy.name && r.deadline_us == policy.min_deadline_us)
                 .expect("hw sweep covers the design floor");
-            let m = &floor.result.metrics;
+            let m = &floor.result.server.metrics;
             assert_eq!(
                 m.shed, 0,
                 "{}: feasible policy must shed nothing",

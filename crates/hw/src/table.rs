@@ -1,9 +1,9 @@
 //! Deterministic per-(policy, tier, batch) latency/energy cost tables.
 //!
 //! The serving stack charges service time through an abstract
-//! [`CostModel`](../../enode_serve/loadgen/struct.CostModel.html) while
-//! the calibrated cycle-level simulator sits one crate away. This module
-//! closes the gap: it sweeps [`simulate_enode`] once per (degradation
+//! `CostModel` (in `enode_serve::hwcost`) while the calibrated
+//! cycle-level simulator sits one crate away. This module closes the
+//! gap: it sweeps [`simulate_enode`] once per (degradation
 //! tier × batch size) of a serving policy and emits a versioned,
 //! **byte-stable** [`CostTable`] — cycles become µs through the 28 nm
 //! clock model, pJ become µJ through [`EnergyModel`], DRAM stalls are

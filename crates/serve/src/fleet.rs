@@ -10,22 +10,29 @@
 //! skipped clockwise (node-loss rebalancing falls out of the same walk),
 //! with a least-loaded fallback when the routed queue is saturated.
 //!
+//! # The serving simulator
+//!
+//! [`simulate_traffic`] is the crate's one discrete-event loop: it drives
+//! N pump-mode instances on a virtual clock from per-tenant
+//! [`TenantTraffic`] (open or closed loop), solving every batch for real
+//! and charging its service time through a [`CostModel`]. A single
+//! server is a one-instance fleet ([`FleetConfig::single`]).
+//!
 //! # Determinism contract
 //!
 //! Routing depends only on `(fleet name, instance index, vnode)` and
 //! `(tenant, per-tenant sequence)` — never on clocks, pointers, or map
-//! iteration order. Driven by the discrete-event loop in
-//! [`simulate_fleet`] (pump mode, virtual clock, [`CostModel`] service
-//! times), two runs of the same [`FleetLoad`] produce byte-identical
-//! results on any host; with worker threads, response bits still depend
-//! only on `(input, class, tier)` exactly as the single-server
-//! determinism suite pins.
+//! iteration order. Driven by the event loop, two runs of the same
+//! traffic produce byte-identical results on any host; with worker
+//! threads, response bits still depend only on `(input, class, tier)`
+//! exactly as the single-server determinism suite pins.
 
 use crate::clock::Clock;
-use crate::loadgen::CostModel;
+use crate::hwcost::CostModel;
 use crate::metrics::MetricsSnapshot;
+use crate::policies::ServeConfig;
 use crate::registry::{Registry, RegistrySnapshot, TenantBinding};
-use crate::request::{Priority, Rejected, Request, Ticket};
+use crate::request::{Priority, Rejected, Request, Ticket, ToleranceClass};
 use crate::residency::ResidencyManager;
 use crate::server::{Server, SolvedBatch};
 use enode_hw::config::HwConfig;
@@ -76,6 +83,35 @@ impl FleetConfig {
                 "streaming_keyword".to_string(),
             ],
             registry,
+        }
+    }
+
+    /// A one-instance fleet serving `policy` to one tenant that stamps
+    /// `class` and `deadline_us` on every request and may hold `quota`
+    /// requests in flight: the single-server deployment.
+    pub fn single(
+        policy: &ServeConfig,
+        class: ToleranceClass,
+        deadline_us: u64,
+        quota: usize,
+    ) -> FleetConfig {
+        let registry = Registry::new();
+        registry.publish(policy.name, policy.clone());
+        registry.bind(TenantBinding {
+            tenant: "client".to_string(),
+            model: policy.name.to_string(),
+            class,
+            sla_deadline_us: deadline_us,
+            quota,
+            rate_rps: policy.design_rate_rps,
+        });
+        FleetConfig {
+            name: policy.name,
+            instances: 1,
+            vnodes: VNODES,
+            hw: HwConfig::config_a(),
+            assignment: vec![policy.name.to_string()],
+            registry: (*registry.snapshot()).clone(),
         }
     }
 
@@ -217,7 +253,7 @@ pub struct InstanceStats {
     /// The resident `(model, version)` set, in warm-up order.
     pub resident_versions: Vec<(String, u32)>,
     /// Completed requests per degradation tier (filled by
-    /// [`simulate_fleet`]; zeros under worker threads).
+    /// [`simulate_traffic`]; zeros under worker threads).
     pub tier_counts: Vec<u64>,
     /// The instance server's drained metrics.
     pub metrics: MetricsSnapshot,
@@ -384,14 +420,6 @@ impl Fleet {
         &self.instances
     }
 
-    /// Tenant names, in registry bind order (the submit index space).
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants
-            .iter()
-            .map(|t| t.binding.tenant.clone())
-            .collect()
-    }
-
     /// Routes `key` for `model`: the ring walk's first alive instance
     /// with `version` warm. `None` means no instance can serve it.
     fn route(&self, model: &str, version: u32, key: u64) -> Option<usize> {
@@ -522,7 +550,7 @@ impl Fleet {
     /// every instance serving `name` warms the new version (pinned) and
     /// unpins its predecessor, which stays warm for rollback until SRAM
     /// pressure evicts it.
-    pub fn publish(&mut self, name: &str, policy: crate::policies::ServeConfig) -> u32 {
+    pub fn publish(&mut self, name: &str, policy: ServeConfig) -> u32 {
         let handle = self.registry.publish(name, policy);
         for inst in self.instances.iter_mut().filter(|i| i.model == name) {
             if handle.version > 1 {
@@ -622,24 +650,275 @@ impl Fleet {
     }
 }
 
-/// One fleet workload: every tenant offers an open-loop stream.
+/// How a tenant offers its requests.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Arrivals {
+    /// Fixed-rate arrivals with jittered-uniform gaps.
+    OpenLoop {
+        /// Offered load in requests per second.
+        rate_rps: f64,
+    },
+    /// A fixed client population, each with one request outstanding.
+    ClosedLoop {
+        /// Number of concurrent clients.
+        clients: usize,
+    },
+}
+
+/// One fleet workload: every tenant offers the same arrival process.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FleetLoad {
     /// Requests each tenant offers.
     pub requests_per_tenant: usize,
-    /// Offered load per tenant (requests/s, jittered-uniform gaps).
-    pub rate_rps: f64,
+    /// How each tenant offers them.
+    pub arrivals: Arrivals,
     /// Model input feature dimension.
     pub input_dim: usize,
-    /// Master seed (arrival jitter and inputs; forked per tenant).
+    /// Master seed: per tenant, an arrival fork, then an input fork.
     pub seed: u64,
 }
 
-/// Simulates `load` against a fleet built from `config`, in pump mode on
-/// a virtual clock: the discrete-event loop generalizes
-/// [`crate::loadgen::simulate`] to N instances, each with its own
-/// busy/idle state and batch window, charged through `cost`. Two runs
-/// are bit-identical.
+/// When a tenant offers its requests.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Offers {
+    /// Open loop: every request's arrival instant (µs), ascending.
+    At(Vec<u64>),
+    /// Closed loop: this many clients offer at t = 0, and each offers
+    /// again the instant its previous request resolves, whatever the
+    /// outcome — a refusal at the door included.
+    Clients(usize),
+}
+
+/// One tenant's traffic, as data.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TenantTraffic {
+    /// When the tenant offers.
+    pub offers: Offers,
+    /// Each request's input seed, in offer order: the tenant's budget.
+    pub input_seeds: Vec<u64>,
+}
+
+impl TenantTraffic {
+    /// Draws `requests` input seeds from `input_rng` and, open loop, as
+    /// many arrival instants from `arrival_rng`. Gaps are jittered-uniform
+    /// — `(1/rate) × (0.5 + u)`, `u ∈ [0, 1)` — so the mean gap is exactly
+    /// `1/rate`, with no transcendentals whose last bit varies across
+    /// libm builds.
+    pub fn draw(
+        arrivals: Arrivals,
+        requests: usize,
+        arrival_rng: &mut Rng64,
+        input_rng: &mut Rng64,
+    ) -> TenantTraffic {
+        let offers = match arrivals {
+            Arrivals::OpenLoop { rate_rps } => {
+                assert!(rate_rps > 0.0, "open loop needs a positive rate");
+                let base_gap_us = 1.0e6 / rate_rps;
+                let mut t = 0.0f64;
+                let mut next = || {
+                    t += base_gap_us * (0.5 + arrival_rng.gen_f64());
+                    t as u64
+                };
+                Offers::At((0..requests).map(|_| next()).collect())
+            }
+            Arrivals::ClosedLoop { clients } => Offers::Clients(clients),
+        };
+        let input_seeds = (0..requests).map(|_| input_rng.next_u64()).collect();
+        TenantTraffic {
+            offers,
+            input_seeds,
+        }
+    }
+}
+
+/// One tenant's side of the event loop.
+struct Source<'a> {
+    traffic: &'a TenantTraffic,
+    /// Arrival instants, ascending; the first `offered` are spent.
+    arrivals: Vec<u64>,
+    offered: usize,
+    /// Closed loop: resolved requests already turned into re-offers.
+    resolved_seen: u64,
+}
+
+impl<'a> Source<'a> {
+    fn new(traffic: &'a TenantTraffic) -> Self {
+        let budget = traffic.input_seeds.len();
+        let arrivals = match &traffic.offers {
+            Offers::At(instants) => {
+                assert_eq!(instants.len(), budget, "one arrival instant per seed");
+                instants.clone()
+            }
+            Offers::Clients(clients) => {
+                assert!(*clients > 0, "closed loop needs at least one client");
+                vec![0; (*clients).min(budget)]
+            }
+        };
+        Source {
+            traffic,
+            arrivals,
+            offered: 0,
+            resolved_seen: 0,
+        }
+    }
+
+    /// The next arrival instant, while the budget lasts.
+    fn next_arrival(&self) -> Option<u64> {
+        let budget_left = self.offered < self.traffic.input_seeds.len();
+        self.arrivals
+            .get(self.offered)
+            .copied()
+            .filter(|_| budget_left)
+    }
+
+    /// Closed loop: every request of `tenant` resolved since the last call
+    /// frees its client, which re-offers at `now_us`.
+    fn refill(&mut self, tenant: &mut TenantState, now_us: u64) {
+        if !matches!(self.traffic.offers, Offers::Clients(_)) {
+            return;
+        }
+        tenant.sweep();
+        let s = &tenant.stats;
+        let resolved = s.completed + s.shed + s.failed + s.rejected + s.not_resident;
+        if self.offered < self.traffic.input_seeds.len() {
+            let freed = (resolved - self.resolved_seen) as usize;
+            self.arrivals.extend(std::iter::repeat_n(now_us, freed));
+        }
+        self.resolved_seen = resolved;
+    }
+}
+
+/// Runs `traffic` (one entry per bound tenant, in registry bind order)
+/// against a fleet built from `config`, in pump mode on a virtual clock.
+/// Each instance has its own busy/idle state and batch window; a batch's
+/// service time is charged through `cost`. Inputs are `[1, input_dim]`
+/// uniform samples in `[-1, 1]` from each request's seed. Two runs are
+/// bit-identical.
+///
+/// # Panics
+///
+/// Panics if `traffic` does not give one well-formed stream per bound
+/// tenant, or if a drained instance or tenant breaks its accounting
+/// identity.
+pub fn simulate_traffic(
+    config: &FleetConfig,
+    models: &[(&str, NodeModel)],
+    base_opts: &NodeSolveOptions,
+    traffic: &[TenantTraffic],
+    input_dim: usize,
+    cost: &CostModel,
+) -> FleetRunResult {
+    assert_eq!(
+        traffic.len(),
+        config.registry.tenants.len(),
+        "traffic must give one stream per bound tenant"
+    );
+    let mut sources: Vec<Source> = traffic.iter().map(Source::new).collect();
+    let clock = Clock::virtual_at(0);
+    let mut fleet = Fleet::new(config.clone(), models, *base_opts, 0, clock.clone());
+    // Per instance: the batch in service and the instant it completes.
+    let mut in_service: Vec<Option<(u64, SolvedBatch)>> =
+        fleet.instances.iter().map(|_| None).collect();
+    let mut tier_counts: Vec<Vec<u64>> = fleet
+        .instances
+        .iter()
+        .map(|inst| vec![0u64; inst.server.config().tiers.len()])
+        .collect();
+
+    loop {
+        let next_arrival = sources.iter().filter_map(Source::next_arrival).min();
+        let next_completion = in_service.iter().flatten().map(|(t, _)| *t).min();
+        let next_window = fleet
+            .instances
+            .iter()
+            .zip(&in_service)
+            .filter(|(inst, busy)| inst.alive && busy.is_none())
+            .filter_map(|(inst, _)| inst.server.next_window_expiry_us())
+            .min();
+        let Some(event_us) = [next_arrival, next_completion, next_window]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break; // no arrivals left, nothing in flight, queues empty
+        };
+        let event_us = event_us.max(clock.now_us());
+        clock.set_us(event_us);
+
+        // 1. Resolve every batch completing at this instant; the clients
+        // of its requests re-offer now.
+        let instances = fleet.instances.iter().zip(&mut in_service);
+        for ((inst, slot), counts) in instances.zip(&mut tier_counts) {
+            if let Some((_, solved)) = slot.take_if(|(t, _)| *t == event_us) {
+                counts[solved.tier()] += solved.per_sample_nfe().len() as u64;
+                inst.server.deliver_batch(solved);
+            }
+        }
+        for (src, tenant) in sources.iter_mut().zip(&mut fleet.tenants) {
+            src.refill(tenant, event_us);
+        }
+
+        // 2. Admit every arrival due by this instant, in (instant, tenant)
+        // order.
+        while let Some((_, ti)) = sources
+            .iter()
+            .enumerate()
+            .filter_map(|(ti, s)| s.next_arrival().filter(|&t| t <= event_us).map(|t| (t, ti)))
+            .min()
+        {
+            let src = &mut sources[ti];
+            let seed = src.traffic.input_seeds[src.offered];
+            src.offered += 1;
+            let input = init::uniform(&[1, input_dim], -1.0, 1.0, seed);
+            // Rejections are recorded in the tenant stats.
+            let _ = fleet.submit_by_index(ti, input);
+        }
+
+        // 3. Dispatch every idle instance that can form a batch, in
+        // instance order (deterministic tie-break at equal timestamps).
+        for (inst, slot) in fleet.instances.iter().zip(&mut in_service) {
+            if inst.alive && slot.is_none() {
+                if let Some(batch) = inst.server.form_batch(false) {
+                    let solved = inst.server.solve_batch(batch);
+                    let service = cost.service_us(solved.per_sample_nfe());
+                    *slot = Some((event_us + service, solved));
+                }
+            }
+        }
+
+        // 4. The clients of requests refused at the door in step 2 or shed
+        // in step 3 re-offer at this instant.
+        for (src, tenant) in sources.iter_mut().zip(&mut fleet.tenants) {
+            src.refill(tenant, event_us);
+        }
+    }
+
+    let makespan_us = clock.now_us(); // the last event's instant
+    let mut result = fleet.finish();
+    for (inst, counts) in result.instances.iter_mut().zip(tier_counts) {
+        inst.tier_counts = counts;
+        assert!(
+            inst.metrics.reconciles(),
+            "drained instance {} must reconcile exactly: {:?}",
+            inst.instance,
+            inst.metrics
+        );
+    }
+    for t in &result.tenants {
+        assert_eq!(
+            t.submitted,
+            t.completed + t.shed + t.failed,
+            "drained tenant {} must account for every admitted request",
+            t.tenant
+        );
+    }
+    result.makespan_us = makespan_us;
+    result
+}
+
+/// Simulates `load` against a fleet built from `config`: every bound
+/// tenant's traffic is drawn from `load.seed` (per tenant, an arrival
+/// fork, then an input fork) and run through [`simulate_traffic`].
 ///
 /// # Panics
 ///
@@ -656,124 +935,45 @@ pub fn simulate_fleet(
         !config.registry.tenants.is_empty(),
         "fleet load needs at least one tenant"
     );
-    assert!(load.rate_rps > 0.0, "open loop needs a positive rate");
-    let clock = Clock::virtual_at(0);
-    let mut fleet = Fleet::new(config.clone(), models, *base_opts, 0, clock.clone());
-    let n = fleet.instances.len();
-    let tenant_count = fleet.tenants.len();
-
-    // Per-tenant arrival streams, merged into one deterministic schedule:
-    // (time, tenant, input seed), stably ordered by (time, tenant).
     let mut master = Rng64::seed_from_u64(load.seed);
-    let mut events: Vec<(u64, usize, u64)> = Vec::new();
-    let base_gap_us = 1.0e6 / load.rate_rps;
-    for ti in 0..tenant_count {
-        let mut arr_rng = master.fork();
-        let mut input_rng = master.fork();
-        let mut t = 0.0f64;
-        for _ in 0..load.requests_per_tenant {
-            t += base_gap_us * (0.5 + arr_rng.gen_f64());
-            events.push((t as u64, ti, input_rng.next_u64()));
-        }
-    }
-    events.sort_by_key(|&(t, ti, _)| (t, ti));
-
-    let mut busy: Vec<Option<u64>> = vec![None; n];
-    let mut in_service: Vec<Option<SolvedBatch>> = (0..n).map(|_| None).collect();
-    let mut tier_counts: Vec<Vec<u64>> = fleet
-        .instances
+    let traffic: Vec<TenantTraffic> = config
+        .registry
+        .tenants
         .iter()
-        .map(|inst| vec![0u64; inst.server.config().tiers.len()])
+        .map(|_| {
+            let mut arrival_rng = master.fork();
+            let mut input_rng = master.fork();
+            TenantTraffic::draw(
+                load.arrivals,
+                load.requests_per_tenant,
+                &mut arrival_rng,
+                &mut input_rng,
+            )
+        })
         .collect();
-    let mut next_event = 0usize;
-    let mut makespan_us = 0u64;
-
-    loop {
-        let next_arrival = events.get(next_event).map(|e| e.0);
-        let next_completion = busy.iter().flatten().min().copied();
-        let next_window = fleet
-            .instances
-            .iter()
-            .enumerate()
-            .filter(|(i, inst)| inst.alive && busy[*i].is_none())
-            .filter_map(|(_, inst)| inst.server.next_window_expiry_us())
-            .min();
-        let Some(event_us) = [next_arrival, next_completion, next_window]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break; // no arrivals left, nothing in flight, queues empty
-        };
-        let event_us = event_us.max(clock.now_us());
-        clock.set_us(event_us);
-        makespan_us = event_us;
-
-        // 1. Resolve every batch completing at this instant.
-        for i in 0..n {
-            if busy[i] == Some(event_us) {
-                let solved = in_service[i].take().expect("busy implies a batch");
-                tier_counts[i][solved.tier()] += solved.per_sample_nfe().len() as u64;
-                fleet.instances[i].server.deliver_batch(solved);
-                busy[i] = None;
-            }
-        }
-
-        // 2. Admit every arrival scheduled at or before this instant.
-        while events
-            .get(next_event)
-            .is_some_and(|&(t, _, _)| t <= event_us)
-        {
-            let (_, ti, seed) = events[next_event];
-            next_event += 1;
-            let input = init::uniform(&[1, load.input_dim], -1.0, 1.0, seed);
-            // Rejections are recorded in the tenant stats.
-            let _ = fleet.submit_by_index(ti, input);
-        }
-
-        // 3. Dispatch every idle instance that can form a batch, in
-        // instance order (deterministic tie-break at equal timestamps).
-        for i in 0..n {
-            if fleet.instances[i].alive && busy[i].is_none() {
-                if let Some(batch) = fleet.instances[i].server.form_batch(false) {
-                    let solved = fleet.instances[i].server.solve_batch(batch);
-                    let service = cost.service_us(solved.per_sample_nfe());
-                    busy[i] = Some(event_us + service);
-                    in_service[i] = Some(solved);
-                }
-            }
-        }
-    }
-
-    let mut result = fleet.finish();
-    for (i, counts) in tier_counts.into_iter().enumerate() {
-        result.instances[i].tier_counts = counts;
-        debug_assert!(
-            result.instances[i].metrics.reconciles(),
-            "drained fleet instance must reconcile exactly"
-        );
-    }
-    result.makespan_us = makespan_us;
-    result
+    simulate_traffic(config, models, base_opts, &traffic, load.input_dim, cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::ServeConfig;
 
     fn bench_models() -> Vec<(&'static str, NodeModel)> {
         let m = NodeModel::dynamic_system(2, 8, 1, 42);
         vec![("edge_default", m.clone()), ("streaming_keyword", m)]
     }
 
-    fn quick_load() -> FleetLoad {
+    fn load(requests_per_tenant: usize, arrivals: Arrivals) -> FleetLoad {
         FleetLoad {
-            requests_per_tenant: 12,
-            rate_rps: 400.0,
+            requests_per_tenant,
+            arrivals,
             input_dim: 2,
             seed: 0x5EED,
         }
+    }
+
+    fn quick_load() -> FleetLoad {
+        load(12, Arrivals::OpenLoop { rate_rps: 400.0 })
     }
 
     fn quick_cost() -> CostModel {
@@ -782,6 +982,129 @@ mod tests {
             dispatch_overhead_us: 150,
             lanes: 4,
         }
+    }
+
+    /// Runs `policy` as a one-instance fleet serving the small dynamic
+    /// system to one tenant of `class` with `deadline_us`, which may hold
+    /// its whole budget in flight.
+    fn run_single(
+        policy: &ServeConfig,
+        cost: &CostModel,
+        class: ToleranceClass,
+        deadline_us: u64,
+        load: &FleetLoad,
+    ) -> FleetRunResult {
+        let cfg = FleetConfig::single(policy, class, deadline_us, load.requests_per_tenant);
+        let models = [(policy.name, NodeModel::dynamic_system(2, 8, 1, 7))];
+        simulate_fleet(&cfg, &models, &NodeSolveOptions::new(1e-4), load, cost)
+    }
+
+    #[test]
+    fn open_loop_run_reconciles_and_is_deterministic() {
+        let policy = ServeConfig::edge_default();
+        let load = load(40, Arrivals::OpenLoop { rate_rps: 400.0 });
+        let run = || {
+            run_single(
+                &policy,
+                &quick_cost(),
+                ToleranceClass::Standard,
+                100_000,
+                &load,
+            )
+        };
+        let a = run();
+        assert_eq!(a, run(), "same seed must reproduce the run exactly");
+        let (t, inst) = (&a.tenants[0], &a.instances[0]);
+        assert!(inst.metrics.reconciles());
+        assert_eq!(t.offered, 40);
+        assert!(inst.metrics.completed > 0);
+        assert_eq!(
+            inst.tier_counts.iter().sum::<u64>(),
+            inst.metrics.completed,
+            "every completed request is attributed to a tier"
+        );
+    }
+
+    #[test]
+    fn closed_loop_self_paces() {
+        let load = load(24, Arrivals::ClosedLoop { clients: 4 });
+        let policy = ServeConfig::edge_default();
+        let r = run_single(
+            &policy,
+            &quick_cost(),
+            ToleranceClass::Standard,
+            200_000,
+            &load,
+        );
+        let m = &r.instances[0].metrics;
+        assert!(m.reconciles());
+        assert_eq!(r.tenants[0].offered, 24);
+        // Closed loop never overruns the queue: nothing is rejected.
+        assert_eq!(m.rejected_full, 0);
+        assert_eq!(m.completed + m.shed, 24);
+    }
+
+    #[test]
+    fn closed_loop_clients_resubmit_after_a_failed_request() {
+        // One trial per step on every tier: every Strict solve fails. A
+        // client whose request failed must still send its next one, so
+        // the whole budget is offered.
+        let mut policy = ServeConfig::edge_default();
+        for tier in &mut policy.tiers {
+            tier.max_trials = 1;
+        }
+        let load = load(32, Arrivals::ClosedLoop { clients: 4 });
+        let r = run_single(
+            &policy,
+            &quick_cost(),
+            ToleranceClass::Strict,
+            200_000,
+            &load,
+        );
+        let m = &r.instances[0].metrics;
+        assert_eq!(r.tenants[0].offered, 32, "{m:?}");
+        assert!(m.reconciles(), "{m:?}");
+        assert_eq!(m.failed, 32, "{m:?}");
+    }
+
+    #[test]
+    fn closed_loop_clients_resubmit_after_shed_and_refused_requests() {
+        // A queue of two behind four clients refuses two submissions at
+        // the door, and a 1-µs deadline sheds every admitted request when
+        // its batch window expires. Nothing completes, yet every client
+        // resubmits after each outcome, so the whole budget is offered.
+        let mut policy = ServeConfig::edge_default();
+        policy.queue_capacity = 2;
+        let load = load(24, Arrivals::ClosedLoop { clients: 4 });
+        let r = run_single(&policy, &quick_cost(), ToleranceClass::Standard, 1, &load);
+        let m = &r.instances[0].metrics;
+        assert_eq!(r.tenants[0].offered, 24, "{m:?}");
+        assert!(m.reconciles(), "{m:?}");
+        assert_eq!(m.completed, 0, "{m:?}");
+        assert!(m.shed > 0 && m.rejected_full > 0, "{m:?}");
+        assert_eq!(m.shed + m.rejected_full, 24, "{m:?}");
+    }
+
+    #[test]
+    fn overload_sheds_or_rejects_instead_of_collapsing() {
+        let mut policy = ServeConfig::edge_default();
+        policy.queue_capacity = 8;
+        // An expensive solve makes the offered load unserviceable.
+        let cost = CostModel {
+            per_nfe_us: 200.0,
+            ..quick_cost()
+        };
+        // Offer far beyond capacity with tight deadlines.
+        let load = load(60, Arrivals::OpenLoop { rate_rps: 20_000.0 });
+        let r = run_single(&policy, &cost, ToleranceClass::Standard, 30_000, &load);
+        let m = &r.instances[0].metrics;
+        assert!(m.reconciles());
+        assert!(
+            m.rejected_full > 0 || m.shed > 0,
+            "overload must be refused explicitly, not absorbed silently"
+        );
+        // Thin slack forces degraded tiers for whatever does complete.
+        assert!(m.degraded <= m.completed);
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! Simulator-backed serving costs: maps a [`ServeConfig`] onto the
-//! cycle-level hardware simulator's cost tables.
+//! Serving costs: the [`CostModel`] that charges simulated service time,
+//! and its calibration from the cycle-level hardware simulator.
 //!
-//! This is the bridge the ROADMAP calls "hardware-in-the-loop cost
-//! model": [`table_spec`] reduces a policy's degradation ladder to the
-//! sweep spec `enode_hw::table` understands, [`shipped_cost_table`]
-//! builds the deterministic per-(tier, batch) latency/energy table for
-//! every shipped policy (the committed `COST_TABLE.json`), and
-//! [`CostModel::from_table`] calibrates the load generator's abstract
-//! per-NFE cost from those simulated numbers, so `serve_bench` sweeps
-//! run on simulator-derived service times instead of a guessed constant.
+//! The discrete-event simulator ([`crate::fleet::simulate_traffic`])
+//! runs every batch through the real solver but charges its service time
+//! by [`CostModel::service_us`], so simulated latencies are
+//! bit-reproducible on any host. [`table_spec`] reduces a policy's
+//! degradation ladder to the sweep spec `enode_hw::table` understands,
+//! [`shipped_cost_table`] builds the deterministic per-(tier, batch)
+//! latency/energy table for every shipped policy (the committed
+//! `COST_TABLE.json`), and [`CostModel::from_table`] calibrates the
+//! abstract per-NFE cost from those simulated numbers, so `serve_bench`'s
+//! `hw_sweep` runs on simulator-derived service times instead of a
+//! guessed constant.
 //!
 //! [`fingerprint`] content-hashes exactly the policy fields the sweep
 //! depends on (name + ladder), so the static lints (`E093`) can prove a
@@ -16,7 +19,6 @@
 //! — without the fingerprint changing when unrelated envelope fields
 //! (deadlines, budgets) are tuned.
 
-use crate::loadgen::CostModel;
 use crate::policies::ServeConfig;
 use enode_hw::config::LayerDims;
 use enode_hw::fingerprint::Fnv64;
@@ -79,9 +81,53 @@ pub fn shipped_cost_table() -> CostTable {
     build_table(&specs)
 }
 
+/// Converts a solved batch's function-evaluation counts into simulated
+/// service time, mirroring how [`enode_tensor::parallel::parallel_map`]
+/// actually schedules the per-sample solves: samples are split into
+/// balanced contiguous chunks across `lanes`, and the batch takes as long
+/// as its slowest lane (the makespan), plus a fixed dispatch overhead.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CostModel {
+    /// Simulated cost of one function evaluation (µs).
+    pub per_nfe_us: f64,
+    /// Fixed per-batch dispatch cost (µs).
+    pub dispatch_overhead_us: u64,
+    /// Parallel lanes the batch solve fans out over.
+    pub lanes: usize,
+}
+
 impl CostModel {
-    /// Calibrates a load-generator cost model from a policy's simulated
-    /// tier-0 rows: the marginal per-f-evaluation cost is read off the
+    /// Simulated service time (µs) for a batch with the given per-sample
+    /// NFE counts: dispatch overhead plus the slowest-lane makespan under
+    /// the pool's balanced contiguous decomposition.
+    ///
+    /// Fed [`crate::server::SolvedBatch::per_sample_nfe`], which lists
+    /// only the samples that solved, a partly failed batch is priced as a
+    /// smaller batch: its lanes are re-split over the successes and the
+    /// work of a failed solve costs nothing, so the model undercounts it.
+    pub fn service_us(&self, per_sample_nfe: &[u64]) -> u64 {
+        let n = per_sample_nfe.len();
+        if n == 0 {
+            return self.dispatch_overhead_us;
+        }
+        let ways = self.lanes.max(1).min(n);
+        let mut makespan = 0u64;
+        // Same split as parallel.rs `chunk`: sizes differ by at most one,
+        // earlier lanes take the remainder.
+        let (base, rem) = (n / ways, n % ways);
+        let mut start = 0;
+        for lane in 0..ways {
+            let len = base + usize::from(lane < rem);
+            let lane_nfe: u64 = per_sample_nfe[start..start + len].iter().sum();
+            let lane_us = (lane_nfe as f64 * self.per_nfe_us).ceil() as u64;
+            makespan = makespan.max(lane_us);
+            start += len;
+        }
+        self.dispatch_overhead_us + makespan
+    }
+
+    /// Calibrates a cost model from a policy's simulated tier-0 rows:
+    /// the marginal per-f-evaluation cost is read off the
     /// batch-1 → batch-2 latency difference (pure compute growth), and
     /// whatever the batch-1 latency holds beyond `f_evals` marginal
     /// costs is charged as fixed dispatch overhead.
@@ -110,6 +156,21 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cost_model_makespan_matches_chunking() {
+        let cost = CostModel {
+            per_nfe_us: 1.0,
+            dispatch_overhead_us: 10,
+            lanes: 2,
+        };
+        // 3 samples over 2 lanes: chunks [0..2] and [2..3].
+        assert_eq!(cost.service_us(&[5, 5, 7]), 10 + 10);
+        // One lane dominates.
+        assert_eq!(cost.service_us(&[100, 1, 1]), 10 + 101);
+        // Empty batch is just overhead.
+        assert_eq!(cost.service_us(&[]), 10);
+    }
 
     #[test]
     fn fingerprint_tracks_ladder_not_envelope() {

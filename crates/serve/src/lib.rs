@@ -20,11 +20,10 @@
 //! | [`policies`] | [`ServeConfig`]: batching knobs + degradation ladder |
 //! | [`server`] | The queue/batcher/worker runtime |
 //! | [`metrics`] | Atomic counters + latency/batch histograms |
-//! | [`loadgen`] | Deterministic open/closed-loop load simulation |
-//! | [`hwcost`] | Simulator-calibrated cost tables ([`CostModel::from_table`]) |
+//! | [`hwcost`] | [`CostModel`] service-time charge + its calibration from simulated cost tables |
 //! | [`registry`] | Versioned model registry: publish/rollback + tenant bindings |
 //! | [`residency`] | Per-instance weight-SRAM residency accounting |
-//! | [`fleet`] | N-instance fleet router: consistent hashing + [`simulate_fleet`] |
+//! | [`fleet`] | N-instance fleet router (consistent hashing) + the discrete-event serving simulator ([`simulate_traffic`], open or closed loop per tenant) |
 //! | [`skeleton`] | Declared sync skeletons (locks/condvars/atomics) for the E10x prover |
 //! | [`synctrace`] | Feature-gated runtime sync tracer (parity vs the skeletons) |
 //!
@@ -35,14 +34,14 @@
 //! bits depend only on `(input, tolerance class, tier)` — never on batch
 //! composition, worker count, or arrival interleaving. Combined with the
 //! virtual [`Clock`] (deadline and tier decisions at simulated instants)
-//! and the NFE-based cost model in [`loadgen`], the whole serving stack
-//! is replayable bit-for-bit; the batcher determinism tests and
-//! `BENCH_serve.json` both lean on this.
+//! and the NFE-based [`CostModel`], the one discrete-event loop in
+//! [`fleet`] replays the whole serving stack bit-for-bit — a single
+//! server runs as a one-instance fleet. The batcher determinism tests,
+//! `BENCH_serve.json` and `BENCH_fleet.json` all lean on this.
 
 pub mod clock;
 pub mod fleet;
 pub mod hwcost;
-pub mod loadgen;
 pub mod metrics;
 pub mod policies;
 pub mod registry;
@@ -53,9 +52,11 @@ pub mod skeleton;
 pub mod synctrace;
 
 pub use clock::Clock;
-pub use fleet::{simulate_fleet, Fleet, FleetConfig, FleetLoad, FleetRunResult};
-pub use hwcost::{fingerprint, shipped_cost_table, table_spec};
-pub use loadgen::{Arrivals, CostModel, LoadSpec, RunResult};
+pub use fleet::{
+    simulate_fleet, simulate_traffic, Arrivals, Fleet, FleetConfig, FleetLoad, FleetRunResult,
+    Offers, TenantTraffic,
+};
+pub use hwcost::{fingerprint, shipped_cost_table, table_spec, CostModel};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use policies::{ServeConfig, TierSpec};
 pub use registry::{shipped_registry, ModelHandle, Registry, RegistrySnapshot, TenantBinding};

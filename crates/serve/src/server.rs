@@ -156,7 +156,7 @@ impl SolvedBatch {
     /// evaluations the failed solve spent before it failed (up to a whole
     /// trial budget on a stepsize underflow) are not counted anywhere. A
     /// consumer that prices the list, such as
-    /// [`crate::loadgen::CostModel::service_us`], charges a partly failed
+    /// [`crate::hwcost::CostModel::service_us`], charges a partly failed
     /// batch as a smaller batch of its successes.
     pub fn per_sample_nfe(&self) -> &[u64] {
         &self.nfe

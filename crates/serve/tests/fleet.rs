@@ -1,16 +1,15 @@
 //! Fleet determinism suite: response bits through the fleet router must
 //! depend only on `(input, tolerance class, tier)` — never on the worker
 //! count per instance, the arrival interleaving, or which instance the
-//! consistent hash picked. `ci.sh` runs this suite under
+//! consistent hash picked. `ci.sh` runs the serve suites under
 //! `ENODE_THREADS=4` as well, pinning independence from the tensor
 //! pool's parallelism.
 
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
-use enode_serve::loadgen::CostModel;
 use enode_serve::{
-    simulate_fleet, Clock, Fleet, FleetConfig, FleetLoad, Registry, ServeConfig, TenantBinding,
-    ToleranceClass,
+    simulate_fleet, Arrivals, Clock, CostModel, Fleet, FleetConfig, FleetLoad, Registry,
+    ServeConfig, TenantBinding, ToleranceClass,
 };
 use enode_tensor::init;
 
@@ -20,6 +19,15 @@ const PER_TENANT: usize = 3;
 fn models() -> Vec<(&'static str, NodeModel)> {
     let m = NodeModel::dynamic_system(2, 8, 1, 42);
     vec![("edge_default", m.clone()), ("streaming_keyword", m)]
+}
+
+/// The fixed service-time charge of the committed benches.
+fn cost() -> CostModel {
+    CostModel {
+        per_nfe_us: 20.0,
+        dispatch_overhead_us: 150,
+        lanes: 4,
+    }
 }
 
 /// The fixed workload: every tenant submits `PER_TENANT` requests with
@@ -96,21 +104,45 @@ fn simulated_fleet_sweeps_are_bit_identical() {
     let opts = NodeSolveOptions::new(1e-4);
     let load = FleetLoad {
         requests_per_tenant: 24,
-        rate_rps: 120.0,
+        arrivals: Arrivals::OpenLoop { rate_rps: 120.0 },
         input_dim: 2,
         seed: 24301,
     };
-    let cost = CostModel {
-        per_nfe_us: 20.0,
-        dispatch_overhead_us: 150,
-        lanes: 4,
-    };
-    let a = simulate_fleet(&cfg, &models(), &opts, &load, &cost);
-    let b = simulate_fleet(&cfg, &models(), &opts, &load, &cost);
+    let a = simulate_fleet(&cfg, &models(), &opts, &load, &cost());
+    let b = simulate_fleet(&cfg, &models(), &opts, &load, &cost());
     assert_eq!(a, b);
     // The sweep actually exercised the fleet.
     assert!(a.tenants.iter().all(|t| t.completed > 0));
     assert!(a.makespan_us > 0);
+}
+
+#[test]
+fn closed_loop_tenants_each_offer_their_whole_budget() {
+    // Four tenants with four clients each on the shipped four-instance
+    // fleet: each model's queues and every tenant's quota hold all of
+    // its clients, so no offer is refused and every request is offered.
+    let cfg = FleetConfig::shipped();
+    let opts = NodeSolveOptions::new(1e-4);
+    let load = FleetLoad {
+        requests_per_tenant: 24,
+        arrivals: Arrivals::ClosedLoop { clients: 4 },
+        input_dim: 2,
+        seed: 24301,
+    };
+    let a = simulate_fleet(&cfg, &models(), &opts, &load, &cost());
+    assert_eq!(a, simulate_fleet(&cfg, &models(), &opts, &load, &cost()));
+    assert_eq!(a.tenants.len(), TENANTS.len());
+    for t in &a.tenants {
+        assert_eq!(t.offered, 24, "{t:?}");
+        assert_eq!(
+            t.offered,
+            t.submitted + t.rejected + t.not_resident,
+            "{t:?}"
+        );
+        assert_eq!(t.submitted, t.completed + t.shed + t.failed, "{t:?}");
+        assert_eq!((t.rejected, t.not_resident), (0, 0), "{t:?}");
+    }
+    assert!(a.instances.iter().all(|i| i.metrics.submitted > 0));
 }
 
 #[test]
@@ -182,16 +214,17 @@ fn simulated_tier_counts_count_only_completed_requests() {
     cfg.registry = (*registry.snapshot()).clone();
     let load = FleetLoad {
         requests_per_tenant: 16,
-        rate_rps: 60.0,
+        arrivals: Arrivals::OpenLoop { rate_rps: 60.0 },
         input_dim: 2,
         seed: 24301,
     };
-    let cost = CostModel {
-        per_nfe_us: 20.0,
-        dispatch_overhead_us: 150,
-        lanes: 4,
-    };
-    let run = simulate_fleet(&cfg, &models(), &NodeSolveOptions::new(1e-4), &load, &cost);
+    let run = simulate_fleet(
+        &cfg,
+        &models(),
+        &NodeSolveOptions::new(1e-4),
+        &load,
+        &cost(),
+    );
     assert!(run.instances[0].metrics.failed > 0, "{run:?}");
     for inst in &run.instances {
         assert_eq!(
