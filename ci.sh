@@ -31,19 +31,6 @@ ENODE_THREADS=4 cargo test -q -p enode-tensor --features sanitize
 echo "==> analysis mutation suite (planted defects must fire their exact codes)"
 cargo test -q -p enode-analysis --test mutations
 
-echo "==> concurrency mutation seeds (E100/E101/E102 discrimination)"
-cargo test -q -p enode-analysis --test mutations -- \
-  flipped_lock_order_fires_exactly_e100 \
-  dropped_notify_fires_exactly_e101 \
-  skipped_join_fires_exactly_e102
-
-echo "==> fleet mutation seeds (E110/E111/E112/E113 discrimination)"
-cargo test -q -p enode-analysis --test mutations -- \
-  oversized_published_model_fires_exactly_e110 \
-  single_replica_fleet_fires_exactly_e111_on_loss \
-  sub_window_sla_fires_exactly_e112 \
-  tampered_registry_fingerprint_fires_exactly_e113
-
 echo "==> serving runtime suite under a 4-lane pool (batcher determinism audit)"
 ENODE_THREADS=4 cargo test -q -p enode-serve
 

@@ -13,7 +13,7 @@
 
 use enode_analysis::{
     affine, consistency, cost, ddg, fleetcheck, hwcheck, lint_everything, paper_pipelines,
-    parallelcheck, precision, registry, schedcheck, servecheck, shape, synccheck, tableau,
+    parallelcheck, precision, registry, schedcheck, shape, synccheck, tableau,
 };
 
 fn main() {
@@ -108,10 +108,7 @@ fn main() {
     println!("\n-- parallel kernel splits --");
     print!("{}", parallelcheck::lint_registered_splits(4).render());
 
-    println!("\n-- serving policies --");
-    print!("{}", servecheck::lint_shipped_policies().render());
-
-    println!("\n-- schedulability & energy budgets (COST_TABLE.json) --");
+    println!("\n-- serving policies: ladders, load, deadlines and energy (COST_TABLE.json) --");
     print!("{}", schedcheck::lint_shipped_policies().render());
 
     println!(

@@ -18,7 +18,7 @@
 //! | `E040–E049` / `W040–W049` | Parallel kernel-split lints ([`crate::parallelcheck`]) |
 //! | `E050–E059` / `W050–W059` | FP16 precision lints ([`crate::precision`]) |
 //! | `E060–E069` / `W060–W069` | Cross-artifact consistency lints ([`crate::consistency`]) |
-//! | `E070–E079` / `W070–W079` | Serving-policy lints ([`crate::servecheck`]) |
+//! | `E070–E079` / `W070–W079` | Serving-policy ladder & load lints (emitted by [`crate::schedcheck`]) |
 //! | `E080–E089` / `W080–W089` | Affine access & roofline cost lints ([`crate::affine`], [`crate::cost`]) |
 //! | `E090–E099` / `W090–W099` | Schedulability & energy-budget lints ([`crate::schedcheck`]) |
 //! | `E100–E109` / `W100–W109` | Concurrency skeleton lints ([`crate::synccheck`]) |
@@ -171,20 +171,14 @@ pub enum Code {
     /// schedule or the tableau's embedded order.
     E062XArtControllerBounds,
 
-    // --- serving-policy lints (E070-E079 / W070-W079) ---
-    /// Batch window plus worst-case service time exceeds the tightest
-    /// admitted deadline: a worst-case request cannot survive the batcher.
-    E070ServeWindowDeadline,
-    /// A request admitted at the back of a full queue is guaranteed to
-    /// miss its deadline before dispatch: admission control admits work
-    /// the policy can only shed.
-    E071ServeQueueStarvation,
+    // --- serving-policy ladder & load lints (E070-E079 / W070-W079) ---
     /// The degradation ladder is not ordered cheapest-last: a later tier
     /// is not strictly coarser / no more expensive than its predecessor,
     /// or tier 0 is not full quality.
     E072ServeTierOrdering,
-    /// The declared design load exceeds the policy's service capacity,
-    /// so shedding is the steady state, not an overload response.
+    /// The declared design load exceeds the policy's service capacity
+    /// (`max_batch` per Strict tier-0 batch of the cost table), so
+    /// shedding is the steady state, not an overload response.
     W070ServeDesignOverload,
     /// A degradation tier is unreachable (its slack threshold is not
     /// strictly below its predecessor's) or the ladder leaves a slack
@@ -242,9 +236,9 @@ pub enum Code {
     /// Sustained power (`design_rate_rps × energy/request`) exceeds the
     /// policy's declared device power budget.
     E096SchedPowerBudget,
-    /// The deadline is met only at the last (cheapest) tier: feasible,
-    /// but every worst-case request is served maximally degraded.
-    W090SchedLastTierOnly,
+    /// The deadline is missed at tier 0 and met only at a degraded tier:
+    /// feasible, but every worst-case request is served degraded.
+    W090SchedDegradedOnly,
     /// Per-request energy does not decrease monotonically down the
     /// degradation ladder: a cheaper tier burns more energy per request
     /// than its predecessor.
@@ -380,8 +374,6 @@ impl Code {
             Code::E060XArtMapResidency => "E060",
             Code::E061XArtAcaBuffer => "E061",
             Code::E062XArtControllerBounds => "E062",
-            Code::E070ServeWindowDeadline => "E070",
-            Code::E071ServeQueueStarvation => "E071",
             Code::E072ServeTierOrdering => "E072",
             Code::W070ServeDesignOverload => "W070",
             Code::W071ServeUnreachableTier => "W071",
@@ -398,7 +390,7 @@ impl Code {
             Code::E094SchedTableMissing => "E094",
             Code::E095SchedTableNonMonotone => "E095",
             Code::E096SchedPowerBudget => "E096",
-            Code::W090SchedLastTierOnly => "W090",
+            Code::W090SchedDegradedOnly => "W090",
             Code::W091SchedLadderEnergyNonMonotone => "W091",
             Code::W092SchedTableExtrapolated => "W092",
             Code::W093SchedThinMargin => "W093",
@@ -425,7 +417,7 @@ impl Code {
 
     /// Every code the crate can emit, in code order. New codes must be
     /// appended here (a registry test enforces it).
-    pub const ALL: [Code; 84] = [
+    pub const ALL: [Code; 82] = [
         Code::E001TableauRowSum,
         Code::E002TableauNotExplicit,
         Code::E003TableauOrderCondition,
@@ -470,8 +462,6 @@ impl Code {
         Code::E060XArtMapResidency,
         Code::E061XArtAcaBuffer,
         Code::E062XArtControllerBounds,
-        Code::E070ServeWindowDeadline,
-        Code::E071ServeQueueStarvation,
         Code::E072ServeTierOrdering,
         Code::W070ServeDesignOverload,
         Code::W071ServeUnreachableTier,
@@ -488,7 +478,7 @@ impl Code {
         Code::E094SchedTableMissing,
         Code::E095SchedTableNonMonotone,
         Code::E096SchedPowerBudget,
-        Code::W090SchedLastTierOnly,
+        Code::W090SchedDegradedOnly,
         Code::W091SchedLadderEnergyNonMonotone,
         Code::W092SchedTableExtrapolated,
         Code::W093SchedThinMargin,
@@ -570,8 +560,6 @@ impl Code {
             Code::E060XArtMapResidency => "mapping assumes residency the weights exceed",
             Code::E061XArtAcaBuffer => "ACA working set exceeds the training buffer",
             Code::E062XArtControllerBounds => "controller bounds inconsistent with schedule",
-            Code::E070ServeWindowDeadline => "batch window leaves no room for the deadline",
-            Code::E071ServeQueueStarvation => "full-queue tail wait exceeds the deadline",
             Code::E072ServeTierOrdering => "degradation tiers are not ordered cheapest-last",
             Code::W070ServeDesignOverload => "design load exceeds the service capacity",
             Code::W071ServeUnreachableTier => "tier unreachable or slack band uncovered",
@@ -588,7 +576,7 @@ impl Code {
             Code::E094SchedTableMissing => "cost table lacks rows for a shipped policy",
             Code::E095SchedTableNonMonotone => "cost table rows not monotone in batch",
             Code::E096SchedPowerBudget => "sustained power exceeds the declared budget",
-            Code::W090SchedLastTierOnly => "deadline met only at the last tier",
+            Code::W090SchedDegradedOnly => "deadline missed at tier 0, met only degraded",
             Code::W091SchedLadderEnergyNonMonotone => "energy does not fall down the ladder",
             Code::W092SchedTableExtrapolated => "design point extrapolated, not simulated",
             Code::W093SchedThinMargin => "tier-0 deadline margin below 10%",

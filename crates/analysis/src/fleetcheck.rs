@@ -16,10 +16,11 @@
 //!   and the converged per-instance load must stay within each policy's
 //!   declared `design_rate_rps`.
 //! * **SLA coverage** (`E112`): every tenant's SLA deadline is reachable
-//!   by at least one tier of its policy's degradation ladder, under the
-//!   simulator-calibrated service times of `COST_TABLE.json` scaled to
-//!   the tenant's tolerance class (the same step-count law
-//!   [`crate::schedcheck`] uses).
+//!   by at least one tier of its policy's degradation ladder: the tier
+//!   admits the SLA and its worst-case response time at the tenant's
+//!   tolerance class fits it — the one bound E090 proves deadlines with
+//!   (`ServiceModel::wcrt_us` in [`crate::schedcheck`]), priced by
+//!   `COST_TABLE.json`.
 //! * **Version provenance** (`E113`): every published [`ModelHandle`](enode_serve::registry::ModelHandle)'s
 //!   recorded fingerprint matches the FNV-1a digest recomputed from its
 //!   name, version, and ladder — a registry entry cannot silently drift
@@ -31,14 +32,13 @@
 //! checks short-circuit: verdicts derived from a malformed fleet or a
 //! stale registry would be unsound, so nothing else runs until they pass.
 
-use crate::benchjson::{CostTableRow, ParsedCostTable};
+use crate::benchjson::ParsedCostTable;
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
+use crate::schedcheck::ServiceModel;
 use enode_hw::mapping::per_core_weight_bytes;
-use enode_hw::table::{points_for, tableau_cost, trials_for};
 use enode_serve::fleet::FleetConfig;
 use enode_serve::registry::version_fingerprint;
-use enode_serve::{fingerprint as ladder_fingerprint, ServeConfig, ToleranceClass};
 
 /// A core must keep `1/HEADROOM_DENOM` of its weight buffer free after
 /// the live set is pinned, or `W110` fires: a publish with less headroom
@@ -192,39 +192,6 @@ impl Pass<FleetGraph> for LoadPass {
             }
         }
     }
-}
-
-/// The `(latency at max_batch, f_evals)` design point of one tier,
-/// resolved exactly or by the same linear extrapolation
-/// [`crate::schedcheck`] applies (provenance advisories are that pass's
-/// job — this one only needs the number).
-fn tier_point(policy: &ServeConfig, tier: usize, table: &ParsedCostTable) -> Option<(u64, usize)> {
-    let rows: Vec<&CostTableRow> = table.rows_for(policy.name, tier);
-    let largest = rows.last()?;
-    match rows.iter().find(|r| r.batch == policy.max_batch) {
-        Some(r) => Some((r.latency_us, r.f_evals)),
-        None => Some((
-            (largest.latency_us * policy.max_batch as u64).div_ceil(largest.batch.max(1) as u64),
-            largest.f_evals,
-        )),
-    }
-}
-
-/// Scales a tier's Standard-class service time to `class` through the
-/// step-count law — the same scaling [`crate::schedcheck`] derives its
-/// WCRT from (private there, so restated against the resolved point).
-fn class_service_us(
-    policy: &ServeConfig,
-    tier: usize,
-    point: (u64, usize),
-    class: ToleranceClass,
-) -> u64 {
-    let t = &policy.tiers[tier];
-    let (stages, order) = tableau_cost(t.tableau);
-    let scale_eff = t.tolerance_scale * (class.tolerance() / ToleranceClass::Standard.tolerance());
-    let points = points_for(order, scale_eff);
-    let f_evals = trials_for(points, t.max_trials) * stages;
-    (point.0 * f_evals as u64).div_ceil(point.1.max(1) as u64)
 }
 
 /// Lints one fleet config against one parsed cost table. Split out from
@@ -441,22 +408,17 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
     }
 
     // --- E112: every tenant's SLA must be coverable by some tier. A
-    // tier covers the SLA when its admission threshold admits it and the
-    // window plus one in-flight batch plus its own dispatch fit. Table
-    // provenance is schedcheck's job (E093): a policy whose ladder
-    // drifted from the table is skipped here, not double-reported. ---
+    // tier covers the SLA when its admission threshold admits it and its
+    // worst-case response time at the tenant's class fits. Table
+    // provenance and integrity are schedcheck's to report (E093-E095): a
+    // policy the table cannot price is skipped here, not double-reported. ---
     for b in &registry.tenants {
         let policy = &registry.live(&b.model).expect("E114 checked").policy;
-        if table.fingerprint(policy.name) != Some(ladder_fingerprint(policy).as_str()) {
+        let Some(model) = ServiceModel::resolve(policy, table, &mut Diagnostics::new()) else {
             continue;
-        }
-        let covered = policy.tiers.iter().enumerate().any(|(t_ix, t)| {
-            let Some(point) = tier_point(policy, t_ix, table) else {
-                return false;
-            };
-            let service = class_service_us(policy, t_ix, point, b.class);
-            t.min_slack_us <= b.sla_deadline_us
-                && policy.batch_window_us + 2 * service <= b.sla_deadline_us
+        };
+        let covered = policy.tiers.iter().enumerate().any(|(t, tier)| {
+            tier.min_slack_us <= b.sla_deadline_us && model.wcrt_us(t, b.class) <= b.sla_deadline_us
         });
         if !covered {
             ds.push(
@@ -643,6 +605,28 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("vision_a"));
+    }
+
+    #[test]
+    fn e112_covers_exactly_up_to_the_e090_bound() {
+        // vision_a is Standard-class on edge_default. Its cheapest tier's
+        // worst case — 2 backlog batches × 1397 + 2000 window + the
+        // 117µs tier-2 batch — is the SLA floor E112 accepts.
+        let edge = ServeConfig::edge_default();
+        let bound = ServiceModel::resolve(&edge, &table(), &mut Diagnostics::new())
+            .expect("resolves")
+            .wcrt_us(2, enode_serve::ToleranceClass::Standard);
+        assert_eq!(bound, 4_911);
+        for (sla, uncovered) in [(bound, false), (bound - 1, true)] {
+            let mut cfg = shipped();
+            for b in &mut cfg.registry.tenants {
+                if b.tenant == "vision_a" {
+                    b.sla_deadline_us = sla;
+                }
+            }
+            let ds = lint_fleet(&cfg, &table());
+            assert_eq!(ds.has_code(Code::E112FleetSlaUncovered), uncovered, "{ds}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`ir`] lowers a whole pipeline artifact (model, solver schedule, ACA
 //! checkpoint plan, hardware mapping) into one typed dataflow program
 //! graph, and [`engine`] runs lattice-valued passes over it to a worklist
-//! fixpoint. Seven lint families report [`Diagnostic`]s with stable
+//! fixpoint. Twelve lint families report [`Diagnostic`]s with stable
 //! codes:
 //!
 //! * [`tableau`] — Butcher-tableau consistency (`E001`–`E006`,
@@ -27,9 +27,6 @@
 //!   the unrolled solver schedule (`E050`–`E056`, `W050`–`W053`).
 //! * [`consistency`] — cross-artifact agreement between the model, the
 //!   solver plan, and the hardware configuration (`E060`–`E062`).
-//! * [`servecheck`] — serving-policy feasibility (`E070`–`E072`,
-//!   `W070`–`W071`): batch-window vs deadline arithmetic, full-queue
-//!   starvation, degradation-ladder ordering.
 //! * [`affine`] — affine access proofs for kernel splits (`E080`–`E082`,
 //!   `W080`): lane write-set disjointness by stride congruence, exact
 //!   output coverage by counting, scratch/output aliasing — discharged
@@ -37,12 +34,13 @@
 //! * [`cost`] — static roofline cost model (`W084`–`W085`): predicted
 //!   serial-vs-parallel benefit from the proven access footprints,
 //!   cross-checked against the committed `BENCH_kernels.json`.
-//! * [`schedcheck`] — schedulability & energy-budget analysis
-//!   (`E090`–`E096`, `W090`–`W093`): the serving pipeline lowered into
-//!   the fixpoint IR, a backward demand pass computing worst-case
-//!   response time per tolerance class under the simulator-calibrated
-//!   `COST_TABLE.json`, plus per-request energy and sustained-power
-//!   budgets and table-provenance checks.
+//! * [`schedcheck`] — the serving-policy pass (`E072`, `W070`–`W071`,
+//!   `E090`–`E096`, `W090`–`W093`): degradation-ladder order and
+//!   reachability, then one closed-form worst-case response time per
+//!   tolerance class and tier under the simulator-calibrated
+//!   `COST_TABLE.json` against the deadline floor, design-load
+//!   serviceability, per-request energy and sustained-power budgets, and
+//!   table-provenance checks.
 //! * [`synccheck`] — concurrency skeleton proofs (`E100`–`E106`,
 //!   `W100`–`W103`): the declared lock/condvar/atomic protocols of the
 //!   serving runtime and the worker pool checked for lock-order
@@ -51,7 +49,8 @@
 //! * [`fleetcheck`] — fleet registry & residency proofs (`E110`–`E114`,
 //!   `W110`–`W111`): aggregate weight-SRAM residency per instance,
 //!   rebalance feasibility under every single-node loss (a forward load
-//!   pass on the fixpoint engine), tenant-SLA ladder coverage, and
+//!   pass on the fixpoint engine), tenant-SLA ladder coverage (on
+//!   [`schedcheck`]'s response-time bound), and
 //!   published-version fingerprint provenance.
 //!
 //! [`benchjson`] holds the shared line scanner both committed-artifact
@@ -79,7 +78,6 @@ pub mod parallelcheck;
 pub mod precision;
 pub mod registry;
 pub mod schedcheck;
-pub mod servecheck;
 pub mod shape;
 pub mod synccheck;
 pub mod tableau;
@@ -174,7 +172,6 @@ pub fn lint_everything() -> Diagnostics {
     }
     ds.extend(hwcheck::lint_paper_configs());
     ds.extend(parallelcheck::lint_registered_splits(NOMINAL_POOL));
-    ds.extend(servecheck::lint_shipped_policies());
     ds.extend(schedcheck::lint_shipped_policies());
     ds.extend(affine::lint_registered_summaries());
     ds.extend(cost::lint_shipped_baseline());

@@ -266,36 +266,26 @@ pub fn explanation(code: Code) -> &'static str {
              dt_min. The search would either never terminate or give up before reaching its \
              own lower bound."
         }
-        Code::E070ServeWindowDeadline => {
-            "The serving policy's batch window plus its worst-case service estimate exceeds the \
-             tightest deadline the policy admits. The dynamic batcher may hold an underfull \
-             batch for the full window before the solve even starts, so a worst-case request \
-             admitted at the deadline floor is shed (or force-degraded) by construction — not \
-             by load. Shrink the batch window, cut the service estimate (cheaper tiers, smaller \
-             max_batch), or raise the deadline floor."
-        }
-        Code::E071ServeQueueStarvation => {
-            "A request admitted into the last slot of a full ingress queue waits behind \
-             ceil(capacity / max_batch) batch services before it can dispatch. If that tail \
-             wait alone reaches the tightest admitted deadline, the queue's deep end is dead on \
-             arrival: admission control accepts work the deadline shedder is guaranteed to \
-             throw away, wasting queue memory and hiding overload from the caller (who sees \
-             accepted-then-shed instead of an immediate QueueFull). Shrink the queue so \
-             backpressure surfaces at the door, or speed up service."
-        }
         Code::E072ServeTierOrdering => {
             "The degradation ladder is not ordered cheapest-last. Tier 0 must serve at the \
              request's own tolerance (scale 1.0), and every later tier must be strictly coarser \
              (larger tolerance scale) with a trial budget no larger than its predecessor's. A \
              mis-ordered ladder inverts the policy's promise: thin-slack requests get *more* \
-             expensive solves exactly when there is no time for them."
+             expensive solves exactly when there is no time for them. The rule is one \
+             predicate, ServeConfig::check_ladder_order, which the runtime constructor also \
+             asserts in every build; the lint reports the first defect before the cost table \
+             is read (a reordered ladder also no longer matches the table's fingerprint, so \
+             E093 fires beside it)."
         }
         Code::W070ServeDesignOverload => {
-            "The policy's declared design load exceeds its peak service rate (max_batch served \
-             every est_service). Under sustained load at the declared rate the queue fills and \
-             stays full, so shedding and QueueFull rejections become the steady state rather \
-             than an overload response. Either the design rate is aspirational (lower it) or \
-             the deployment needs more capacity (bigger batches, cheaper tiers, more workers)."
+            "The policy's declared design load exceeds its peak service rate: max_batch \
+             requests per worst-case batch, where the batch costs the cost table's tier-0 \
+             latency at max_batch rescaled to the Strict class (the same service time the \
+             E090 response-time bound charges). Under sustained load at the declared rate the \
+             queue fills and stays full, so shedding and QueueFull rejections become the \
+             steady state rather than an overload response. Either the design rate is \
+             aspirational (lower it) or the deployment needs more capacity (bigger batches, \
+             cheaper tiers, more workers)."
         }
         Code::W071ServeUnreachableTier => {
             "Tier selection walks the ladder and picks the first tier whose slack threshold \
@@ -353,13 +343,16 @@ pub fn explanation(code: Code) -> &'static str {
              multi-core host before drawing scheduling conclusions."
         }
         Code::E090SchedDeadlineInfeasible => {
-            "The backward demand pass over the serving pipeline (admission queue → batch \
-             window → worker lanes) computes, per tolerance class, a worst-case response time \
-             of full-queue drain + batch window + the simulator-calibrated service time from \
-             COST_TABLE.json — and it exceeds the tightest admitted deadline at *every* tier \
-             of the degradation ladder. No runtime policy can save such a deployment: even a \
-             request served maximally degraded misses by construction. Raise the deadline \
-             floor, shrink the queue/window, or make the cheapest tier cheaper."
+            "The worst-case response time of a request admitted into the last slot of a full \
+             queue — ceil(queue_capacity / max_batch) tier-0 batches of backlog, plus the full \
+             batch window, plus its own batch at tier t, every batch priced by the \
+             simulator-calibrated COST_TABLE.json at the request's tolerance class — exceeds \
+             the tightest admitted deadline at *every* tier of the degradation ladder, for \
+             some class. No runtime policy can save such a deployment: even a request served \
+             maximally degraded misses by construction. A clean Strict verdict also proves \
+             that the window plus one full-quality batch fits the deadline and that a full \
+             queue drains before it. Raise the deadline floor, shrink the queue/window, or \
+             make the cheapest tier cheaper."
         }
         Code::E091SchedLadderNoRecovery => {
             "Tier selection routes a request to tier t when its remaining slack is at least \
@@ -411,13 +404,14 @@ pub fn explanation(code: Code) -> &'static str {
              using the ladder for transients. Lower the design rate, cheapen tier 0, or \
              provision more power."
         }
-        Code::W090SchedLastTierOnly => {
-            "The worst-case response time fits the tightest deadline only at the final \
-             (cheapest) tier of the ladder for some tolerance class. The policy is feasible, \
-             but with zero quality headroom: any worst-case request admitted at the deadline \
-             floor is served maximally degraded, and the intermediate tiers exist only for \
-             requests with slack to spare. Usually a sign the window or queue is oversized \
-             for the deadline."
+        Code::W090SchedDegradedOnly => {
+            "For some tolerance class, the worst-case response time misses the tightest \
+             deadline at tier 0 but fits it at a degraded tier; the diagnostic names the \
+             first tier that fits. The policy is feasible, but without quality headroom: any \
+             worst-case request admitted at the deadline floor is served degraded (at the \
+             named tier or a cheaper one), and full quality is reserved for requests with \
+             slack to spare. Usually a sign the window or queue is oversized for the \
+             deadline."
         }
         Code::W091SchedLadderEnergyNonMonotone => {
             "Degrading is supposed to buy latency *and* energy, yet the simulated per-request \
@@ -560,12 +554,13 @@ pub fn explanation(code: Code) -> &'static str {
         Code::E112FleetSlaUncovered => {
             "A tenant's SLA deadline is covered by no tier of its model's degradation \
              ladder: at every tier, either the tier's min_slack_us admission threshold \
-             exceeds the SLA (the router can never route to it) or the batch window plus \
-             one in-flight batch plus the tier's own class-scaled service time — read from \
-             the simulator-calibrated cost table — overruns the SLA. Every request the \
-             tenant submits is then shed or completed late by construction. Relax the SLA, \
-             bind the tenant to a cheaper tolerance class, or extend the ladder with a \
-             tier cheap enough to fit."
+             exceeds the SLA (the router can never route to it) or the tier's worst-case \
+             response time at the tenant's tolerance class — the same full-queue backlog \
+             plus batch window plus own batch that E090 bounds, priced by the \
+             simulator-calibrated cost table — overruns the SLA. Every request the tenant \
+             submits is then shed or completed late by construction. Relax the SLA, bind \
+             the tenant to a cheaper tolerance class, or extend the ladder with a tier \
+             cheap enough to fit."
         }
         Code::E113FleetStaleFingerprint => {
             "A published model version's recorded fingerprint does not match the FNV-1a \
@@ -610,7 +605,7 @@ pub fn explanation(code: Code) -> &'static str {
 /// numbers stay reserved — a retired code is never reused for another
 /// check (a test keeps them out of [`Code::ALL`]) — and `docs/LINTS.md`
 /// lists them.
-pub const RETIRED: [(&str, &str); 3] = [
+pub const RETIRED: [(&str, &str); 5] = [
     (
         "E041",
         "compared a hand-declared kernel scratch size with a second hand-declared copy \
@@ -626,6 +621,18 @@ pub const RETIRED: [(&str, &str); 3] = [
         "W043",
         "compared the same hand-declared scratch pair as E041, warning on \
          over-provisioning instead",
+    ),
+    (
+        "E070",
+        "checked batch window plus a hand-typed service estimate against the deadline \
+         floor; a clean Strict-class E090 proves window plus the simulated tier-0 batch \
+         fits, because its response-time bound holds that batch at least once",
+    ),
+    (
+        "E071",
+        "checked a full queue's drain at a hand-typed service estimate against the \
+         deadline floor; E090's response-time bound charges the same drain, priced by \
+         COST_TABLE.json, so a clean Strict-class E090 proves it",
     ),
 ];
 

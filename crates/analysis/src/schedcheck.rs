@@ -1,49 +1,51 @@
-//! Static schedulability and energy-budget analysis (`E090`–`E096`,
-//! `W090`–`W093`): proves — before anything runs — that a serving policy
-//! meets its deadlines and energy envelope under the simulator-calibrated
-//! cost table committed as `COST_TABLE.json`.
+//! Static serving-policy analysis (`E072`, `W070`–`W071`, `E090`–`E096`,
+//! `W090`–`W093`): proves — before anything runs — that a serving
+//! policy's degradation ladder is ordered and reachable, and that the
+//! policy meets its deadlines, design load and energy envelope under the
+//! simulator-calibrated cost table committed as `COST_TABLE.json`.
 //!
-//! # How the verdicts are derived
+//! # The response-time bound
 //!
-//! The serving pipeline is lowered into the same dataflow IR every other
-//! pass in this crate uses: per `(tolerance class, tier)` the pipeline is
-//! a chain
+//! Every deadline verdict — E090, E091, W090 and W093 here, E112 in
+//! [`crate::fleetcheck`] — reads one service-time function and one
+//! response-time bound, both on `ServiceModel`:
 //!
-//! ```text
-//! Admission ──▶ Window ──▶ Service(tier) ──▶ Response
-//! ```
-//!
-//! and a **backward demand pass** on [`crate::engine`] propagates the
-//! worst-case time-to-response from the `Response` boundary back to
-//! `Admission`:
-//!
-//! * `Response` originates demand 0;
-//! * `Service(tier)` adds the simulated per-batch service time at the
-//!   policy's `max_batch`, scaled from the table's Standard-class row to
-//!   the chain's tolerance class through the step-count law
+//! * `S_t(class)` (`ServiceModel::service_us`) is the table's per-batch
+//!   latency at `(tier, max_batch)`, simulated at the Standard class and
+//!   rescaled to `class` through the step-count law
 //!   ([`enode_hw::table::points_for`]);
-//! * `Window` adds the batcher's full hold window;
-//! * `Admission` adds the full-queue drain — `ceil(queue / max_batch)`
-//!   batches served at tier-0 (worst-case) cost.
+//! * `wcrt(class, t) = ⌈queue / max_batch⌉·S₀(class) + window +
+//!   S_t(class)` (`ServiceModel::wcrt_us`): a request admitted into
+//!   the last slot of a full queue waits for the backlog to drain at
+//!   tier-0 cost, is held for the full batch window, then is served in
+//!   its own batch at tier `t`.
 //!
-//! The fixpoint value at `Admission` is the worst-case response time
-//! WCRT(class, tier); the lints compare it against the policy's envelope.
+//! The backlog is charged at the request's own class. A queue may mix
+//! classes, but batches form per class and the Strict class has the
+//! largest `S₀`, so `wcrt(Strict, t)` bounds a request of any class
+//! served at tier `t` behind any mix; E090 is checked per class, Strict
+//! included, so a clean E090 bounds a mixed queue too. A clean Strict
+//! E090 also proves `window + S₀ ≤ deadline` and a full-queue drain
+//! `⌈queue / max_batch⌉·S₀ < deadline`, since the backlog charge holds
+//! at least one tier-0 batch.
 //!
 //! # Trust, but verify the table
 //!
-//! Every verdict is only as good as the table, so the pass first checks
-//! provenance: the generator version and the per-policy ladder
-//! fingerprint must match this build (`E093`), every tier needs rows
-//! (`E094`), and rows must be monotone in batch (`E095`). A missing
+//! Every verdict is only as good as the table, so `ServiceModel::resolve`
+//! first checks provenance: the generator version and the per-policy
+//! ladder fingerprint must match this build (`E093`), every tier needs
+//! rows (`E094`), and rows must be monotone in batch (`E095`). A missing
 //! `max_batch` design point is linearly extrapolated with a `W092`
-//! advisory. Energy verdicts (`E092`, `E096`, `W091`) read the tier
-//! rows directly; they are class-independent.
+//! advisory. Energy verdicts (`E092`, `E096`, `W091`) read the tier rows
+//! directly; they are class-independent. The ladder's own order (`E072`,
+//! the predicate [`ServeConfig::check_ladder_order`] the runtime
+//! constructor asserts) and reachability (`W071`) need no table and are
+//! checked first.
 
 use crate::benchjson::{parse_cost_table, CostTableRow, ParsedCostTable};
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use enode_hw::table::{points_for, tableau_cost, trials_for, TABLE_VERSION};
-use enode_serve::{fingerprint, ServeConfig, ToleranceClass};
+use enode_serve::{fingerprint, LadderDefect, ServeConfig, ToleranceClass};
 
 /// The committed serving cost table at the repo root (regenerate with
 /// `cargo run --release -p enode-bench --bin cost_table_json`).
@@ -53,8 +55,8 @@ pub const SHIPPED_TABLE: &str = include_str!("../../../COST_TABLE.json");
 /// before `W093` stops firing: 10%.
 pub const THIN_MARGIN_FRACTION: u64 = 10;
 
-/// The tolerance classes a policy admits, tightest first — every chain in
-/// the lowered pipeline exists once per class.
+/// The tolerance classes a policy admits, tightest first — every deadline
+/// verdict is derived once per class.
 pub const CLASSES: [ToleranceClass; 3] = [
     ToleranceClass::Strict,
     ToleranceClass::Standard,
@@ -74,270 +76,236 @@ struct TierPoint {
     f_evals: usize,
 }
 
-/// Scales a tier's Standard-class service time to `class` via the
-/// step-count law: the simulated latency is linear in f-evals per sample,
-/// and the class multiplies the effective tolerance scale by
-/// `class.tolerance() / 1e-4`.
-fn class_service_us(
-    policy: &ServeConfig,
-    tier: usize,
-    point: &TierPoint,
-    class: ToleranceClass,
-) -> u64 {
-    let t = &policy.tiers[tier];
-    let (stages, order) = tableau_cost(t.tableau);
-    let scale_eff = t.tolerance_scale * (class.tolerance() / ToleranceClass::Standard.tolerance());
-    let points = points_for(order, scale_eff);
-    let f_evals = trials_for(points, t.max_trials) * stages;
-    // Ceiling division keeps the bound conservative and the arithmetic
-    // integral (byte-stable messages).
-    (point.latency_us * f_evals as u64).div_ceil(point.f_evals.max(1) as u64)
+/// One policy's service times, resolved from a cost table whose
+/// provenance checked out: the design point of every tier at the
+/// policy's `max_batch`.
+pub(crate) struct ServiceModel<'a> {
+    policy: &'a ServeConfig,
+    points: Vec<TierPoint>,
 }
 
-/// Node roles of the lowered serving pipeline. One chain per
-/// `(class, tier)`; `Admission` is the chain's entry (where WCRT is
-/// read), `Response` the demand boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeNode {
-    /// Ingress queue: charges the full-queue drain at tier-0 cost.
-    Admission { class: usize, tier: usize },
-    /// Dynamic batcher: charges the full hold window.
-    Window { class: usize, tier: usize },
-    /// Worker lanes: charges the class-scaled simulated service time.
-    Service { class: usize, tier: usize },
-    /// Completion boundary: originates demand 0.
-    Response { class: usize, tier: usize },
-}
-
-/// The serving pipeline of one policy, lowered to a [`DataflowGraph`]:
-/// `classes × tiers` four-node chains (a forest — the engine treats every
-/// `Response` as a backward boundary).
-pub struct ServeGraph {
-    nodes: Vec<ServeNode>,
-    preds: Vec<Vec<usize>>,
-    /// Per-chain costs, indexed like `nodes`: what each node adds to the
-    /// demand flowing through it.
-    cost_us: Vec<u64>,
-}
-
-impl ServeGraph {
-    /// Lowers `policy` against its resolved tier points. The `Admission`
-    /// charge is the full-queue drain — `ceil(queue / max_batch)` batches
-    /// served at the chain's class on tier 0 (the worst case).
-    fn lower(policy: &ServeConfig, points: &[TierPoint]) -> ServeGraph {
-        let n_tiers = policy.tiers.len();
-        let backlog_batches = policy.queue_capacity.div_ceil(policy.max_batch.max(1)) as u64;
-        let mut nodes = Vec::new();
-        let mut preds = Vec::new();
-        let mut cost_us = Vec::new();
-        for (c, class) in CLASSES.iter().enumerate() {
-            let tier0_service = class_service_us(policy, 0, &points[0], *class);
-            for (t, point) in points.iter().enumerate().take(n_tiers) {
-                let base = nodes.len();
-                nodes.push(ServeNode::Admission { class: c, tier: t });
-                preds.push(Vec::new());
-                cost_us.push(backlog_batches * tier0_service);
-                nodes.push(ServeNode::Window { class: c, tier: t });
-                preds.push(vec![base]);
-                cost_us.push(policy.batch_window_us);
-                nodes.push(ServeNode::Service { class: c, tier: t });
-                preds.push(vec![base + 1]);
-                cost_us.push(class_service_us(policy, t, point, *class));
-                nodes.push(ServeNode::Response { class: c, tier: t });
-                preds.push(vec![base + 2]);
-                cost_us.push(0);
-            }
-        }
-        ServeGraph {
-            nodes,
-            preds,
-            cost_us,
-        }
-    }
-
-    /// The node index of one chain's `Admission` entry.
-    fn admission(&self, class: usize, tier: usize) -> usize {
-        self.nodes
-            .iter()
-            .position(|n| *n == ServeNode::Admission { class, tier })
-            .expect("chain exists")
-    }
-}
-
-impl DataflowGraph for ServeGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// The demand lattice: µs still needed to reach a `Response` from here.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Demand {
-    /// Whether any response boundary is reachable yet.
-    pub reached: bool,
-    /// Worst-case µs to response over all reachable paths.
-    pub us: u64,
-}
-
-impl Lattice for Demand {
-    fn bottom() -> Self {
-        Demand {
-            reached: false,
-            us: 0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.us > self.us {
-            self.us = other.us;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// The backward worst-case-response-time pass: each node's demand is the
-/// maximum over its successors' demands plus its own charge; `Response`
-/// nodes originate demand 0.
-pub struct WcrtPass;
-
-impl Pass<ServeGraph> for WcrtPass {
-    type Value = Demand;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn transfer(&self, graph: &ServeGraph, node: usize, deps: &[Demand]) -> Demand {
-        if matches!(graph.nodes[node], ServeNode::Response { .. }) {
-            return Demand {
-                reached: true,
-                us: 0,
-            };
-        }
-        let mut out = Demand::bottom();
-        for d in deps.iter().filter(|d| d.reached) {
-            out.reached = true;
-            out.us = out.us.max(d.us);
-        }
-        if out.reached {
-            out.us += graph.cost_us[node];
-        }
-        out
-    }
-}
-
-/// Worst-case response times of one policy under resolved tier points:
-/// `wcrt[class][tier]` in µs, straight off the fixpoint.
-fn response_times(policy: &ServeConfig, points: &[TierPoint]) -> Vec<Vec<u64>> {
-    let graph = ServeGraph::lower(policy, points);
-    let fx = run_to_fixpoint(&graph, &WcrtPass);
-    CLASSES
-        .iter()
-        .enumerate()
-        .map(|(c, _)| {
-            (0..policy.tiers.len())
-                .map(|t| {
-                    let v = &fx.values[graph.admission(c, t)];
-                    debug_assert!(v.reached, "every chain reaches its response");
-                    v.us
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Resolves the `(tier, max_batch)` design point for every tier, pushing
-/// `E094`/`E095`/`W092` as found. Returns `None` if any tier is missing
-/// or corrupt (the WCRT analysis cannot run on it).
-fn resolve_points(
-    policy: &ServeConfig,
-    table: &ParsedCostTable,
-    ds: &mut Diagnostics,
-    subject: &str,
-) -> Option<Vec<TierPoint>> {
-    let mut points = Vec::new();
-    let mut sound = true;
-    for tier in 0..policy.tiers.len() {
-        let rows: Vec<&CostTableRow> = table.rows_for(policy.name, tier);
-        if rows.is_empty() {
+impl<'a> ServiceModel<'a> {
+    /// Checks the table's provenance for `policy` (`E093`, `E094`), then
+    /// resolves the `(tier, max_batch)` design point of every tier,
+    /// pushing `E094`/`E095`/`W092` into `ds` as found. `None` when the
+    /// table is stale or any tier is missing or corrupt: no verdict can
+    /// be derived from it.
+    pub(crate) fn resolve(
+        policy: &'a ServeConfig,
+        table: &ParsedCostTable,
+        ds: &mut Diagnostics,
+    ) -> Option<ServiceModel<'a>> {
+        let subject = format!("serve policy {}", policy.name);
+        if table.version != TABLE_VERSION {
             ds.push(
                 Diagnostic::new(
-                    Code::E094SchedTableMissing,
-                    subject,
+                    Code::E093SchedTableVersion,
+                    &subject,
                     format!(
-                        "cost table has no rows for tier {tier}: the ladder was changed \
-                         or deepened without re-running the simulator sweep"
+                        "cost table version \"{}\" does not match this analysis's \
+                         \"{TABLE_VERSION}\": regenerate COST_TABLE.json with the current \
+                         generator",
+                        table.version
                     ),
                 )
-                .with_note("tier", tier),
+                .with_note("table_version", &table.version)
+                .with_note("expected_version", TABLE_VERSION),
             );
-            sound = false;
-            continue;
+            return None;
         }
-        for pair in rows.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if b.batch > a.batch && (b.latency_us < a.latency_us || b.energy_uj < a.energy_uj) {
+        let want_fp = fingerprint(policy);
+        match table.fingerprint(policy.name) {
+            Some(fp) if fp == want_fp => {}
+            Some(fp) => {
                 ds.push(
                     Diagnostic::new(
-                        Code::E095SchedTableNonMonotone,
-                        subject,
+                        Code::E093SchedTableVersion,
+                        &subject,
                         format!(
-                            "tier {tier} rows are not monotone in batch: batch {} costs \
-                             {}µs/{}µJ but batch {} costs {}µs/{}µJ — the committed table \
-                             is corrupted, regenerate it",
-                            a.batch, a.latency_us, a.energy_uj, b.batch, b.latency_us, b.energy_uj
+                            "table fingerprint {fp} does not match the ladder's {want_fp}: \
+                             the degradation ladder changed after the sweep, regenerate \
+                             COST_TABLE.json"
+                        ),
+                    )
+                    .with_note("table_fingerprint", fp)
+                    .with_note("ladder_fingerprint", want_fp),
+                );
+                return None;
+            }
+            None => {
+                ds.push(Diagnostic::new(
+                    Code::E094SchedTableMissing,
+                    &subject,
+                    "cost table records no fingerprint (and no sweep) for this policy; \
+                     regenerate COST_TABLE.json",
+                ));
+                return None;
+            }
+        }
+
+        let mut points = Vec::new();
+        let mut sound = true;
+        for tier in 0..policy.tiers.len() {
+            let rows: Vec<&CostTableRow> = table.rows_for(policy.name, tier);
+            if rows.is_empty() {
+                ds.push(
+                    Diagnostic::new(
+                        Code::E094SchedTableMissing,
+                        &subject,
+                        format!(
+                            "cost table has no rows for tier {tier}: the ladder was changed \
+                             or deepened without re-running the simulator sweep"
                         ),
                     )
                     .with_note("tier", tier),
                 );
                 sound = false;
+                continue;
             }
-        }
-        let point = match rows.iter().find(|r| r.batch == policy.max_batch) {
-            Some(r) => TierPoint {
-                latency_us: r.latency_us,
-                energy_uj: r.energy_uj,
-                f_evals: r.f_evals,
-            },
-            None => {
-                let largest = rows.last().expect("non-empty");
-                let scale = policy.max_batch as u64;
-                let base = largest.batch.max(1) as u64;
-                ds.push(
-                    Diagnostic::new(
-                        Code::W092SchedTableExtrapolated,
-                        subject,
-                        format!(
-                            "tier {tier} has no simulated row at max_batch {}; verdicts \
-                             use a linear extrapolation of the batch-{} row",
-                            policy.max_batch, largest.batch
-                        ),
-                    )
-                    .with_note("tier", tier)
-                    .with_note("largest_simulated_batch", largest.batch),
-                );
-                TierPoint {
-                    latency_us: (largest.latency_us * scale).div_ceil(base),
-                    energy_uj: (largest.energy_uj * scale).div_ceil(base),
-                    f_evals: largest.f_evals,
+            for pair in rows.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                if b.batch > a.batch && (b.latency_us < a.latency_us || b.energy_uj < a.energy_uj) {
+                    ds.push(
+                        Diagnostic::new(
+                            Code::E095SchedTableNonMonotone,
+                            &subject,
+                            format!(
+                                "tier {tier} rows are not monotone in batch: batch {} costs \
+                                 {}µs/{}µJ but batch {} costs {}µs/{}µJ — the committed table \
+                                 is corrupted, regenerate it",
+                                a.batch,
+                                a.latency_us,
+                                a.energy_uj,
+                                b.batch,
+                                b.latency_us,
+                                b.energy_uj
+                            ),
+                        )
+                        .with_note("tier", tier),
+                    );
+                    sound = false;
                 }
             }
-        };
-        points.push(point);
+            let point = match rows.iter().find(|r| r.batch == policy.max_batch) {
+                Some(r) => TierPoint {
+                    latency_us: r.latency_us,
+                    energy_uj: r.energy_uj,
+                    f_evals: r.f_evals,
+                },
+                None => {
+                    let largest = rows.last().expect("non-empty");
+                    let scale = policy.max_batch as u64;
+                    let base = largest.batch.max(1) as u64;
+                    ds.push(
+                        Diagnostic::new(
+                            Code::W092SchedTableExtrapolated,
+                            &subject,
+                            format!(
+                                "tier {tier} has no simulated row at max_batch {}; verdicts \
+                                 use a linear extrapolation of the batch-{} row",
+                                policy.max_batch, largest.batch
+                            ),
+                        )
+                        .with_note("tier", tier)
+                        .with_note("largest_simulated_batch", largest.batch),
+                    );
+                    TierPoint {
+                        latency_us: (largest.latency_us * scale).div_ceil(base),
+                        energy_uj: (largest.energy_uj * scale).div_ceil(base),
+                        f_evals: largest.f_evals,
+                    }
+                }
+            };
+            points.push(point);
+        }
+        sound.then_some(ServiceModel { policy, points })
     }
-    if sound {
-        Some(points)
-    } else {
-        None
+
+    /// `S_t(class)`: the per-batch service time of `tier` at `max_batch`,
+    /// µs. The table's latency is linear in f-evals per sample, and the
+    /// class multiplies the tier's effective tolerance scale by
+    /// `class.tolerance() / 1e-4`, so the Standard-class row is rescaled
+    /// by the step-count law. Ceiling division keeps the bound
+    /// conservative and the arithmetic integral (byte-stable messages).
+    pub(crate) fn service_us(&self, tier: usize, class: ToleranceClass) -> u64 {
+        let t = &self.policy.tiers[tier];
+        let point = &self.points[tier];
+        let (stages, order) = tableau_cost(t.tableau);
+        let scale_eff =
+            t.tolerance_scale * (class.tolerance() / ToleranceClass::Standard.tolerance());
+        let f_evals = trials_for(points_for(order, scale_eff), t.max_trials) * stages;
+        (point.latency_us * f_evals as u64).div_ceil(point.f_evals.max(1) as u64)
     }
+
+    /// `wcrt(class, t)`: the worst-case response time, µs, of a `class`
+    /// request served at `tier` — the full-queue backlog,
+    /// `⌈queue / max_batch⌉` batches at tier-0 cost, then the full batch
+    /// window, then its own batch.
+    pub(crate) fn wcrt_us(&self, tier: usize, class: ToleranceClass) -> u64 {
+        let p = self.policy;
+        let backlog_batches = p.queue_capacity.div_ceil(p.max_batch.max(1)) as u64;
+        backlog_batches * self.service_us(0, class)
+            + p.batch_window_us
+            + self.service_us(tier, class)
+    }
+}
+
+/// Reports the ladder's order (`E072`) and reachability (`W071`). Returns
+/// `false` when the ladder is empty: nothing else can be derived.
+fn lint_ladder(policy: &ServeConfig, subject: &str, ds: &mut Diagnostics) -> bool {
+    if let Err(defect) = policy.check_ladder_order() {
+        let d = Diagnostic::new(Code::E072ServeTierOrdering, subject, defect.to_string());
+        ds.push(match defect {
+            LadderDefect::Empty => d,
+            LadderDefect::DegradedTop { scale } => d.with_note("tier0_tolerance_scale", scale),
+            LadderDefect::NotCheaper { tier } => {
+                let (prev, next) = (&policy.tiers[tier - 1], &policy.tiers[tier]);
+                d.with_note("tier", tier)
+                    .with_note("prev_tolerance_scale", prev.tolerance_scale)
+                    .with_note("next_tolerance_scale", next.tolerance_scale)
+                    .with_note("prev_max_trials", prev.max_trials)
+                    .with_note("next_max_trials", next.max_trials)
+            }
+        });
+    }
+    let Some(last) = policy.tiers.last() else {
+        return false;
+    };
+    for (i, pair) in policy.tiers.windows(2).enumerate() {
+        let (prev, next) = (&pair[0], &pair[1]);
+        if next.min_slack_us >= prev.min_slack_us {
+            ds.push(
+                Diagnostic::new(
+                    Code::W071ServeUnreachableTier,
+                    subject,
+                    format!(
+                        "tier {} is unreachable: its slack threshold ({}µs) is not \
+                         strictly below tier {i}'s ({}µs), so selection always stops earlier",
+                        i + 1,
+                        next.min_slack_us,
+                        prev.min_slack_us
+                    ),
+                )
+                .with_note("tier", i + 1)
+                .with_note("min_slack_us", next.min_slack_us),
+            );
+        }
+    }
+    if last.min_slack_us > 0 {
+        ds.push(
+            Diagnostic::new(
+                Code::W071ServeUnreachableTier,
+                subject,
+                format!(
+                    "the cheapest tier still demands {}µs of slack: requests below \
+                     it are served only by the fall-through default, not a designed tier",
+                    last.min_slack_us
+                ),
+            )
+            .with_note("last_tier_min_slack_us", last.min_slack_us),
+        );
+    }
+    true
 }
 
 /// Lints one policy against one parsed cost table. Split out from
@@ -347,65 +315,23 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
     let mut ds = Diagnostics::new();
     let subject = format!("serve policy {}", policy.name);
 
-    // E093 first: verdicts from a stale table are unsound, so nothing
-    // else runs until provenance checks out.
-    if table.version != TABLE_VERSION {
-        ds.push(
-            Diagnostic::new(
-                Code::E093SchedTableVersion,
-                &subject,
-                format!(
-                    "cost table version \"{}\" does not match this analysis's \
-                     \"{TABLE_VERSION}\": regenerate COST_TABLE.json with the current \
-                     generator",
-                    table.version
-                ),
-            )
-            .with_note("table_version", &table.version)
-            .with_note("expected_version", TABLE_VERSION),
-        );
+    // The ladder first: it needs no table, and an empty one leaves
+    // nothing to price.
+    if !lint_ladder(policy, &subject, &mut ds) {
         return ds;
     }
-    let want_fp = fingerprint(policy);
-    match table.fingerprint(policy.name) {
-        Some(fp) if fp == want_fp => {}
-        Some(fp) => {
-            ds.push(
-                Diagnostic::new(
-                    Code::E093SchedTableVersion,
-                    &subject,
-                    format!(
-                        "table fingerprint {fp} does not match the ladder's {want_fp}: \
-                         the degradation ladder changed after the sweep, regenerate \
-                         COST_TABLE.json"
-                    ),
-                )
-                .with_note("table_fingerprint", fp)
-                .with_note("ladder_fingerprint", want_fp),
-            );
-            return ds;
-        }
-        None => {
-            ds.push(Diagnostic::new(
-                Code::E094SchedTableMissing,
-                &subject,
-                "cost table records no fingerprint (and no sweep) for this policy; \
-                 regenerate COST_TABLE.json",
-            ));
-            return ds;
-        }
-    }
 
-    // Table integrity per tier: rows present, monotone, design point
-    // resolved (E094/E095/W092).
-    let Some(points) = resolve_points(policy, table, &mut ds, &subject) else {
+    // Provenance and row integrity (E093/E094/E095/W092): verdicts from a
+    // stale or corrupt table are unsound, so nothing else runs without it.
+    let Some(model) = ServiceModel::resolve(policy, table, &mut ds) else {
         return ds;
     };
 
     // --- energy verdicts (class-independent, Standard-class rows) ---
     // Per-request µJ at the tier's max_batch dispatch, ×10 fixed-point so
     // the half-µJ of an odd batch row is not lost.
-    let per_req_duj: Vec<u64> = points
+    let per_req_duj: Vec<u64> = model
+        .points
         .iter()
         .map(|p| p.energy_uj * 10 / policy.max_batch.max(1) as u64)
         .collect();
@@ -468,14 +394,34 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
         );
     }
 
-    // --- schedulability verdicts: the backward demand pass ---
-    let wcrt = response_times(policy, &points);
+    // W070: the declared load against the peak service rate, max_batch
+    // requests per worst-case (Strict) tier-0 batch.
+    let strict_batch_us = model.service_us(0, ToleranceClass::Strict);
+    let capacity_rps = policy.max_batch as f64 * 1.0e6 / strict_batch_us.max(1) as f64;
+    if policy.design_rate_rps > capacity_rps {
+        ds.push(
+            Diagnostic::new(
+                Code::W070ServeDesignOverload,
+                &subject,
+                format!(
+                    "design load {:.1} req/s exceeds the peak service rate {:.1} req/s \
+                     (batch {} every {}µs, strict tier 0): shedding is the steady state at \
+                     the declared load",
+                    policy.design_rate_rps, capacity_rps, policy.max_batch, strict_batch_us
+                ),
+            )
+            .with_note("design_rate_rps", policy.design_rate_rps)
+            .with_note("capacity_rps", format!("{capacity_rps:.1}")),
+        );
+    }
+
+    // --- deadline verdicts: the response-time bound per class and tier ---
     let deadline = policy.min_deadline_us;
-    let n_tiers = policy.tiers.len();
-    for (c, class) in CLASSES.iter().enumerate() {
-        let per_tier = &wcrt[c];
-        let feasible: Vec<bool> = per_tier.iter().map(|&us| us <= deadline).collect();
-        if !feasible.iter().any(|&f| f) {
+    for class in CLASSES {
+        let per_tier: Vec<u64> = (0..policy.tiers.len())
+            .map(|t| model.wcrt_us(t, class))
+            .collect();
+        let Some(first_fit) = per_tier.iter().position(|&us| us <= deadline) else {
             let (best_tier, best_us) = per_tier
                 .iter()
                 .enumerate()
@@ -498,24 +444,26 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
                 .with_note("min_deadline_us", deadline),
             );
             continue;
-        }
-        if !feasible[0] && feasible[n_tiers - 1] && feasible.iter().filter(|&&f| f).count() == 1 {
+        };
+        if first_fit > 0 {
             ds.push(
                 Diagnostic::new(
-                    Code::W090SchedLastTierOnly,
+                    Code::W090SchedDegradedOnly,
                     &subject,
                     format!(
-                        "{}-class worst case fits the {deadline}µs deadline only at the \
-                         last tier ({}): every deadline-floor request is served maximally \
-                         degraded",
+                        "{}-class worst case {}µs misses the {deadline}µs deadline at tier 0 \
+                         and first fits at tier {first_fit} ({}µs): every deadline-floor \
+                         request is served degraded",
                         class.as_str(),
-                        n_tiers - 1
+                        per_tier[0],
+                        per_tier[first_fit]
                     ),
                 )
                 .with_note("class", class.as_str())
+                .with_note("tier", first_fit)
                 .with_note("tier0_wcrt_us", per_tier[0]),
             );
-        } else if feasible[0] && (deadline - per_tier[0]) * THIN_MARGIN_FRACTION < deadline {
+        } else if (deadline - per_tier[0]) * THIN_MARGIN_FRACTION < deadline {
             ds.push(
                 Diagnostic::new(
                     Code::W093SchedThinMargin,
@@ -540,7 +488,7 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
         if t.min_slack_us == 0 {
             continue;
         }
-        let worst_service = class_service_us(policy, tier, &points[tier], ToleranceClass::Strict);
+        let worst_service = model.service_us(tier, ToleranceClass::Strict);
         if worst_service > t.min_slack_us {
             ds.push(
                 Diagnostic::new(
@@ -624,46 +572,145 @@ mod tests {
         }
     }
 
+    fn model<'a>(p: &'a ServeConfig, t: &ParsedCostTable) -> ServiceModel<'a> {
+        ServiceModel::resolve(p, t, &mut Diagnostics::new()).expect("resolves")
+    }
+
     #[test]
     fn wcrt_orders_classes_and_tiers() {
         // Strict demands the most points, so its WCRT dominates; deeper
         // tiers are cheaper, so WCRT falls down the ladder.
-        let p = ServeConfig::edge_default();
-        let t = table();
-        let points = {
-            let mut ds = Diagnostics::new();
-            resolve_points(&p, &t, &mut ds, "test").expect("resolves")
-        };
-        let wcrt = response_times(&p, &points);
-        for c in 0..CLASSES.len() {
-            for pair in wcrt[c].windows(2) {
-                assert!(
-                    pair[1] <= pair[0],
-                    "WCRT must fall down the ladder: {wcrt:?}"
-                );
+        for p in ServeConfig::shipped() {
+            let t = table();
+            let m = model(&p, &t);
+            for class in CLASSES {
+                for tier in 1..p.tiers.len() {
+                    assert!(m.wcrt_us(tier, class) <= m.wcrt_us(tier - 1, class));
+                }
+            }
+            for tier in 0..p.tiers.len() {
+                let [strict, standard, relaxed] = CLASSES.map(|c| m.wcrt_us(tier, c));
+                assert!(strict >= standard && standard >= relaxed, "{}", p.name);
             }
         }
-        assert!(wcrt.iter().all(|class| class.len() == p.tiers.len()));
-        for ((strict, standard), relaxed) in wcrt[0].iter().zip(&wcrt[1]).zip(&wcrt[2]) {
-            assert!(strict >= standard, "strict >= standard");
-            assert!(standard >= relaxed, "standard >= relaxed");
+        // And the numbers are the closed form: standard tier 0 = 2
+        // backlog batches × 1397 + 2000 window + 1397 service.
+        let p = ServeConfig::edge_default();
+        assert_eq!(
+            model(&p, &table()).wcrt_us(0, ToleranceClass::Standard),
+            2 * 1397 + 2_000 + 1397
+        );
+    }
+
+    /// The worst-case response times the fixpoint pass this bound
+    /// replaced computed (a backward max-plus demand pass over one
+    /// `Admission → Window → Service → Response` chain per class and
+    /// tier), recorded for both shipped policies at their shipped queue
+    /// and at queues of 48, 56 and 64: per class (Strict, Standard,
+    /// Relaxed), one µs value per tier.
+    const RECORDED_WCRT_US: [(&str, usize, [&[u64]; 3]); 8] = [
+        (
+            "edge_default",
+            16,
+            [
+                &[21443, 17527, 15411],
+                &[6191, 5338, 4911],
+                &[2933, 2856, 2739],
+            ],
+        ),
+        (
+            "edge_default",
+            48,
+            [
+                &[47367, 43451, 41335],
+                &[11779, 10926, 10499],
+                &[4177, 4100, 3983],
+            ],
+        ),
+        (
+            "edge_default",
+            56,
+            [
+                &[53848, 49932, 47816],
+                &[13176, 12323, 11896],
+                &[4488, 4411, 4294],
+            ],
+        ),
+        (
+            "edge_default",
+            64,
+            [
+                &[60329, 56413, 54297],
+                &[14573, 13720, 13293],
+                &[4799, 4722, 4605],
+            ],
+        ),
+        (
+            "streaming_keyword",
+            8,
+            [&[2436, 1737], &[525, 365], &[117, 93]],
+        ),
+        (
+            "streaming_keyword",
+            48,
+            [&[10556, 9857], &[2275, 2115], &[507, 483]],
+        ),
+        (
+            "streaming_keyword",
+            56,
+            [&[12180, 11481], &[2625, 2465], &[585, 561]],
+        ),
+        (
+            "streaming_keyword",
+            64,
+            [&[13804, 13105], &[2975, 2815], &[663, 639]],
+        ),
+    ];
+
+    #[test]
+    fn closed_form_reproduces_the_recorded_fixpoint_wcrt() {
+        let t = table();
+        for (name, queue, want) in RECORDED_WCRT_US {
+            let mut p = ServeConfig::shipped()
+                .into_iter()
+                .find(|p| p.name == name)
+                .expect("shipped policy");
+            p.queue_capacity = queue;
+            let m = model(&p, &t);
+            let got = CLASSES.map(|class| {
+                (0..p.tiers.len())
+                    .map(|tier| m.wcrt_us(tier, class))
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(got, want, "{name} at queue {queue}");
         }
-        // And the numbers are the recurrence, not an accident of the
-        // engine: standard tier-0 = 2 backlog batches × 1397 + 2000
-        // window + 1397 service.
-        assert_eq!(wcrt[1][0], 2 * 1397 + 2_000 + 1397);
     }
 
     #[test]
-    fn backward_pass_reaches_every_admission_node() {
-        let p = ServeConfig::streaming_keyword();
+    fn design_overload_fires_w070_from_the_strict_tier0_row() {
+        // Capacity is 8 requests per 6481µs strict tier-0 batch
+        // (1234.4 req/s); streaming's is 4 per 812µs (4926.1 req/s).
         let t = table();
-        let mut ds = Diagnostics::new();
-        let points = resolve_points(&p, &t, &mut ds, "test").expect("resolves");
-        let graph = ServeGraph::lower(&p, &points);
-        let fx = run_to_fixpoint(&graph, &WcrtPass);
-        assert_eq!(graph.num_nodes(), CLASSES.len() * p.tiers.len() * 4);
-        assert!(fx.values.iter().all(|v| v.reached));
+        let mut p = ServeConfig::edge_default();
+        assert_eq!(model(&p, &t).service_us(0, ToleranceClass::Strict), 6481);
+        let s = ServeConfig::streaming_keyword();
+        assert_eq!(model(&s, &t).service_us(0, ToleranceClass::Strict), 812);
+        p.design_rate_rps = 1_234.0;
+        assert!(!lint_config(&p, &t).has_code(Code::W070ServeDesignOverload));
+        p.design_rate_rps = 1_235.0;
+        let ds = lint_config(&p, &t);
+        assert!(ds.has_code(Code::W070ServeDesignOverload), "{ds}");
+        assert_eq!(ds.error_count(), 1, "only E096 (power) rides along:\n{ds}");
+        assert!(ds.has_code(Code::E096SchedPowerBudget), "{ds}");
+    }
+
+    #[test]
+    fn empty_ladder_is_e072_alone() {
+        let mut p = ServeConfig::edge_default();
+        p.tiers.clear();
+        let ds = lint_config(&p, &table());
+        assert!(ds.has_code(Code::E072ServeTierOrdering), "{ds}");
+        assert_eq!(ds.len(), 1, "an empty ladder short-circuits further checks");
     }
 
     #[test]
@@ -677,18 +724,24 @@ mod tests {
             .filter(|d| d.code == Code::E090SchedDeadlineInfeasible)
             .count();
         assert_eq!(e090, CLASSES.len(), "one verdict per class:\n{ds}");
-        assert!(!ds.has_code(Code::W090SchedLastTierOnly), "{ds}");
+        assert!(!ds.has_code(Code::W090SchedDegradedOnly), "{ds}");
         assert!(!ds.has_code(Code::W093SchedThinMargin), "{ds}");
     }
 
     #[test]
-    fn last_tier_rescue_fires_w090_and_thin_margin_fires_w093() {
+    fn degraded_rescue_fires_w090_and_thin_margin_fires_w093() {
         // Deadline between the strict tier-2 WCRT and the tier-1 WCRT:
         // strict requests are feasible only maximally degraded.
         let mut p = ServeConfig::edge_default();
         p.min_deadline_us = 16_000;
         let ds = lint_config(&p, &table());
-        assert!(ds.has_code(Code::W090SchedLastTierOnly), "{ds}");
+        let w090: Vec<_> = ds
+            .items()
+            .iter()
+            .filter(|d| d.code == Code::W090SchedDegradedOnly)
+            .collect();
+        assert_eq!(w090.len(), 1, "{ds}");
+        assert!(w090[0].notes.contains(&("tier".into(), "2".into())), "{ds}");
         assert_eq!(ds.error_count(), 0, "{ds}");
 
         // Deadline just above the strict tier-0 WCRT: feasible, <10% slack.

@@ -442,7 +442,7 @@ fn e08x_messages_are_byte_stable() {
 }
 
 /// Same contract for the schedulability family: the E090 infeasibility
-/// wording (with the backward demand pass's worst-case microseconds) and
+/// wording (with the response-time bound's worst-case microseconds) and
 /// the E092 energy wording (with the fixed-point half-µJ) are pinned
 /// byte-for-byte against the committed `COST_TABLE.json`.
 #[test]

@@ -8,7 +8,7 @@
 use enode_analysis::consistency::lint_consistency;
 use enode_analysis::diag::{Code, Severity};
 use enode_analysis::precision::lint_precision;
-use enode_analysis::{affine, cost, lint_everything, schedcheck, servecheck, PipelineArtifact};
+use enode_analysis::{affine, cost, lint_everything, schedcheck, PipelineArtifact};
 use enode_hw::config::HwConfig;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
@@ -342,20 +342,59 @@ fn fabricated_bench_speedup_fires_w084() {
     assert!(!ds.has_code(Code::W085CostFutileSplit), "{}", ds.render());
 }
 
+/// Lints a mutated policy through the one serving-policy pass against
+/// the committed cost table.
+fn lint_policy(p: &ServeConfig) -> enode_analysis::Diagnostics {
+    let table = schedcheck::shipped_table().expect("committed table parses");
+    schedcheck::lint_config(p, &table)
+}
+
+/// Every diagnostic of a run as `code` or `code(class)`, in order.
+fn verdicts(ds: &enode_analysis::Diagnostics) -> Vec<String> {
+    ds.items()
+        .iter()
+        .map(|d| match d.notes.iter().find(|(k, _)| k == "class") {
+            Some((_, class)) => format!("{}({class})", d.code.as_str()),
+            None => d.code.as_str().to_string(),
+        })
+        .collect()
+}
+
 #[test]
-fn shrunken_ingress_queue_fires_e071() {
-    // Mutation: grow the ingress queue 4x; a request admitted at the deep
-    // end now waits past the tightest deadline before it can dispatch.
+fn grown_ingress_queue_fires_e090_at_strict() {
+    // Mutation: grow the ingress queue 4x. A Strict request admitted at
+    // the deep end waits 8 tier-0 batches (8 × 6481µs) before the window
+    // and its own batch, past the 50ms floor at every tier; the cheaper
+    // classes still fit.
     let mut p = ServeConfig::edge_default();
     p.queue_capacity = 64;
-    let ds = servecheck::lint_config(&p);
+    let ds = lint_policy(&p);
+    assert_eq!(verdicts(&ds), ["E090(strict)"], "{}", ds.render());
+}
+
+#[test]
+fn held_batch_window_fires_e090_at_strict() {
+    // Mutation: hold an underfull batch for 40ms. Behind 2 Strict
+    // tier-0 batches of backlog even the cheapest tier's batch ends
+    // past the 50ms floor; nothing else may fire.
+    let mut p = ServeConfig::edge_default();
+    p.batch_window_us = 40_000;
+    let ds = lint_policy(&p);
+    assert_eq!(verdicts(&ds), ["E090(strict)"], "{}", ds.render());
+}
+
+#[test]
+fn mid_sized_queue_fires_w090_naming_the_first_fitting_tier() {
+    // Mutation: a queue of 56. Strict worst cases are 53848 / 49932 /
+    // 47816µs against the 50ms floor: tier 0 misses, tiers 1 and 2 fit.
+    // Not an error — but every deadline-floor Strict request is served
+    // degraded, and W090 says so, naming tier 1.
+    let mut p = ServeConfig::edge_default();
+    p.queue_capacity = 56;
+    let ds = lint_policy(&p);
+    assert_eq!(verdicts(&ds), ["W090(strict)"], "{}", ds.render());
     assert!(
-        ds.has_code(Code::E071ServeQueueStarvation),
-        "{}",
-        ds.render()
-    );
-    assert!(
-        !ds.has_code(Code::E070ServeWindowDeadline),
+        ds.items()[0].notes.contains(&("tier".into(), "1".into())),
         "{}",
         ds.render()
     );
@@ -363,17 +402,37 @@ fn shrunken_ingress_queue_fires_e071() {
 
 #[test]
 fn inverted_degradation_ladder_fires_e072() {
-    // Mutation: the second tier loosens less than the first — the walk
-    // can never reach it.
-    let mut p = ServeConfig::edge_default();
-    p.tiers[1].tolerance_scale = 0.5;
-    let ds = servecheck::lint_config(&p);
-    assert!(ds.has_code(Code::E072ServeTierOrdering), "{}", ds.render());
-    assert!(
-        !ds.has_code(Code::E071ServeQueueStarvation),
-        "{}",
-        ds.render()
-    );
+    // Mutation: the second tier loosens less than the first, the last
+    // one buys more trials — degrading costs more — or tier 0 itself is
+    // degraded. The ladder edit
+    // also breaks the table's fingerprint, so E093 rides along and stops
+    // every table-priced verdict.
+    let mut tighter = ServeConfig::edge_default();
+    tighter.tiers[1].tolerance_scale = 0.5;
+    let mut dearer = ServeConfig::edge_default();
+    dearer.tiers[2].max_trials = 128;
+    let mut degraded_top = ServeConfig::edge_default();
+    degraded_top.tiers[0].tolerance_scale = 4.0;
+    for p in [tighter, dearer, degraded_top] {
+        let ds = lint_policy(&p);
+        assert_eq!(verdicts(&ds), ["E072", "E093"], "{}", ds.render());
+    }
+}
+
+#[test]
+fn unreachable_or_uncovered_tier_fires_w071() {
+    // Mutation: tier 2's slack threshold equal to tier 1's (selection
+    // never reaches it, and the last tier now demands slack too), or a
+    // last tier demanding 500µs of slack (the thinnest-slack band falls
+    // through to no designed tier).
+    let mut unreachable = ServeConfig::edge_default();
+    unreachable.tiers[2].min_slack_us = unreachable.tiers[1].min_slack_us;
+    let ds = lint_policy(&unreachable);
+    assert_eq!(verdicts(&ds), ["W071", "W071", "E093"], "{}", ds.render());
+    let mut uncovered = ServeConfig::edge_default();
+    uncovered.tiers[2].min_slack_us = 500;
+    let ds = lint_policy(&uncovered);
+    assert_eq!(verdicts(&ds), ["W071", "E093"], "{}", ds.render());
 }
 
 #[test]
@@ -464,15 +523,14 @@ fn stale_table_version_fires_e093_and_short_circuits() {
 
 #[test]
 fn infeasible_design_load_fires_w070() {
-    // Mutation: a design rate no single worker pool can sustain.
+    // Mutation: a design rate no single worker can sustain — the peak is
+    // 8 requests per 6481µs Strict tier-0 batch, 1234.4 req/s. At that
+    // rate full-quality power also blows the 1200mW budget, so E096
+    // rides along.
     let mut p = ServeConfig::edge_default();
     p.design_rate_rps = 10_000.0;
-    let ds = servecheck::lint_config(&p);
-    assert!(
-        ds.has_code(Code::W070ServeDesignOverload),
-        "{}",
-        ds.render()
-    );
+    let ds = lint_policy(&p);
+    assert_eq!(verdicts(&ds), ["E096", "W070"], "{}", ds.render());
 }
 
 // ---- E10x concurrency-skeleton mutation seeds -------------------------
@@ -606,8 +664,7 @@ fn wait_starving_all_notifiers_fires_exactly_e106() {
 //
 // Each seed doctors the shipped fleet config or registry snapshot — a
 // deployment someone *could* write — and asserts exactly the pinned
-// fleet code fires through the public `lint_fleet` entry point. `ci.sh`
-// runs these four by name as the E11x discrimination gate.
+// fleet code fires through the public `lint_fleet` entry point.
 
 use enode_analysis::fleetcheck;
 use enode_hw::config::LayerDims;

@@ -157,9 +157,10 @@ pub struct PolicySweep {
     pub policy: ServeConfig,
     /// Relative deadline stamped on every request. The full sweep runs
     /// each policy at two deadlines: its design floor (`min_deadline_us`,
-    /// where lints E070/E071 prove nothing can be shed) and a tight 40%
-    /// of that floor — clients violating the envelope, which is what
-    /// forces the degradation ladder and load shedding to actually fire.
+    /// where lint E090 proves a request behind a full queue still meets
+    /// its deadline under `COST_TABLE.json`) and a tight 40% of that
+    /// floor — clients violating the envelope, which is what forces the
+    /// degradation ladder and load shedding to actually fire.
     pub deadline_us: u64,
     /// One result per (batch window, offered load) cell.
     pub rows: Vec<ServeRow>,
@@ -735,7 +736,7 @@ mod tests {
     fn static_feasibility_matches_the_simulation() {
         // The schedcheck verdict is an over-approximation of the simulated
         // run:
-        // if the backward demand pass proves every class feasible under
+        // if the response-time bound proves every class feasible under
         // COST_TABLE.json (no E09x on the shipped policies), the
         // discrete-event run at the design floor must meet every
         // deadline — nothing shed, nothing failed, p99 under the floor.

@@ -58,7 +58,7 @@ pub use fleet::{
 };
 pub use hwcost::{fingerprint, shipped_cost_table, table_spec, CostModel};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use policies::{ServeConfig, TierSpec};
+pub use policies::{LadderDefect, ServeConfig, TierSpec};
 pub use registry::{shipped_registry, ModelHandle, Registry, RegistrySnapshot, TenantBinding};
 pub use request::{Priority, Rejected, Request, Response, ServeResult, Ticket, ToleranceClass};
 pub use residency::{ResidencyManager, ResidentModel};

@@ -2,21 +2,26 @@
 //!
 //! A [`ServeConfig`] bundles everything the runtime needs (queue bound,
 //! batching knobs, degradation ladder) with the *design envelope* the
-//! deployment promises (offered load, worst-case service estimate,
-//! tightest admitted deadline). The envelope fields do not steer the
-//! runtime — they exist so `analysis::servecheck` can prove, before
-//! anything runs, that the policy is feasible: that a worst-case request
-//! can survive the batch window (E070), that the queue cannot starve at
-//! the declared load (E071), and that the degradation ladder really gets
-//! cheaper tier by tier (E072).
+//! deployment promises (offered load, tightest admitted deadline, energy
+//! and power budgets). The envelope fields do not steer the runtime —
+//! they exist so `analysis::schedcheck` can prove, before anything runs
+//! and against the simulator-calibrated `COST_TABLE.json`, that the
+//! policy is feasible: that a worst-case request — behind a full queue,
+//! held for the whole batch window — still meets the deadline floor at
+//! some tier (E090), that the declared load is serviceable (W070), and
+//! that the budgets hold (E092/E096). The ladder's own order
+//! ([`ServeConfig::check_ladder_order`]) is both a lint (E072) and a
+//! constructor precondition.
 
 use crate::request::ToleranceClass;
 use enode_node::inference::{SolveOverride, TableauKind};
+use std::fmt;
 
 /// One rung of the degradation ladder.
 ///
 /// Tier 0 must be the full-quality configuration (`tolerance_scale`
-/// 1.0); each later tier must be strictly cheaper (lint E072). At
+/// 1.0); each later tier must be strictly cheaper
+/// ([`ServeConfig::check_ladder_order`]). At
 /// dispatch the server picks the first tier whose `min_slack_us` fits
 /// the request's remaining deadline slack, falling through to the
 /// cheapest tier rather than rejecting.
@@ -64,8 +69,6 @@ pub struct ServeConfig {
     /// Design envelope: offered load the deployment promises to absorb
     /// (requests/s).
     pub design_rate_rps: f64,
-    /// Design envelope: worst-case tier-0 service time per batch (µs).
-    pub est_service_us: u64,
     /// Design envelope: the tightest relative deadline admitted (µs).
     pub min_deadline_us: u64,
     /// Design envelope: the per-request energy budget at full quality
@@ -84,8 +87,10 @@ impl ServeConfig {
     pub fn edge_default() -> Self {
         ServeConfig {
             name: "edge_default",
-            // 2 full batches of backlog drain in 30ms, inside the 50ms
-            // deadline floor (lint E071 proves this).
+            // 2 full batches of backlog: a Strict request behind them
+            // responds within 21.4ms in the worst case (backlog, window,
+            // its own batch; COST_TABLE.json), inside the 50ms deadline
+            // floor (lint E090 proves this).
             queue_capacity: 16,
             max_batch: 8,
             batch_window_us: 2_000,
@@ -111,7 +116,6 @@ impl ServeConfig {
             ],
             workers: 1,
             design_rate_rps: 200.0,
-            est_service_us: 15_000,
             min_deadline_us: 50_000,
             // Simulated tier-0 cost is ~1.19 mJ/request at batch 8
             // (COST_TABLE.json); the budget leaves ~2x headroom.
@@ -125,7 +129,8 @@ impl ServeConfig {
     pub fn streaming_keyword() -> Self {
         ServeConfig {
             name: "streaming_keyword",
-            // 2 batches of backlog drain in 8ms, inside the 12ms floor.
+            // 2 batches of backlog: a Strict worst case of 2.4ms
+            // (COST_TABLE.json), inside the 12ms floor (lint E090).
             queue_capacity: 8,
             max_batch: 4,
             batch_window_us: 0,
@@ -145,7 +150,6 @@ impl ServeConfig {
             ],
             workers: 1,
             design_rate_rps: 100.0,
-            est_service_us: 4_000,
             min_deadline_us: 12_000,
             // Always-on budget: ~0.3 mJ/request simulated at batch 4.
             energy_budget_uj: 800,
@@ -153,7 +157,7 @@ impl ServeConfig {
         }
     }
 
-    /// Every policy the repository ships (the set `analysis::servecheck`
+    /// Every policy the repository ships (the set `analysis::schedcheck`
     /// lints and `serve-bench` sweeps).
     pub fn shipped() -> Vec<ServeConfig> {
         vec![
@@ -172,44 +176,90 @@ impl ServeConfig {
             .unwrap_or(self.tiers.len() - 1)
     }
 
-    /// Structural validation (the runtime constructor calls this; the
-    /// deeper feasibility checks live in `analysis::servecheck`).
+    /// The ladder's order, the one rule both the constructor and lint
+    /// E072 enforce: tier 0 serves at the request's own tolerance (scale
+    /// 1.0), and each later tier is strictly cheaper than its predecessor
+    /// — a strictly larger tolerance scale and a trial budget no larger.
+    /// Returns the first defect, tier 0 first.
+    pub fn check_ladder_order(&self) -> Result<(), LadderDefect> {
+        let Some(top) = self.tiers.first() else {
+            return Err(LadderDefect::Empty);
+        };
+        if top.tolerance_scale != 1.0 {
+            return Err(LadderDefect::DegradedTop {
+                scale: top.tolerance_scale,
+            });
+        }
+        match self.tiers.windows(2).position(|w| {
+            !(w[1].tolerance_scale > w[0].tolerance_scale && w[1].max_trials <= w[0].max_trials)
+        }) {
+            Some(i) => Err(LadderDefect::NotCheaper { tier: i + 1 }),
+            None => Ok(()),
+        }
+    }
+
+    /// Structural validation (the runtime constructor calls this in
+    /// every build; the deadline, load and budget proofs live in
+    /// `analysis::schedcheck`).
     ///
     /// # Panics
     ///
-    /// Panics on an empty ladder, a zero queue/batch bound, or a tier 0
-    /// that is not full quality.
+    /// Panics on a zero queue/batch bound, a ladder out of order
+    /// ([`ServeConfig::check_ladder_order`]), a non-finite tolerance
+    /// scale, or a zero trial budget.
     pub fn validate(&self) {
         assert!(self.queue_capacity > 0, "queue capacity must be positive");
         assert!(self.max_batch > 0, "max batch must be positive");
-        assert!(!self.tiers.is_empty(), "need at least one serving tier");
-        assert!(
-            self.tiers[0].tolerance_scale == 1.0,
-            "tier 0 must serve at the request's own tolerance (scale 1.0)"
-        );
+        if let Err(defect) = self.check_ladder_order() {
+            panic!("{}: {defect} (lint E072)", self.name);
+        }
         for (i, t) in self.tiers.iter().enumerate() {
             assert!(
-                t.tolerance_scale >= 1.0 && t.tolerance_scale.is_finite(),
-                "tier {i}: tolerance scale must be finite and >= 1.0"
+                t.tolerance_scale.is_finite(),
+                "tier {i}: tolerance scale must be finite"
             );
             assert!(t.max_trials > 0, "tier {i}: trial budget must be positive");
         }
-        // Mirrors lint E072: each tier strictly cheaper than the last.
-        debug_assert!(
-            self.tiers
-                .windows(2)
-                .all(|w| w[1].tolerance_scale > w[0].tolerance_scale
-                    && w[1].max_trials <= w[0].max_trials),
-            "degradation tiers must get strictly cheaper (lint E072)"
-        );
-        // Mirrors lint E070: a worst-case request must survive the window.
-        debug_assert!(
-            self.batch_window_us + self.est_service_us <= self.min_deadline_us,
-            "batch window {}µs + service {}µs exceeds the tightest deadline {}µs (lint E070)",
-            self.batch_window_us,
-            self.est_service_us,
-            self.min_deadline_us
-        );
+    }
+}
+
+/// How a degradation ladder breaks the cheapest-last order
+/// ([`ServeConfig::check_ladder_order`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LadderDefect {
+    /// No tier at all: nothing can serve a request.
+    Empty,
+    /// Tier 0 scales the request's tolerance instead of serving at it.
+    DegradedTop {
+        /// Tier 0's tolerance scale (not 1.0).
+        scale: f64,
+    },
+    /// `tier` is not strictly cheaper than `tier - 1`: its tolerance
+    /// scale does not rise, or its trial budget rises.
+    NotCheaper {
+        /// The offending tier (≥ 1).
+        tier: usize,
+    },
+}
+
+impl fmt::Display for LadderDefect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LadderDefect::Empty => {
+                f.write_str("degradation ladder is empty: no tier can serve any request")
+            }
+            LadderDefect::DegradedTop { scale } => write!(
+                f,
+                "tier 0 scales the tolerance by {scale}, but tier 0 must serve at the \
+                 request's own tolerance (scale 1.0)"
+            ),
+            LadderDefect::NotCheaper { tier } => write!(
+                f,
+                "tier {tier} is not strictly cheaper than tier {}: degrading must coarsen \
+                 the tolerance and never raise the trial budget",
+                tier - 1
+            ),
+        }
     }
 }
 
@@ -249,5 +299,37 @@ mod tests {
         let mut p = ServeConfig::edge_default();
         p.tiers[0].tolerance_scale = 2.0;
         p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 2 is not strictly cheaper than tier 1")]
+    fn validate_rejects_a_ladder_that_gets_dearer() {
+        // A degraded tier with a larger trial budget than its
+        // predecessor: refused in release builds too.
+        let mut p = ServeConfig::edge_default();
+        p.tiers[2].max_trials = 128;
+        p.validate();
+    }
+
+    #[test]
+    fn ladder_order_names_the_first_defect() {
+        let mut p = ServeConfig::edge_default();
+        assert_eq!(p.check_ladder_order(), Ok(()));
+        p.tiers[1].tolerance_scale = 0.5;
+        p.tiers[2].max_trials = 128;
+        assert_eq!(
+            p.check_ladder_order(),
+            Err(LadderDefect::NotCheaper { tier: 1 })
+        );
+        p.tiers[0].tolerance_scale = 4.0;
+        assert_eq!(
+            p.check_ladder_order(),
+            Err(LadderDefect::DegradedTop { scale: 4.0 })
+        );
+        p.tiers.truncate(1);
+        p.tiers[0].tolerance_scale = 1.0;
+        assert_eq!(p.check_ladder_order(), Ok(()), "one tier is a ladder");
+        p.tiers.clear();
+        assert_eq!(p.check_ladder_order(), Err(LadderDefect::Empty));
     }
 }
