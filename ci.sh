@@ -31,8 +31,8 @@ ENODE_THREADS=4 cargo test -q -p enode-tensor --features sanitize
 echo "==> analysis mutation suite (planted defects must fire their exact codes)"
 cargo test -q -p enode-analysis --test mutations
 
-echo "==> serving runtime suite under a 4-lane pool (batcher determinism audit)"
-ENODE_THREADS=4 cargo test -q -p enode-serve
+echo "==> tensor + ODE suites in release (per-body SIMD tests against the optimized portable loops)"
+cargo test -q --release -p enode-tensor -p enode-ode
 
 echo "==> serve suite + sync-parity under the synctrace recorder (ENODE_THREADS=4)"
 ENODE_THREADS=4 cargo test -q -p enode-serve --features synctrace

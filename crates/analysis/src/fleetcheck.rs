@@ -38,6 +38,7 @@ use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use crate::schedcheck::ServiceModel;
 use enode_hw::mapping::per_core_weight_bytes;
 use enode_serve::fleet::FleetConfig;
+use enode_serve::policies::ServeConfig;
 use enode_serve::registry::version_fingerprint;
 
 /// A core must keep `1/HEADROOM_DENOM` of its weight buffer free after
@@ -409,12 +410,26 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
 
     // --- E112: every tenant's SLA must be coverable by some tier. A
     // tier covers the SLA when its admission threshold admits it and its
-    // worst-case response time at the tenant's class fits. Table
-    // provenance and integrity are schedcheck's to report (E093-E095): a
-    // policy the table cannot price is skipped here, not double-reported. ---
+    // worst-case response time at the tenant's class fits. Each live
+    // policy is priced once. Table provenance and integrity (E093-E095,
+    // W092) of a shipped policy are schedcheck's to report; schedcheck
+    // lints nothing else, so the resolver's findings on any other live
+    // policy are forwarded here. A policy the table cannot price gets no
+    // E112 verdict. ---
+    let shipped = ServeConfig::shipped();
+    let mut priced = Vec::new();
+    for (name, _) in &registry.published {
+        let policy = &registry.live(name).expect("published").policy;
+        let mut found = Diagnostics::new();
+        let model = ServiceModel::resolve(policy, table, &mut found);
+        if !shipped.contains(policy) {
+            ds.extend(found);
+        }
+        priced.push((name.as_str(), model));
+    }
     for b in &registry.tenants {
         let policy = &registry.live(&b.model).expect("E114 checked").policy;
-        let Some(model) = ServiceModel::resolve(policy, table, &mut Diagnostics::new()) else {
+        let Some((_, Some(model))) = priced.iter().find(|(name, _)| *name == b.model) else {
             continue;
         };
         let covered = policy.tiers.iter().enumerate().any(|(t, tier)| {

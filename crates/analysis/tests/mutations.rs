@@ -750,6 +750,35 @@ fn sub_window_sla_fires_exactly_e112() {
 }
 
 #[test]
+fn unpriced_republished_policy_fires_e093_instead_of_skipping_e112() {
+    // Mutation: republish the edge model with tier-2 `max_trials` 8 (a
+    // ladder the committed table was not swept for) and give vision_a a
+    // 100µs SLA. schedcheck lints only the shipped policies, so the table
+    // mismatch must surface here as E093 rather than let E112 skip the
+    // tenant in silence.
+    let mut cfg = FleetConfig::shipped();
+    let reg = Registry::from_snapshot(cfg.registry.clone());
+    let mut policy = ServeConfig::edge_default();
+    policy.tiers[2].max_trials = 8;
+    reg.publish("edge_default", policy);
+    cfg.registry = (*reg.snapshot()).clone();
+    for b in &mut cfg.registry.tenants {
+        if b.tenant == "vision_a" {
+            b.sla_deadline_us = 100;
+        }
+    }
+    let table = schedcheck::shipped_table().expect("committed table parses");
+    let ds = fleetcheck::lint_fleet(&cfg, &table);
+    let e093: Vec<_> = ds
+        .items()
+        .iter()
+        .filter(|d| d.code == Code::E093SchedTableVersion)
+        .collect();
+    assert_eq!(e093.len(), 1, "once per live model:\n{}", ds.render());
+    assert!(e093[0].subject.contains("edge_default"), "{}", ds.render());
+}
+
+#[test]
 fn tampered_registry_fingerprint_fires_exactly_e113() {
     // Mutation: hand-edit a published fingerprint. Every downstream
     // verdict would read a policy that is not the one published, so

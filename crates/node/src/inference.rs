@@ -456,7 +456,8 @@ fn solve_layer<R: Recorder<Tensor>>(
 ) -> Result<LayerStats, SolveError> {
     // Preflights mirroring the static lints (E062, E055): a violated
     // bound here means the artifact was never run through `enode-lint`.
-    debug_assert!(
+    // Enforced in every build: a few comparisons per layer.
+    assert!(
         opts.dt_min < opts.default_dt,
         "dt_min {} must be below default_dt {} (lint E062)",
         opts.dt_min,
@@ -465,13 +466,13 @@ fn solve_layer<R: Recorder<Tensor>>(
     // Runtime floor: the smallest positive f16 subnormal (2^-24). The
     // static E055 lint is stricter (it flags the degraded-precision
     // subnormal range too); below 2^-24 the comparison is simply void.
-    debug_assert!(
+    assert!(
         !opts.fp16_storage || opts.tolerance >= (-24.0f64).exp2(),
         "tolerance {} is unrepresentable in f16 state (lint E055)",
         opts.tolerance
     );
     let (t0, t1) = t_span;
-    debug_assert!(
+    assert!(
         t0.is_finite() && t1.is_finite() && t1 > t0,
         "integration span must be finite and increasing, got ({t0}, {t1})"
     );
@@ -537,6 +538,12 @@ fn layer_error(e: SolveError, layer: usize) -> NodeError {
 /// budget, or a non-finite state — including a non-finite `y0`, which is
 /// refused before any evaluation (`layer` is reported as 0;
 /// [`forward_model`] rewrites it).
+///
+/// # Panics
+///
+/// Panics if `opts.dt_min` is not below `opts.default_dt` (lint `E062`),
+/// an FP16-stored solve's tolerance is below 2⁻²⁴ (lint `E055`), or the
+/// span is not finite and increasing.
 pub fn forward_layer(
     f: &Network,
     y0: &Tensor,
@@ -591,6 +598,10 @@ fn integrate<R: Recorder<Tensor>>(
 ///
 /// Returns [`NodeError`] identifying the failing layer; a non-finite
 /// input fails layer 0 with [`NodeError::NonFiniteState`].
+///
+/// # Panics
+///
+/// Panics as [`forward_layer`] does on options or a span it refuses.
 pub fn forward_model(
     model: &NodeModel,
     x: &Tensor,
@@ -650,6 +661,37 @@ mod tests {
         let w = Tensor::from_vec(vec![-1.0], &[1, 1]);
         let b = Tensor::zeros(&[1]);
         Network::new(vec![Op::dense(Dense::from_parts(w, b))])
+    }
+
+    #[test]
+    #[should_panic(expected = "lint E062")]
+    fn dt_min_at_or_above_default_dt_is_refused() {
+        let mut opts = NodeSolveOptions::new(1e-4);
+        opts.dt_min = opts.default_dt;
+        let y0 = Tensor::from_vec(vec![1.0], &[1, 1]);
+        let _ = forward_layer(&decay_network(), &y0, (0.0, 1.0), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "lint E055")]
+    fn fp16_tolerance_below_the_smallest_subnormal_is_refused() {
+        let opts = NodeSolveOptions::new(1e-9).with_fp16_storage();
+        let y0 = Tensor::from_vec(vec![1.0], &[1, 1]);
+        let _ = forward_layer(&decay_network(), &y0, (0.0, 1.0), &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and increasing")]
+    fn non_finite_span_is_refused() {
+        // Unchecked, a NaN end skips the search loop and returns the
+        // input unchanged with zero evaluations.
+        let y0 = Tensor::from_vec(vec![1.0], &[1, 1]);
+        let _ = forward_layer(
+            &decay_network(),
+            &y0,
+            (0.0, f64::NAN),
+            &NodeSolveOptions::new(1e-4),
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl<S: StateOps> StepOutcome<S> {
 ///
 /// # Panics
 ///
-/// Panics if `h` is not positive and finite.
+/// Panics if `h` is not positive and finite, or `t` is not finite.
 pub fn rk_step<S: StateOps>(
     tableau: &ButcherTableau,
     f: &mut impl FnMut(f64, &S) -> S,

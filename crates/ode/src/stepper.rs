@@ -80,7 +80,8 @@ impl<S: Clone> Recorder<S> for Vec<EvalPoint<S>> {
 }
 
 /// Writes the partial state `p ← y + Σ_{j<i} (h·a_ij)·k_j` of stage `i`
-/// into `p`. `stages` must hold at least `k_0..k_{i−1}`.
+/// into `p` in one pass, and returns true when it is finite. `stages` must
+/// hold at least `k_0..k_{i−1}`.
 pub fn stage_input<S: StateOps>(
     tableau: &ButcherTableau,
     i: usize,
@@ -88,34 +89,8 @@ pub fn stage_input<S: StateOps>(
     y: &S,
     stages: &[S],
     p: &mut S,
-) {
-    combine(p, Some(y), h, &tableau.a()[i], stages);
-}
-
-/// The Runge–Kutta linear combination, the one place it is written:
-/// `out ← base + Σ_j (h·c_j)·k_j` — a copy of `base`, then one `axpy` per
-/// nonzero `c_j` in ascending `j` — or, with no base,
-/// `out ← k_f·(h·c_f) + Σ_{j>f} (h·c_j)·k_j` from the first nonzero `c_f`
-/// (zero when every `c_j` is zero). `coeffs` pairs with the leading
-/// `terms`.
-fn combine<S: StateOps>(out: &mut S, base: Option<&S>, h: f64, coeffs: &[f64], terms: &[S]) {
-    let mut nonzero = coeffs.iter().zip(terms).filter(|(&c, _)| c != 0.0);
-    match base {
-        Some(b) => out.copy_from(b),
-        None => match nonzero.next() {
-            Some((&c, k)) => {
-                out.copy_from(k);
-                out.scale_mut(h * c);
-            }
-            None => {
-                *out = out.zeros_like();
-                return;
-            }
-        },
-    }
-    for (&c, k) in nonzero {
-        out.axpy(h * c, k);
-    }
+) -> bool {
+    p.lincomb(Some(y), h, &tableau.a()[i], stages)
 }
 
 /// The stepping core: one solve's buffers and its RK arithmetic.
@@ -127,6 +102,12 @@ fn combine<S: StateOps>(out: &mut S, base: Option<&S>, h: f64, coeffs: &[f64], t
 /// `k₁ = f(t, y)` does not depend on the stepsize: the stepper keeps it
 /// across rejected trials of one point, and an FSAL tableau's last stage
 /// becomes the next point's `k₁` when a trial is accepted.
+///
+/// Each stage input, the candidate and the error is one
+/// [`StateOps::lincomb`] pass. When the tableau's last `a` row is `b`
+/// ([`ButcherTableau::last_stage_input_is_candidate`]: RK23, Dopri5), the
+/// last stage input is written into the candidate buffer and *is* the
+/// candidate, so the trial makes no candidate pass of its own.
 #[derive(Debug)]
 pub struct Stepper<'t, S> {
     tableau: &'t ButcherTableau,
@@ -134,6 +115,12 @@ pub struct Stepper<'t, S> {
     partial: S,
     candidate: S,
     error: S,
+    /// The last stage input is the candidate (computed once, on the
+    /// tableau).
+    candidate_is_last_input: bool,
+    /// Every element of the last trial's candidate is finite (scanned in
+    /// the pass that wrote it).
+    candidate_finite: bool,
     /// `stages[0]` holds `f(t, y)` for the state the next trial starts from.
     k1_ready: bool,
     /// Applied to every accepted state (storage precision).
@@ -149,6 +136,8 @@ impl<'t, S: StateOps> Stepper<'t, S> {
             partial: like.zeros_like(),
             candidate: like.zeros_like(),
             error: like.zeros_like(),
+            candidate_is_last_input: tableau.last_stage_input_is_candidate(),
+            candidate_finite: true,
             k1_ready: false,
             round: None,
         }
@@ -180,18 +169,16 @@ impl<'t, S: StateOps> Stepper<'t, S> {
     ///
     /// # Panics
     ///
-    /// Panics if `h` is not positive and finite.
+    /// Panics if `h` is not positive and finite, or `t` is not finite.
     pub fn trial(&mut self, f: &mut impl FnMut(f64, &S, &mut S), t: f64, h: f64, y: &S) -> usize {
         let nfe = self.eval_stages(f, t, h, y);
-        combine(
-            &mut self.candidate,
-            Some(y),
-            h,
-            self.tableau.b(),
-            &self.stages,
-        );
+        if !self.candidate_is_last_input {
+            self.candidate_finite =
+                self.candidate
+                    .lincomb(Some(y), h, self.tableau.b(), &self.stages);
+        }
         if let Some(d) = self.tableau.error_weights() {
-            combine(&mut self.error, None, h, d, &self.stages);
+            self.error.lincomb(None, h, d, &self.stages);
         }
         nfe
     }
@@ -289,7 +276,7 @@ impl<'t, S: StateOps> Stepper<'t, S> {
                     return Err(SolveError::StepsizeUnderflow);
                 }
                 stats.nfe += self.trial(f, t, dt, y);
-                if !self.candidate.is_finite() {
+                if !self.candidate_finite {
                     return Err(SolveError::NonFiniteState);
                 }
                 let err = norm.decide(&self.error, trials, limits.tolerance);
@@ -322,7 +309,7 @@ impl<'t, S: StateOps> Stepper<'t, S> {
             h > 0.0 && h.is_finite(),
             "stepsize must be positive, got {h}"
         );
-        debug_assert!(t.is_finite(), "integration time must be finite, got {t}");
+        assert!(t.is_finite(), "integration time must be finite, got {t}");
         let tab = self.tableau;
         let mut nfe = 0;
         if !self.k1_ready {
@@ -331,10 +318,20 @@ impl<'t, S: StateOps> Stepper<'t, S> {
             nfe += 1;
             self.k1_ready = true;
         }
+        let last = tab.stages() - 1;
         for i in 1..tab.stages() {
             let (done, rest) = self.stages.split_at_mut(i);
-            stage_input(tab, i, h, y, done, &mut self.partial);
-            f(t + tab.c()[i] * h, &self.partial, &mut rest[0]);
+            let into_candidate = i == last && self.candidate_is_last_input;
+            let p = if into_candidate {
+                &mut self.candidate
+            } else {
+                &mut self.partial
+            };
+            let finite = stage_input(tab, i, h, y, done, p);
+            if into_candidate {
+                self.candidate_finite = finite;
+            }
+            f(t + tab.c()[i] * h, p, &mut rest[0]);
             nfe += 1;
         }
         nfe
@@ -392,6 +389,14 @@ mod tests {
         // stage: 3 per trial.
         assert_eq!(stats.nfe, 1 + 3 * stats.total_trials());
         assert!((y[0] - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "integration time must be finite")]
+    fn non_finite_time_is_refused() {
+        let tab = ButcherTableau::rk23_bogacki_shampine();
+        let mut stepper = Stepper::new(&tab, &vec![1.0]);
+        stepper.trial(&mut decay(), f64::NAN, 0.1, &vec![1.0]);
     }
 
     #[test]

@@ -386,6 +386,19 @@ impl ButcherTableau {
         self.err.as_deref()
     }
 
+    /// True when the last stage's input row equals the solution weights
+    /// exactly (`a_{s−1,j} = b_j` for `j < s−1` and `b_{s−1} = 0`, as `f64`
+    /// equality): the last stage input `y + Σ_j (h·a_{s−1,j})·k_j` is then
+    /// the candidate `y + Σ_j (h·b_j)·k_j` bit for bit. True for RK23 and
+    /// Dopri5; false for Heun–Euler, RKF45, Cash–Karp and the fixed-step
+    /// methods.
+    pub fn last_stage_input_is_candidate(&self) -> bool {
+        match (self.a.last(), self.b.split_last()) {
+            (Some(row), Some((&last, rest))) => last == 0.0 && row[..] == *rest,
+            _ => false,
+        }
+    }
+
     /// Order of the advancing solution.
     pub fn order(&self) -> u32 {
         self.order
@@ -486,6 +499,14 @@ mod tests {
         // from_coefficients panics on inconsistency; constructing is the test.
         let tabs = all_tableaux();
         assert_eq!(tabs.len(), 8);
+    }
+
+    #[test]
+    fn last_stage_input_is_the_candidate_exactly_for_rk23_and_dopri5() {
+        for t in all_tableaux() {
+            let want = matches!(t.name(), "rk23" | "dopri5");
+            assert_eq!(t.last_stage_input_is_candidate(), want, "{}", t.name());
+        }
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod dense;
 pub mod f16;
 pub mod gradcheck;
 pub mod init;
+pub mod lincomb;
 pub mod matmul;
 pub mod network;
 pub mod norm;

@@ -3,12 +3,13 @@
 //! The workspace compiles against the baseline x86-64 target (SSE2), so
 //! the autovectorizer can never emit wider vectors no matter how the
 //! loops are written. The hot microkernels ([`crate::matmul`],
-//! [`crate::norm`], [`crate::conv`]) therefore carry explicit
-//! `std::arch` AVX bodies behind the runtime checks here, falling back to
-//! the portable loops elsewhere. The conv forward also has an AVX-512F
-//! body (16-wide row blocks, one per register) behind [`avx512f`],
-//! stamped from the same source as its AVX body. The host's ISA alone
-//! picks the body: there is no option or environment variable.
+//! [`crate::norm`], [`crate::conv`], [`crate::lincomb`]) therefore carry
+//! explicit `std::arch` AVX bodies behind the runtime checks here,
+//! falling back to the portable loops elsewhere. Two kernels also have an
+//! AVX-512F body (16-wide blocks, one per register) behind [`avx512f`],
+//! each stamped by one macro from the same source as its AVX body: the
+//! conv forward and the Runge–Kutta linear combination. The host's ISA
+//! alone picks the body: there is no option or environment variable.
 //!
 //! # Determinism
 //!
@@ -38,7 +39,8 @@ pub(crate) fn avx() -> bool {
 }
 
 /// True when the host supports AVX-512F (512-bit float vectors), cached
-/// like [`avx`]. Only the conv forward has a 16-wide body.
+/// like [`avx`]. The conv forward and the Runge–Kutta linear combination
+/// have 16-wide bodies.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn avx512f() -> bool {

@@ -11,6 +11,10 @@
 //! * `solve_adaptive` and `solve_fixed` on Lotka–Volterra and van der Pol.
 //!   Hashed: every point's `t`, `dt`, `y`, `dy` and trial count, and the
 //!   accepted/rejected counts.
+//! * `forward_layer` under every embedded-pair tableau × {conventional,
+//!   classic} on states of 15 and 75 elements. Every other pin integrates
+//!   a state whose length is a multiple of 8 (or is 2), so only this one
+//!   runs the stage arithmetic's vector bodies followed by a scalar tail.
 //!
 //! `solve_adaptive`'s function-evaluation count is hashed on its own: it
 //! reuses `k₁ = f(t, y)` after a rejected trial (the value cannot depend
@@ -25,7 +29,7 @@ use enode::ode::controller::{
 };
 use enode::ode::solver::{solve_adaptive, solve_fixed, AdaptiveOptions, Solution};
 use enode::prelude::*;
-use enode::tensor::init;
+use enode::tensor::{init, parallel};
 
 fn write_tensor(h: &mut Fnv64, t: &Tensor) {
     for v in t.data() {
@@ -113,6 +117,40 @@ fn layer_digest() -> String {
     h.hex()
 }
 
+/// Digest of `forward_layer` on states whose length is not a multiple
+/// of 8: a `[5, 3]` dynamic-system state (15 elements) and a `[1, 3, 5, 5]`
+/// image state (75 elements).
+fn tail_digest() -> String {
+    let dynsys = NodeModel::dynamic_system(3, 16, 1, 7);
+    let image = NodeModel::image_classifier_normed(3, 2, 1, 10, 1, 7);
+    let cases = [
+        (
+            &dynsys.layers()[0],
+            init::uniform(&[5, 3], -1.0, 1.0, 41),
+            1e-4,
+        ),
+        (
+            &image.layers()[0],
+            init::uniform(&[1, 3, 5, 5], -1.0, 1.0, 42),
+            1e-3,
+        ),
+    ];
+    let mut h = Fnv64::new();
+    for (f, y0, tol) in &cases {
+        for controller in [CONTROLLERS[0], CONTROLLERS[2]] {
+            for tableau in TABLEAUX {
+                let opts = NodeSolveOptions::new(*tol)
+                    .with_default_dt(0.5)
+                    .with_controller(controller)
+                    .with_tableau(tableau);
+                let (y, trace) = forward_layer(f, y0, (0.0, 1.0), &opts).expect("layer solve");
+                write_layer(&mut h, &y, &trace);
+            }
+        }
+    }
+    h.hex()
+}
+
 fn lotka_volterra() -> impl Fn(f64, &Vec<f64>) -> Vec<f64> {
     |_t, y| vec![1.5 * y[0] - y[0] * y[1], y[0] * y[1] - 3.0 * y[1]]
 }
@@ -194,6 +232,14 @@ fn solver_digests() -> (String, String) {
 #[test]
 fn forward_layer_matches_the_pinned_digest() {
     assert_eq!(layer_digest(), "a2ea65326c23a002");
+}
+
+#[test]
+fn forward_layer_on_odd_lengths_matches_the_pinned_digest_at_every_pool_width() {
+    for threads in [1usize, 4] {
+        let digest = parallel::with_threads(threads, tail_digest);
+        assert_eq!(digest, "74f35d32f3083fe3", "pool width {threads}");
+    }
 }
 
 #[test]
