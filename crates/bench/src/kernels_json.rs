@@ -1,8 +1,8 @@
 //! The machine-readable kernel benchmark baseline (`BENCH_kernels.json`).
 //!
 //! Measures wall-time for the workspace's hot kernels — conv2d
-//! forward/input-grad/weight-grad (the weight gradient also at four
-//! channels), a dense layer, GroupNorm forward and backward, the tanh
+//! forward/input-grad/weight-grad (also at the training shape, four
+//! channels of 8×8), a dense layer, GroupNorm forward and backward, the tanh
 //! backward, one fixed-step RKF45 solve, batched NODE inference, and one
 //! `run_bench` inference — at 1 thread and at [`THREADS_HIGH`] threads,
 //! plus the pre-PR serial conv forward as a regression referent. The
@@ -169,12 +169,32 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         }),
     );
 
-    // The weight gradient at the training model's four channels, where
-    // the batch split packs two samples per vector (the m = 8 row above
-    // never does).
+    // All three passes at the training shape (8 × 4×8×8): 8-pixel rows,
+    // which only the 8-wide conv bodies take, and four channels, where the
+    // weight gradient's batch split packs four samples per vector with
+    // AVX-512F and two with AVX (the m = 8 rows above pack two with
+    // AVX-512F and one with AVX).
     let conv4 = Conv2d::new_seeded(4, 4, 3, 9);
     let x4 = init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 10);
     let dy4 = init::uniform(&[8, 4, 8, 8], -1.0, 1.0, 11);
+    push_vs(
+        "conv2d_forward_c4_b8",
+        &mut || {
+            std::hint::black_box(conv4.forward(&x4));
+        },
+        Some(&mut || {
+            std::hint::black_box(referent::conv2d_forward_ref(&conv4, &x4, &mut ref_cols));
+        }),
+    );
+    push_vs(
+        "conv2d_backward_input_c4_b8",
+        &mut || {
+            std::hint::black_box(conv4.backward_input(&dy4));
+        },
+        Some(&mut || {
+            std::hint::black_box(referent::conv2d_backward_input_ref(&conv4, &dy4));
+        }),
+    );
     push_vs(
         "conv2d_backward_params_c4_b8",
         &mut || {

@@ -7,11 +7,12 @@
 //!
 //! - Conv: a shape matrix that crosses 8-aligned and ragged map widths,
 //!   1/3/5 kernels, output-channel counts on both sides of the 8-lane
-//!   group and of the 4-channel limit for packing two samples per vector,
-//!   and both decompositions (batch 8 against batches 1–3 under a wider
-//!   pool; batch 3 packs one pair and runs its odd sample alone). `dy`
-//!   carries exact `0.0` and `-0.0` entries and one all-`-0.0` channel, so
-//!   the sign-of-zero arguments behind the bitwise claim are exercised.
+//!   group and of the 2-, 4- and 8-channel limits for packing 4 or 2
+//!   samples per vector, and both decompositions (batch 8 against batches
+//!   1–3 under a wider pool; batch 3 packs one pair and runs its odd
+//!   sample alone). `dy` carries exact `0.0` and `-0.0` entries and one
+//!   all-`-0.0` channel, so the sign-of-zero arguments behind the bitwise
+//!   claim are exercised.
 //!   Weights are finite: the input gradient's border taps add `0·w`, which
 //!   is a bitwise no-op only for finite `w`, as in the forward kernel.
 //! - GroupNorm: batches 1–8, groupings of one to four channels per group,

@@ -171,14 +171,21 @@ impl<'t, S: StateOps> Stepper<'t, S> {
     ///
     /// Panics if `h` is not positive and finite, or `t` is not finite.
     pub fn trial(&mut self, f: &mut impl FnMut(f64, &S, &mut S), t: f64, h: f64, y: &S) -> usize {
+        let nfe = self.advance(f, t, h, y);
+        if let Some(d) = self.tableau.error_weights() {
+            self.error.lincomb(None, h, d, &self.stages);
+        }
+        nfe
+    }
+
+    /// The stages and the candidate of one trial, without the error state
+    /// (which only a stepsize decision reads).
+    fn advance(&mut self, f: &mut impl FnMut(f64, &S, &mut S), t: f64, h: f64, y: &S) -> usize {
         let nfe = self.eval_stages(f, t, h, y);
         if !self.candidate_is_last_input {
             self.candidate_finite =
                 self.candidate
                     .lincomb(Some(y), h, self.tableau.b(), &self.stages);
-        }
-        if let Some(d) = self.tableau.error_weights() {
-            self.error.lincomb(None, h, d, &self.stages);
         }
         nfe
     }
@@ -198,7 +205,8 @@ impl<'t, S: StateOps> Stepper<'t, S> {
     }
 
     /// Integrates `y` over `n_steps` equal steps of `h` from `t0` (no
-    /// stepsize search), recording every point.
+    /// stepsize search), recording every point. No error state is formed:
+    /// an embedded pair's error buffer is left as it was.
     pub fn fixed(
         &mut self,
         f: &mut impl FnMut(f64, &S, &mut S),
@@ -212,7 +220,7 @@ impl<'t, S: StateOps> Stepper<'t, S> {
         let mut t = t0;
         let mut nfe = 0;
         for _ in 0..n_steps {
-            nfe += self.trial(f, t, h.abs(), y);
+            nfe += self.advance(f, t, h.abs(), y);
             self.accept(y);
             t += h;
             rec.record(self.point(t, h, 1, y));
@@ -389,6 +397,23 @@ mod tests {
         // stage: 3 per trial.
         assert_eq!(stats.nfe, 1 + 3 * stats.total_trials());
         assert!((y[0] - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fixed_steps_leave_the_error_state_unwritten() {
+        // `fixed` never reads the embedded pair's error, so it must not
+        // spend a pass forming it: the buffer stays as allocated.
+        let tab = ButcherTableau::rk23_bogacki_shampine();
+        let mut stepper = Stepper::new(&tab, &vec![1.0, 2.0]);
+        let mut y = vec![1.0, 2.0];
+        let f = &mut |_t: f64, y: &Vec<f64>, out: &mut Vec<f64>| {
+            out[0] = -y[0];
+            out[1] = -2.0 * y[1];
+        };
+        let stats = stepper.fixed(f, 0.0, 0.1, 5, &mut y, &mut ());
+        assert_eq!(stats.nfe, 1 + 3 * 5);
+        let (_, _, error) = stepper.into_parts();
+        assert!(error.iter().all(|e| e.to_bits() == 0), "{error:?}");
     }
 
     #[test]

@@ -16,20 +16,24 @@
 //! output (forward, weight-grad) or input (input-grad) channels otherwise —
 //! the same two axes the eNODE PE array unrolls. All three are direct
 //! register-blocked kernels over a zero-padded arena copy of each sample
-//! (`pad_sample`), each with an AVX body behind `crate::simd` that
-//! transcribes its portable body lane for lane:
+//! (`pad_sample`), each with an AVX and an AVX-512F body behind
+//! `crate::simd`, stamped by one macro per kernel, that transcribe its
+//! portable body lane for lane:
 //!
 //! - forward (`conv_direct_rows`): taps in `(c, kh, kw)` order over the
-//!   padded `x`, 8-wide blocks (16-wide with AVX-512F) along each output
-//!   row, each pass holding 4 output channels × 2 blocks so one input load
-//!   feeds four channels;
+//!   padded `x`, 8-wide blocks (16-wide with AVX-512F on rows of whole
+//!   16-pixel blocks) along each output row, each pass holding 4 output
+//!   channels × 2 blocks so one input load feeds four channels;
 //! - input gradient (`conv_input_grad_rows`): the forward's taps flipped
-//!   over the padded `dy`, one partial per output channel, four 8-wide
-//!   blocks of one `dx` channel per pass;
-//! - weight gradient (`conv_weight_grad_rows`): 8-wide lanes across
-//!   output channels over the padded `x` and `dy` transposed to
-//!   `[H·W][M rounded up to 8]`, one chain per `(m, tap)` over pixels; at
-//!   `M ≤ 4` the batch split packs two samples per vector.
+//!   over the padded `dy`, blocked the same way across 4 input channels ×
+//!   2 blocks so one `dy` load feeds four `dx` channels, one partial per
+//!   output channel;
+//! - weight gradient (`conv_weight_grad_rows`): lanes across output
+//!   channels (16 with AVX-512F, else 8) over the padded `x` and `dy`
+//!   transposed to `[H·W][M rounded up to a vector]`, one chain per
+//!   `(m, tap)` over pixels, passes of up to 8 live taps; when a sample's
+//!   channels fill at most half a vector the batch split packs 2 or 4
+//!   samples per vector (4 at `M ≤ 4` with AVX-512F).
 //!
 //! Forward and weight-gradient border taps multiply the zeros an im2col
 //! lowering would have stored, so those chains are the lowering's exactly.
@@ -441,21 +445,25 @@ impl Conv2d {
     /// `dy = ∂L/∂y`, returns `(dW, db)`.
     ///
     /// Per sample, `x` is zero-padded and `dy` transposed to
-    /// `[H·W][M rounded up to 8]` in arena scratch, and a direct kernel
-    /// (`conv_weight_grad_rows`) runs 8-wide lanes across output channels:
-    /// each lane of tap `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
+    /// `[H·W][M rounded up to a vector]` in arena scratch, and a direct
+    /// kernel (`conv_weight_grad_rows`) runs its lanes across output
+    /// channels (16 with AVX-512F, else 8): each lane of tap
+    /// `q = (c·K + kh)·K + kw` is the chain from `+0.0` of
     /// `dy[m, p]·x_q[p]` over pixels `p` in row-major order, border zeros
     /// included — the im2col lowering's `dW[m, q] = Σ_p dy[m, p]·cols[q, p]`
     /// chain, element for element, without materializing the columns.
     ///
-    /// When a sample's channels fill at most half the lanes (`M ≤ 4`), the
-    /// batch split packs two samples per vector: lanes are channel-major
-    /// (`m0·s0, m0·s1, m1·s0, …`), the pair's `x` is interleaved in one
-    /// padded plane so a 64-bit broadcast feeds both halves, and an odd
-    /// last sample of a chunk runs alone. Each lane is still one sample's
-    /// `(m, tap)` chain in the same order, so packing changes no bit. The
-    /// batch reduction combines per-sample partials in sample order (a
-    /// fixed tree), so the result does not depend on the thread count.
+    /// When a sample's channels fill at most half a vector, the batch split
+    /// packs [`grad_samples_per_vector`] samples into one (with AVX-512F
+    /// four at `M ≤ 4` and two at `M ≤ 8`; with AVX two at `M ≤ 4` and four
+    /// at `M ≤ 2`): lanes are channel-major
+    /// (`m0·s0, m0·s1, …, m1·s0, …`), the pack's `x` is interleaved in one
+    /// padded plane so a 64- or 128-bit broadcast feeds every sample, and a
+    /// chunk's last samples run as a smaller pack. Each lane is still one
+    /// sample's `(m, tap)` chain in the same order, so packing changes no
+    /// bit. The batch reduction combines per-sample partials in sample
+    /// order (a fixed tree), so the result does not depend on the thread
+    /// count.
     pub fn backward_params(&self, x: &Tensor, dy: &Tensor) -> (Tensor, Tensor) {
         let _kernel = sanitize::kernel_scope("conv2d.backward_params");
         let (n, c, h, w) = x.shape_obj().nchw();
@@ -480,13 +488,23 @@ impl Conv2d {
                 parallel::parallel_for_disjoint(partials, n, 1, |range, slab| {
                     parallel::with_scratch_f32(spv * xpad_len, |xpad| {
                         parallel::with_scratch_f32(dyt_len, |dyt| {
-                            let chunks = slab.chunks_mut(spv * psize);
-                            for (ni, parts) in range.step_by(spv).zip(chunks) {
-                                if parts.len() == 2 * psize {
-                                    self.param_partials::<2>(x, dy, ni, parts, xpad, dyt);
-                                } else {
-                                    self.param_partials::<1>(x, dy, ni, parts, xpad, dyt);
+                            // Packs of `spv` samples, then a chunk's last
+                            // `< spv` samples as a pair and a single.
+                            let (mut ni, mut rest) = (range.start, slab);
+                            while ni < range.end {
+                                let pack = match (range.end - ni).min(spv) {
+                                    4 => 4,
+                                    2 | 3 => 2,
+                                    _ => 1,
+                                };
+                                let parts;
+                                (parts, rest) = rest.split_at_mut(pack * psize);
+                                match pack {
+                                    4 => self.param_partials::<4>(x, dy, ni, parts, xpad, dyt),
+                                    2 => self.param_partials::<2>(x, dy, ni, parts, xpad, dyt),
+                                    _ => self.param_partials::<1>(x, dy, ni, parts, xpad, dyt),
                                 }
+                                ni += pack;
                             }
                         });
                     });
@@ -611,11 +629,11 @@ fn im2col(x: &Tensor, ni: usize, k: usize, cols: &mut [f32]) {
 
 /// Zero-pads samples `ni..ni + spv` of `x` into
 /// `dst = [C][H+2·pad][W+2·pad][spv]`, the samples interleaved per
-/// position: `spv = 1` is the plain padded plane, `spv = 2` the paired
-/// plane of the packed weight-gradient kernel, whose 64-bit broadcast
-/// reads both samples' values at once. The whole plane is cleared first
-/// (arena scratch is reused dirty), then each input row is copied into
-/// the interior.
+/// position: `spv = 1` is the plain padded plane, `spv = 2` or `4` the
+/// packed plane of the weight-gradient kernel, whose 64- or 128-bit
+/// broadcast reads every sample's value at once. The whole plane is
+/// cleared first (arena scratch is reused dirty), then each input row is
+/// copied (or interleaved, see [`interleave_rows`]) into the interior.
 fn pad_sample(x: &Tensor, ni: usize, spv: usize, pad: usize, dst: &mut [f32]) {
     let (_, c, h, w) = x.shape_obj().nchw();
     pad_planes(x.data(), (c, h, w), ni, spv, pad, dst);
@@ -637,25 +655,120 @@ fn pad_planes(
     dst.fill(0.0);
     for ci in 0..c {
         let dch = &mut dst[ci * ph * pw * spv..(ci + 1) * ph * pw * spv];
-        for ih in 0..h {
-            let base = ((ih + pad) * pw + pad) * spv;
-            let drow = &mut dch[base..base + w * spv];
-            let xrow = |s: usize| &xdata[(((ni + s) * c + ci) * h + ih) * w..][..w];
-            match spv {
-                1 => drow.copy_from_slice(xrow(0)),
-                2 => {
-                    for (d, (&a, &b)) in drow.chunks_exact_mut(2).zip(xrow(0).iter().zip(xrow(1))) {
-                        d.copy_from_slice(&[a, b]);
-                    }
-                }
-                _ => unreachable!("one or two samples per vector"),
+        if spv == 1 {
+            for ih in 0..h {
+                let base = (ih + pad) * pw + pad;
+                let xrow = &xdata[((ni * c + ci) * h + ih) * w..][..w];
+                dch[base..base + w].copy_from_slice(xrow);
+            }
+            continue;
+        }
+        // Row `ih` of every sample lands at padded row `ih + pad`, column
+        // `pad`, interleaved.
+        let interior = &mut dch[(pad * pw + pad) * spv..];
+        let plane = |s: usize| &xdata[((ni + s) * c + ci) * h * w..][..h * w];
+        match spv {
+            2 => interleave_rows::<2>(std::array::from_fn(plane), w, interior, pw * 2),
+            4 => interleave_rows::<4>(std::array::from_fn(plane), w, interior, pw * 4),
+            _ => unreachable!("one, two or four samples per vector"),
+        }
+    }
+}
+
+/// Interleaves `S` planes of rows of `w` floats (`S` = 2 or 4) into
+/// `dst`, whose row `r` starts at `r·stride`:
+/// `dst[r·stride + p·S + s] = planes[s][r·w + p]`. With AVX, whole
+/// 8-pixel runs move through unpack, shuffle and 128-bit permute
+/// registers, and the last `w mod 8` pixels of each row scalar.
+fn interleave_rows<const S: usize>(planes: [&[f32]; S], w: usize, dst: &mut [f32], stride: usize) {
+    let rows = planes[0].len() / w.max(1);
+    assert!(planes.iter().all(|p| p.len() == rows * w) && stride >= w * S);
+    assert!(rows == 0 || dst.len() >= (rows - 1) * stride + w * S);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX is present (runtime check); every plane holds `rows`
+        // rows of `w` floats and `dst` reaches `w·S` floats past its last
+        // row start, as asserted above.
+        let done = unsafe { interleave_runs_avx::<S>(planes, w, rows, dst, stride) };
+        interleave_pixels(planes, w, done..w, dst, stride);
+        return;
+    }
+    interleave_pixels(planes, w, 0..w, dst, stride);
+}
+
+/// Portable body of [`interleave_rows`] over the columns `cols` of every
+/// row.
+fn interleave_pixels<const S: usize>(
+    planes: [&[f32]; S],
+    w: usize,
+    cols: std::ops::Range<usize>,
+    dst: &mut [f32],
+    stride: usize,
+) {
+    for r in 0..planes[0].len() / w.max(1) {
+        for p in cols.clone() {
+            for (s, plane) in planes.iter().enumerate() {
+                dst[r * stride + p * S + s] = plane[r * w + p];
             }
         }
     }
 }
 
+/// AVX body of [`interleave_rows`] over the whole 8-pixel runs of every
+/// row. Returns the number of columns written per row.
+///
+/// # Safety
+///
+/// The host must support AVX, `S` must be 2 or 4, every plane must hold
+/// `rows` rows of `w` floats, and `dst` must hold `w·S` floats past
+/// `(rows − 1)·stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn interleave_runs_avx<const S: usize>(
+    planes: [&[f32]; S],
+    w: usize,
+    rows: usize,
+    dst: &mut [f32],
+    stride: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    let run = w / 8 * 8;
+    for r in 0..rows {
+        let out = dst.as_mut_ptr().add(r * stride);
+        for p0 in (0..run).step_by(8) {
+            let v: [__m256; S] =
+                std::array::from_fn(|s| _mm256_loadu_ps(planes[s].as_ptr().add(r * w + p0)));
+            let o = out.add(p0 * S);
+            // Pair the first two planes within each 128-bit half: `lo`
+            // holds pixels 0, 1 | 4, 5 and `hi` pixels 2, 3 | 6, 7.
+            let lo = _mm256_unpacklo_ps(v[0], v[1]);
+            let hi = _mm256_unpackhi_ps(v[0], v[1]);
+            if S == 2 {
+                _mm256_storeu_ps(o, _mm256_permute2f128_ps::<0x20>(lo, hi));
+                _mm256_storeu_ps(o.add(8), _mm256_permute2f128_ps::<0x31>(lo, hi));
+            } else {
+                let lo2 = _mm256_unpacklo_ps(v[2], v[3]);
+                let hi2 = _mm256_unpackhi_ps(v[2], v[3]);
+                // One pixel's four samples per 128-bit half: pixels 0 | 4,
+                // 1 | 5, 2 | 6 and 3 | 7.
+                let q = [
+                    _mm256_shuffle_ps::<0x44>(lo, lo2),
+                    _mm256_shuffle_ps::<0xEE>(lo, lo2),
+                    _mm256_shuffle_ps::<0x44>(hi, hi2),
+                    _mm256_shuffle_ps::<0xEE>(hi, hi2),
+                ];
+                _mm256_storeu_ps(o, _mm256_permute2f128_ps::<0x20>(q[0], q[1]));
+                _mm256_storeu_ps(o.add(8), _mm256_permute2f128_ps::<0x20>(q[2], q[3]));
+                _mm256_storeu_ps(o.add(16), _mm256_permute2f128_ps::<0x31>(q[0], q[1]));
+                _mm256_storeu_ps(o.add(24), _mm256_permute2f128_ps::<0x31>(q[2], q[3]));
+            }
+        }
+    }
+    run
+}
+
 /// Transposes samples `ni..ni + spv` of `dy = [N, M, H, W]` into
-/// `dst = [H·W][(M·spv) rounded up to 8]` for the weight-gradient kernel:
+/// `dst = [H·W][grad_row_len(M, spv)]` for the weight-gradient kernel:
 /// pixel-major, lane `mi·spv + s` holding `dy[ni + s, mi, p]` (output
 /// channels major, samples interleaved), with the padding lanes zeroed
 /// (arena scratch is reused dirty). With AVX, whole 8-pixel blocks move
@@ -698,6 +811,36 @@ fn transpose_pixels(
     }
 }
 
+/// Transposes the 8×8 block whose rows are `r`: vector `j` of the result
+/// holds element `j` of every row, in row order.
+///
+/// # Safety
+///
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx")]
+unsafe fn transpose8x8_avx(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    // Interleave pairs, then quads, then swap 128-bit halves.
+    let t = [0, 2, 4, 6].map(|i| _mm256_unpacklo_ps(r[i], r[i + 1]));
+    let u = [0, 2, 4, 6].map(|i| _mm256_unpackhi_ps(r[i], r[i + 1]));
+    let q = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[1]),
+        _mm256_shuffle_ps::<0xEE>(t[0], t[1]),
+        _mm256_shuffle_ps::<0x44>(u[0], u[1]),
+        _mm256_shuffle_ps::<0xEE>(u[0], u[1]),
+        _mm256_shuffle_ps::<0x44>(t[2], t[3]),
+        _mm256_shuffle_ps::<0xEE>(t[2], t[3]),
+        _mm256_shuffle_ps::<0x44>(u[2], u[3]),
+        _mm256_shuffle_ps::<0xEE>(u[2], u[3]),
+    ];
+    std::array::from_fn(|j| match j {
+        0..=3 => _mm256_permute2f128_ps::<0x20>(q[j], q[j + 4]),
+        _ => _mm256_permute2f128_ps::<0x31>(q[j - 4], q[j]),
+    })
+}
+
 /// AVX body of [`transpose_sample`] over the whole 8-pixel blocks: per
 /// lane group and block, eight plane rows (zeros for padding lanes) go
 /// through an 8×8 register transpose and out as eight `dst` rows. Returns
@@ -706,7 +849,8 @@ fn transpose_pixels(
 /// # Safety
 ///
 /// The host must support AVX; `planes` must hold `spv·m` planes of `hw`
-/// floats and `dst` `hw` rows of `(m·spv)` rounded up to 8.
+/// floats and `dst` `hw` rows of [`grad_row_len`]`(m, spv)` floats (a
+/// multiple of 8).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn transpose_blocks_avx(
@@ -729,24 +873,8 @@ unsafe fn transpose_blocks_avx(
         for p0 in (0..hw / 8 * 8).step_by(8) {
             let r =
                 planes.map(|o| o.map_or(_mm256_setzero_ps(), |o| _mm256_loadu_ps(src.add(o + p0))));
-            // Interleave pairs, then quads, then swap 128-bit halves.
-            let t = [0, 2, 4, 6].map(|i| _mm256_unpacklo_ps(r[i], r[i + 1]));
-            let u = [0, 2, 4, 6].map(|i| _mm256_unpackhi_ps(r[i], r[i + 1]));
-            let q = [
-                _mm256_shuffle_ps::<0x44>(t[0], t[1]),
-                _mm256_shuffle_ps::<0xEE>(t[0], t[1]),
-                _mm256_shuffle_ps::<0x44>(u[0], u[1]),
-                _mm256_shuffle_ps::<0xEE>(u[0], u[1]),
-                _mm256_shuffle_ps::<0x44>(t[2], t[3]),
-                _mm256_shuffle_ps::<0xEE>(t[2], t[3]),
-                _mm256_shuffle_ps::<0x44>(u[2], u[3]),
-                _mm256_shuffle_ps::<0xEE>(u[2], u[3]),
-            ];
-            for i in 0..4 {
-                let lo = _mm256_permute2f128_ps::<0x20>(q[i], q[i + 4]);
-                let hi = _mm256_permute2f128_ps::<0x31>(q[i], q[i + 4]);
-                _mm256_storeu_ps(out.add((p0 + i) * row + lane0), lo);
-                _mm256_storeu_ps(out.add((p0 + i + 4) * row + lane0), hi);
+            for (i, v) in transpose8x8_avx(r).into_iter().enumerate() {
+                _mm256_storeu_ps(out.add((p0 + i) * row + lane0), v);
             }
         }
     }
@@ -844,17 +972,19 @@ fn conv_direct_rows_portable(
 }
 
 /// Geometry of one padded sample, shared by the passes of a SIMD body of
-/// [`conv_direct_rows`].
+/// [`conv_direct_rows`] or [`conv_input_grad_rows`].
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct DirectGeometry {
+    /// Channels a pass sums over: the input channels of the forward, the
+    /// output channels of the input gradient.
     c: usize,
     k: usize,
     /// Padded row length `W + 2·pad`.
     pw: usize,
     /// Padded plane length `(H + 2·pad)·(W + 2·pad)`.
     phpw: usize,
-    /// Taps per output channel, `C·K·K` (one weight row).
+    /// Weight stride between output channels, `C·K·K` (one weight row).
     ckk: usize,
     /// Output plane length `H·W`.
     hw: usize,
@@ -1041,7 +1171,9 @@ conv_direct_rows_simd!(
 /// `(kh, kw)` order. Border taps add `dy_pad·w = 0·w`, which leaves a
 /// `+0.0`-started chain bitwise unchanged when `w` is finite, so the result
 /// equals the loop nest that skips out-of-bounds taps, independent of both
-/// the split and the SIMD dispatch below.
+/// the split and the SIMD dispatch below: the AVX-512F body for rows of
+/// whole 16-wide blocks, the AVX body for rows of whole 8-wide blocks, the
+/// portable loop otherwise.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
 fn conv_input_grad_rows(
     dypad: &[f32],
@@ -1054,28 +1186,36 @@ fn conv_input_grad_rows(
     m: usize,
     k: usize,
 ) {
-    // Once per call: the AVX body's pointer walk relies on every one.
+    // Once per call: the SIMD bodies' pointer walk relies on every one.
     assert_eq!(k % 2, 1, "odd kernel");
     assert_eq!(dypad.len(), padded_plane_len(m, k, h, w));
     assert_eq!(wmat.len(), m * c * k * k);
     assert!(crange.end <= c);
     assert_eq!(out.len(), crange.len() * h * w);
     #[cfg(target_arch = "x86_64")]
-    if w.is_multiple_of(8) && crate::simd::avx() {
-        // SAFETY: AVX is present (runtime check); the kernel is odd and the
-        // slice lengths and channel range are asserted above, so every load
-        // (at most K−1 rows and columns past an output pixel, inside the
-        // padded plane) and every store stays inside its slice.
-        unsafe { conv_input_grad_rows_avx(dypad, wmat, crange, out, h, w, c, m, k) };
-        return;
+    {
+        if w.is_multiple_of(16) && crate::simd::avx512f() {
+            // SAFETY: AVX-512F is present (runtime check) and `w` is a whole
+            // number of 16-wide blocks; the kernel is odd and the slice
+            // lengths and channel range are asserted above, so every load
+            // (at most K−1 rows and columns past an output pixel, inside the
+            // padded plane) and every store stays inside its slice.
+            unsafe { conv_input_grad_rows_avx512(dypad, wmat, crange, out, h, w, c, m, k) };
+            return;
+        }
+        if w.is_multiple_of(8) && crate::simd::avx() {
+            // SAFETY: as above, with AVX and 8-wide blocks.
+            unsafe { conv_input_grad_rows_avx(dypad, wmat, crange, out, h, w, c, m, k) };
+            return;
+        }
     }
     conv_input_grad_rows_portable(dypad, wmat, crange, out, h, w, c, m, k);
 }
 
 /// Portable body of [`conv_input_grad_rows`]: per output row, 8-wide
 /// chunks, each accumulating one output channel's partial over the
-/// flipped taps before adding it into the row — lane for lane the AVX
-/// body's arithmetic.
+/// flipped taps before adding it into the row — lane for lane the SIMD
+/// bodies' arithmetic.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
 fn conv_input_grad_rows_portable(
     dypad: &[f32],
@@ -1121,131 +1261,237 @@ fn conv_input_grad_rows_portable(
     }
 }
 
-/// AVX body of [`conv_input_grad_rows`] (`w % 8 == 0`): each input-channel
-/// plane is tiled into 8-wide blocks, processed four at a time, with one
-/// output accumulator and one per-channel partial per block. Each lane runs
-/// the portable body's chain — mul then add, never FMA — so the result is
-/// bitwise identical to it.
+/// Stamps one SIMD body of [`conv_input_grad_rows`] for a vector of
+/// `$lanes` floats, so the 8-wide and 16-wide bodies are one source.
 ///
-/// # Safety
-///
-/// The host must support AVX, `w` must be a multiple of 8, and the
-/// arguments must satisfy the length and range assertions of
-/// [`conv_input_grad_rows`].
+/// The `dx` planes are tiled into `$lanes`-wide blocks along each row. A
+/// pass holds up to 4 input channels × 2 blocks: per output channel `m` it
+/// starts one partial per (channel, block) at `+0.0`, and per flipped tap
+/// loads each block's `dy` vector once, broadcasts each channel's weight
+/// and multiplies then adds into every partial; after the taps each
+/// partial is added into its `dx` accumulator, which started at `+0.0`.
+/// Block offsets are stepped, not divided. Tails run the same pass with
+/// fewer channels (`crange.len() % 4`) or one block (an odd block count).
+/// Each lane runs the portable chain — `0.0 + part₀ + part₁ + …`, each
+/// `part_m` a `+0.0`-started mul+add chain over `(kh, kw)`, never FMA — so
+/// the result is bitwise identical to the portable body.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-unsafe fn conv_input_grad_rows_avx(
-    dypad: &[f32],
-    wmat: &[f32],
-    crange: std::ops::Range<usize>,
-    out: &mut [f32],
-    h: usize,
-    w: usize,
-    c: usize,
-    m: usize,
-    k: usize,
-) {
-    use std::arch::x86_64::*;
-    let pad = k / 2;
-    let pw = w + 2 * pad;
-    let phpw = (h + 2 * pad) * pw;
-    let kk = k * k;
-    let last = k - 1;
-    let wblocks = w / 8; // caller guarantees w % 8 == 0
-    let blocks = h * wblocks;
-    let dp = dypad.as_ptr();
-    for (local, ci) in crange.enumerate() {
-        let oplane = out.as_mut_ptr().add(local * h * w);
-        // Four blocks per pass; a short last pass fills its spare slots
-        // with its final block, which they recompute and store unchanged.
-        for j in (0..blocks).step_by(4) {
-            let bj = [j, j + 1, j + 2, j + 3].map(|b| b.min(blocks - 1));
-            // Padded-plane offset of each block's lane 0 at tap
-            // (K−1, K−1), the plane's top-left corner.
-            let off = bj.map(|b| (b / wblocks) * pw + (b % wblocks) * 8);
-            let mut o0 = _mm256_setzero_ps();
-            let mut o1 = _mm256_setzero_ps();
-            let mut o2 = _mm256_setzero_ps();
-            let mut o3 = _mm256_setzero_ps();
-            for mi in 0..m {
-                // Tap (kh, kw) of block t reads `d_t − (kh·pw + kw)`, where
-                // `d_t` is the block's lane 0 at tap (0, 0).
-                let dm = dp.add(mi * phpw + last * pw + last);
-                let (d0, d1, d2, d3) = (
-                    dm.add(off[0]),
-                    dm.add(off[1]),
-                    dm.add(off[2]),
-                    dm.add(off[3]),
-                );
-                let mut q = wmat.as_ptr().add((mi * c + ci) * kk);
-                let mut p0 = _mm256_setzero_ps();
-                let mut p1 = _mm256_setzero_ps();
-                let mut p2 = _mm256_setzero_ps();
-                let mut p3 = _mm256_setzero_ps();
-                for kh in 0..k {
-                    for kw in 0..k {
-                        let back = kh * pw + kw;
-                        let tap = _mm256_broadcast_ss(&*q);
-                        q = q.add(1);
-                        p0 = _mm256_add_ps(p0, _mm256_mul_ps(_mm256_loadu_ps(d0.sub(back)), tap));
-                        p1 = _mm256_add_ps(p1, _mm256_mul_ps(_mm256_loadu_ps(d1.sub(back)), tap));
-                        p2 = _mm256_add_ps(p2, _mm256_mul_ps(_mm256_loadu_ps(d2.sub(back)), tap));
-                        p3 = _mm256_add_ps(p3, _mm256_mul_ps(_mm256_loadu_ps(d3.sub(back)), tap));
+macro_rules! conv_input_grad_rows_simd {
+    (
+        $(#[$doc:meta])*
+        $name:ident, $feature:literal, $lanes:literal,
+        $load:ident, $splat:ident, $add:ident, $mul:ident, $store:ident
+    ) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        ///
+        /// The host must support the body's ISA, `w` must be a multiple of
+        /// its lane count, and the arguments must satisfy the length and
+        /// range assertions of [`conv_input_grad_rows`].
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+        unsafe fn $name(
+            dypad: &[f32],
+            wmat: &[f32],
+            crange: std::ops::Range<usize>,
+            out: &mut [f32],
+            h: usize,
+            w: usize,
+            c: usize,
+            m: usize,
+            k: usize,
+        ) {
+            use std::arch::x86_64::*;
+
+            /// One pass: input channels `0..CC` of the group whose first
+            /// weight column and `dx` plane are `wcol` (tap 0 of output
+            /// channel 0) and `out`, over the `NB` blocks whose lane 0 sits
+            /// at padded offset `offs[b]` (tap `(K−1, K−1)`, the top-left
+            /// corner of its window) and output offset `outs[b]`.
+            #[target_feature(enable = $feature)]
+            unsafe fn pass<const CC: usize, const NB: usize>(
+                g: DirectGeometry,
+                dp: *const f32,
+                offs: [usize; NB],
+                outs: [usize; NB],
+                wcol: *const f32,
+                out: *mut f32,
+            ) {
+                let kk = g.k * g.k;
+                let last = g.k - 1;
+                let mut acc = [[$splat(0.0); NB]; CC];
+                for mi in 0..g.c {
+                    let dm = dp.add(mi * g.phpw);
+                    let wm = wcol.add(mi * g.ckk);
+                    let mut part = [[$splat(0.0); NB]; CC];
+                    for kh in 0..g.k {
+                        // Tap (kh, kw) reads `dy` K−1−kh rows and K−1−kw
+                        // columns past the window's corner.
+                        let dr = dm.add((last - kh) * g.pw + last);
+                        for kw in 0..g.k {
+                            let mut dv = [$splat(0.0); NB];
+                            for (v, &o) in dv.iter_mut().zip(&offs) {
+                                *v = $load(dr.add(o).sub(kw));
+                            }
+                            let q = kh * g.k + kw;
+                            for (ch, row) in part.iter_mut().enumerate() {
+                                let tap = $splat(*wm.add(ch * kk + q));
+                                for (p, &v) in row.iter_mut().zip(&dv) {
+                                    *p = $add(*p, $mul(v, tap));
+                                }
+                            }
+                        }
+                    }
+                    for (row, prow) in acc.iter_mut().zip(&part) {
+                        for (a, &p) in row.iter_mut().zip(prow) {
+                            *a = $add(*a, p);
+                        }
                     }
                 }
-                o0 = _mm256_add_ps(o0, p0);
-                o1 = _mm256_add_ps(o1, p1);
-                o2 = _mm256_add_ps(o2, p2);
-                o3 = _mm256_add_ps(o3, p3);
+                for (ch, row) in acc.iter().enumerate() {
+                    for (&a, &o) in row.iter().zip(&outs) {
+                        $store(out.add(ch * g.hw + o), a);
+                    }
+                }
             }
-            // Blocks tile the row-major plane exactly, so block b's
-            // output starts at element b·8.
-            _mm256_storeu_ps(oplane.add(bj[0] * 8), o0);
-            _mm256_storeu_ps(oplane.add(bj[1] * 8), o1);
-            _mm256_storeu_ps(oplane.add(bj[2] * 8), o2);
-            _mm256_storeu_ps(oplane.add(bj[3] * 8), o3);
+
+            /// Every block of input channels `0..CC` of one group: pairs,
+            /// then a last single block when the count is odd.
+            #[target_feature(enable = $feature)]
+            unsafe fn group<const CC: usize>(
+                g: DirectGeometry,
+                wblocks: usize,
+                blocks: usize,
+                dp: *const f32,
+                wcol: *const f32,
+                out: *mut f32,
+            ) {
+                // Padded offset of the next block's window corner and its
+                // column: a row's last block steps over the 2·pad border
+                // columns.
+                let (mut off, mut col) = (0, 0);
+                let mut next = || {
+                    let o = off;
+                    col += 1;
+                    off += $lanes;
+                    if col == wblocks {
+                        col = 0;
+                        off += g.pw - wblocks * $lanes;
+                    }
+                    o
+                };
+                let mut j = 0;
+                while j + 2 <= blocks {
+                    let offs = [next(), next()];
+                    let outs = [j * $lanes, (j + 1) * $lanes];
+                    pass::<CC, 2>(g, dp, offs, outs, wcol, out);
+                    j += 2;
+                }
+                if j < blocks {
+                    pass::<CC, 1>(g, dp, [next()], [j * $lanes], wcol, out);
+                }
+            }
+
+            let pad = k / 2;
+            let pw = w + 2 * pad;
+            let g = DirectGeometry {
+                c: m,
+                k,
+                pw,
+                phpw: (h + 2 * pad) * pw,
+                ckk: c * k * k,
+                hw: h * w,
+            };
+            let wblocks = w / $lanes; // caller guarantees w % $lanes == 0
+            let blocks = h * wblocks;
+            let dp = dypad.as_ptr();
+            let mut ci = crange.start;
+            while ci < crange.end {
+                let wcol = wmat.as_ptr().add(ci * k * k);
+                let o = out.as_mut_ptr().add((ci - crange.start) * g.hw);
+                match crange.end - ci {
+                    1 => group::<1>(g, wblocks, blocks, dp, wcol, o),
+                    2 => group::<2>(g, wblocks, blocks, dp, wcol, o),
+                    3 => group::<3>(g, wblocks, blocks, dp, wcol, o),
+                    _ => group::<4>(g, wblocks, blocks, dp, wcol, o),
+                }
+                ci += 4;
+            }
         }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+conv_input_grad_rows_simd!(
+    /// AVX body of [`conv_input_grad_rows`] (`w % 8 == 0`): 8-wide blocks.
+    conv_input_grad_rows_avx, "avx", 8,
+    _mm256_loadu_ps, _mm256_set1_ps, _mm256_add_ps, _mm256_mul_ps, _mm256_storeu_ps
+);
+
+#[cfg(target_arch = "x86_64")]
+conv_input_grad_rows_simd!(
+    /// AVX-512F body of [`conv_input_grad_rows`] (`w % 16 == 0`): 16-wide
+    /// blocks, one per register.
+    conv_input_grad_rows_avx512, "avx512f", 16,
+    _mm512_loadu_ps, _mm512_set1_ps, _mm512_add_ps, _mm512_mul_ps, _mm512_storeu_ps
+);
+
+/// Lanes of one lane group of the portable weight-gradient body, and of
+/// one AVX vector.
+const GRAD_LANES: usize = 8;
+
+/// Lanes of the widest weight-gradient body this host runs: 16 with
+/// AVX-512F, else [`GRAD_LANES`]. The transposed `dy` rows are padded to a
+/// multiple of it, so every body's lane groups tile them.
+fn grad_lanes() -> usize {
+    if crate::simd::avx512f() {
+        16
+    } else {
+        GRAD_LANES
     }
 }
 
-/// Lanes of the weight-gradient kernel (one AVX vector); the transposed
-/// `dy` rows are padded to a multiple of it.
-const GRAD_LANES: usize = 8;
-
 /// Samples the batch split of [`Conv2d::backward_params`] packs into one
-/// weight-gradient vector for `m` output channels: two when one sample's
-/// channels fill at most half the lanes, else one.
+/// weight-gradient vector for `m` output channels: the most of 4, 2 or 1
+/// whose `m` channels each fit one vector of the host's widest body (16
+/// lanes with AVX-512F, else 8) — four at `m ≤ 4` with AVX-512F, two at
+/// `m ≤ 4` with AVX (four at `m ≤ 2`), two at `m ≤ 8` with AVX-512F, else
+/// one.
 pub fn grad_samples_per_vector(m: usize) -> usize {
-    if m <= GRAD_LANES / 2 {
-        2
-    } else {
-        1
+    match grad_lanes() / m.max(1) {
+        0 | 1 => 1,
+        2 | 3 => 2,
+        _ => 4,
     }
 }
 
 /// Row length of the transposed `dy` holding `spv` samples of `m`
-/// channels: `m·spv` lanes rounded up to a whole vector.
+/// channels: `m·spv` lanes rounded up to a whole vector of [`grad_lanes`].
 fn grad_row_len(m: usize, spv: usize) -> usize {
-    (m * spv).next_multiple_of(GRAD_LANES)
+    (m * spv).next_multiple_of(grad_lanes())
 }
 
 /// Weight and bias gradients of `S` samples over the output-channel range
 /// `mrange`, from their zero-padded input (`xpad = [C][H+2·pad][W+2·pad][S]`,
 /// see [`pad_sample`]) and their transposed output gradient
-/// (`dyt = [H·W][(M·S) rounded up to 8]`, see [`transpose_sample`]):
+/// (`dyt = [H·W][grad_row_len(M, S)]`, see [`transpose_sample`]):
 /// `dwrows[s][m, q] += Σ_p dy_s[m, p]·x_{s,q}[p]` and
 /// `dbrows[s][m] += Σ_p dy_s[m, p]`, rows local to `mrange`.
 ///
-/// A lane group covers `8 / S` output channels of all `S` samples, lane
-/// `(m − m₀)·S + s`, so every lane of tap `q = (c·K + kh)·K + kw` is one
-/// sample's chain from `+0.0` of `dy[m, p]·x_q[p]` over pixels `p` in
-/// row-major order, border zeros included — exactly the im2col lowering's
-/// per-`(m, q)` dot product, whatever `S` is. The bias lane sums start at
+/// Lane `m·S + s` of the transposed rows holds channel `m` of sample `s`;
+/// a body's lane group covers `lanes / S` output channels of all `S`
+/// samples, so every lane of tap `q = (c·K + kh)·K + kw` is one sample's
+/// chain from `+0.0` of `dy[m, p]·x_q[p]` over pixels `p` in row-major
+/// order, border zeros included — exactly the im2col lowering's per-`(m, q)`
+/// dot product, whatever `S` and the body are. The bias lane sums start at
 /// `+0.0`; a serial `Iterator::sum` may start at `−0.0`, but the two
 /// differ only in the sign of an all-zero sum, which the `+=` into a
 /// `+0.0`-started gradient erases. Lanes outside `mrange` (group edges,
 /// padding channels) are computed and dropped.
+///
+/// Dispatch: the AVX-512F body (16 lanes) when the host has it, else the
+/// AVX body (8 lanes), else the portable loop.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
 fn conv_weight_grad_rows<const S: usize>(
     xpad: &[f32],
@@ -1259,8 +1505,11 @@ fn conv_weight_grad_rows<const S: usize>(
     m: usize,
     k: usize,
 ) {
-    // Once per call: the AVX body's pointer walk relies on every one.
-    assert!(S == 1 || S == 2, "one or two samples per vector");
+    // Once per call: the SIMD bodies' pointer walk relies on every one.
+    assert!(
+        matches!(S, 1 | 2 | 4),
+        "one, two or four samples per vector"
+    );
     assert_eq!(k % 2, 1, "odd kernel");
     assert_eq!(xpad.len(), S * padded_plane_len(c, k, h, w));
     assert_eq!(dyt.len(), h * w * grad_row_len(m, S));
@@ -1270,14 +1519,28 @@ fn conv_weight_grad_rows<const S: usize>(
         assert_eq!(dbr.len(), mrange.len());
     }
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx() {
-        // SAFETY: AVX is present (runtime check); the kernel is odd, `S` is
-        // 1 or 2, and the slice lengths and channel range are asserted
-        // above, so every load stays inside them (a tap's pixel walk ends
-        // inside the padded plane, and a lane group ends at or before the
-        // padded row length); the stores go through bounds-checked indexing.
-        unsafe { conv_weight_grad_rows_avx::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k) };
-        return;
+    {
+        if crate::simd::avx512f() {
+            // SAFETY: AVX-512F is present (runtime check), so the row length
+            // asserted above is a whole number of 16-lane groups; the kernel
+            // is odd, `S` is 1, 2 or 4, and the slice lengths and channel
+            // range are asserted above, so every load stays inside them (a
+            // tap's pixel walk ends inside the padded plane, and a lane
+            // group ends at or before the padded row length); the stores go
+            // through bounds-checked indexing.
+            unsafe {
+                conv_weight_grad_rows_avx512::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k)
+            };
+            return;
+        }
+        if crate::simd::avx() {
+            // SAFETY: as above, with AVX and 8-lane groups (the row length
+            // is a multiple of 8 on every host).
+            unsafe {
+                conv_weight_grad_rows_avx::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k)
+            };
+            return;
+        }
     }
     conv_weight_grad_rows_portable::<S>(xpad, dyt, mrange, dwrows, dbrows, h, w, c, m, k);
 }
@@ -1291,9 +1554,9 @@ fn add_group_lanes<const S: usize>(
     col: usize,
     mrange: &std::ops::Range<usize>,
     m0: usize,
-    lanes: &[f32; GRAD_LANES],
+    lanes: &[f32],
 ) {
-    let live = m0.max(mrange.start)..(m0 + GRAD_LANES / S).min(mrange.end);
+    let live = m0.max(mrange.start)..(m0 + lanes.len() / S).min(mrange.end);
     for (s, rows) in rows.iter_mut().enumerate() {
         for mi in live.clone() {
             rows[(mi - mrange.start) * stride + col] += lanes[(mi - m0) * S + s];
@@ -1301,9 +1564,9 @@ fn add_group_lanes<const S: usize>(
     }
 }
 
-/// Portable body of [`conv_weight_grad_rows`]: per lane group and tap, an
-/// 8-lane accumulator swept over the pixels — lane for lane the AVX
-/// body's arithmetic.
+/// Portable body of [`conv_weight_grad_rows`]: per 8-lane group and tap,
+/// an accumulator swept over the pixels — lane for lane the SIMD bodies'
+/// arithmetic.
 #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
 fn conv_weight_grad_rows_portable<const S: usize>(
     xpad: &[f32],
@@ -1353,10 +1616,10 @@ fn conv_weight_grad_rows_portable<const S: usize>(
     }
 }
 
-/// Broadcasts sample-interleaved `x` at `p` across a vector: one float
-/// to all eight lanes (`S = 1`), or the pair `(x_s0, x_s1)` to every lane
-/// pair through one 64-bit broadcast (`S = 2`), matching the packed lane
-/// order `(m, s)`.
+/// Broadcasts sample-interleaved `x` at `p` across an AVX vector: one
+/// float to all eight lanes (`S = 1`), or the samples `(x_0, …, x_{S−1})`
+/// to every run of `S` lanes through one 64-bit (`S = 2`) or 128-bit
+/// (`S = 4`) broadcast, matching the packed lane order `(m, s)`.
 ///
 /// # Safety
 ///
@@ -1364,88 +1627,233 @@ fn conv_weight_grad_rows_portable<const S: usize>(
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx")]
-unsafe fn broadcast_samples<const S: usize>(p: *const f32) -> std::arch::x86_64::__m256 {
+unsafe fn broadcast_samples_avx<const S: usize>(p: *const f32) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
-    if S == 1 {
-        _mm256_broadcast_ss(&*p)
-    } else {
-        _mm256_castpd_ps(_mm256_set1_pd(p.cast::<f64>().read_unaligned()))
+    match S {
+        1 => _mm256_broadcast_ss(&*p),
+        2 => _mm256_castpd_ps(_mm256_set1_pd(p.cast::<f64>().read_unaligned())),
+        _ => _mm256_broadcast_ps(&_mm_loadu_ps(p)),
     }
 }
 
-/// AVX body of [`conv_weight_grad_rows`]: one vector per lane group, eight
-/// taps at a time sharing each pixel's `dy` load (eight independent chains
-/// keep the adders busy past their latency). Each lane runs the portable
-/// body's chain — mul then add, never FMA — so the result is bitwise
-/// identical to it.
+/// [`broadcast_samples_avx`] across an AVX-512F vector of 16 lanes.
 ///
 /// # Safety
 ///
-/// The host must support AVX, and the arguments must satisfy the length
-/// and range assertions of [`conv_weight_grad_rows`].
+/// The host must support AVX-512F and `p` must point at `S` readable
+/// floats.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn broadcast_samples_avx512<const S: usize>(p: *const f32) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    match S {
+        1 => _mm512_set1_ps(*p),
+        2 => _mm512_castpd_ps(_mm512_set1_pd(p.cast::<f64>().read_unaligned())),
+        _ => _mm512_broadcast_f32x4(_mm_loadu_ps(p)),
+    }
+}
+
+/// Adds the sums of one full pass — [`GRAD_TAPS`] taps from `q0`, each a
+/// vector of `L` lanes laid out as in [`add_group_lanes`] — into their
+/// rows. A live lane's eight taps are one contiguous run
+/// `rows[s][(mi − mrange.start)·stride + q0..][..8]`, so 8×8 register
+/// transposes turn the tap-major sums into lane-major runs, each added
+/// with one vector add: the same `row + sum` per element as
+/// [`add_group_lanes`].
+///
+/// # Safety
+///
+/// The host must support AVX, and `L` must be a multiple of 8.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-#[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
-unsafe fn conv_weight_grad_rows_avx<const S: usize>(
-    xpad: &[f32],
-    dyt: &[f32],
-    mrange: std::ops::Range<usize>,
-    mut dwrows: [&mut [f32]; S],
-    mut dbrows: [&mut [f32]; S],
-    h: usize,
-    w: usize,
-    c: usize,
-    m: usize,
-    k: usize,
+unsafe fn add_tap_runs_avx<const S: usize, const L: usize>(
+    rows: &mut [&mut [f32]; S],
+    stride: usize,
+    q0: usize,
+    mrange: &std::ops::Range<usize>,
+    m0: usize,
+    sums: &[[f32; L]; GRAD_TAPS],
 ) {
     use std::arch::x86_64::*;
-    let pad = k / 2;
-    let pw = w + 2 * pad;
-    let phpw = (h + 2 * pad) * pw;
-    let ckk = c * k * k;
-    let row = grad_row_len(m, S);
-    let group_channels = GRAD_LANES / S;
-    let tap_offset = |q: usize| ((q / (k * k)) * phpw + (q / k % k) * pw + q % k) * S;
-    let xp = xpad.as_ptr();
-    let mut lanes = [0.0f32; GRAD_LANES];
-    for g in mrange.start / group_channels..mrange.end.div_ceil(group_channels) {
-        let m0 = g * group_channels;
-        let dg = dyt.as_ptr().add(g * GRAD_LANES);
-        let mut sum = _mm256_setzero_ps();
-        for p in 0..h * w {
-            sum = _mm256_add_ps(sum, _mm256_loadu_ps(dg.add(p * row)));
-        }
-        _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
-        add_group_lanes(&mut dbrows, 1, 0, &mrange, m0, &lanes);
-        // Eight taps per pass; a short last pass fills its spare slots with
-        // its final tap and drops their sums.
-        const TAPS: usize = 8;
-        for q in (0..ckk).step_by(TAPS) {
-            // One base pointer per tap: pixel (oh, ow) of every tap sits
-            // at the same offset `(oh·pw + ow)·S` from its base.
-            let x: [*const f32; TAPS] =
-                std::array::from_fn(|i| xp.add(tap_offset((q + i).min(ckk - 1))));
-            let mut a = [_mm256_setzero_ps(); TAPS];
-            let mut d = dg;
-            for oh in 0..h {
-                for o in (oh * pw..oh * pw + w).map(|o| o * S) {
-                    let dv = _mm256_loadu_ps(d);
-                    d = d.add(row);
-                    for (av, xv) in a.iter_mut().zip(&x) {
-                        *av = _mm256_add_ps(
-                            *av,
-                            _mm256_mul_ps(dv, broadcast_samples::<S>(xv.add(o))),
-                        );
-                    }
-                }
-            }
-            for (i, av) in a.into_iter().enumerate().take(ckk - q) {
-                _mm256_storeu_ps(lanes.as_mut_ptr(), av);
-                add_group_lanes(&mut dwrows, ckk, q + i, &mrange, m0, &lanes);
+    for l0 in (0..L).step_by(8) {
+        let runs = transpose8x8_avx(std::array::from_fn(|t| {
+            _mm256_loadu_ps(sums[t][l0..].as_ptr())
+        }));
+        for (j, run) in runs.into_iter().enumerate() {
+            let (mi, s) = (m0 + (l0 + j) / S, (l0 + j) % S);
+            if mrange.contains(&mi) {
+                let dst = &mut rows[s][(mi - mrange.start) * stride + q0..][..GRAD_TAPS];
+                let sum = _mm256_add_ps(_mm256_loadu_ps(dst.as_ptr()), run);
+                _mm256_storeu_ps(dst.as_mut_ptr(), sum);
             }
         }
     }
 }
+
+/// Geometry of one padded sample pack, shared by the passes of a SIMD body
+/// of [`conv_weight_grad_rows`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct WeightGradGeometry {
+    h: usize,
+    w: usize,
+    k: usize,
+    /// Padded row length `W + 2·pad`.
+    pw: usize,
+    /// Padded plane length `(H + 2·pad)·(W + 2·pad)`.
+    phpw: usize,
+    /// Transposed `dy` row length, [`grad_row_len`].
+    row: usize,
+}
+
+/// Most taps one pass of a SIMD body of [`conv_weight_grad_rows`] holds:
+/// eight independent chains keep the adders busy past their latency.
+#[cfg(target_arch = "x86_64")]
+const GRAD_TAPS: usize = 8;
+
+/// Stamps one SIMD body of [`conv_weight_grad_rows`] for a vector of
+/// `$lanes` floats, so the 8-lane and 16-lane bodies are one source.
+///
+/// One vector per lane group: `$lanes / S` output channels × `S` samples,
+/// lanes `(m, s)`. A pass holds up to [`GRAD_TAPS`] taps, one accumulator
+/// each; per pixel it loads the group's `dy` vector once and, per tap,
+/// broadcasts the `S` samples' `x` (one 32-, 64- or 128-bit broadcast) and
+/// multiplies then adds. Passes cover only live taps: `C·K·K` taps run as
+/// full passes and one shorter pass for the remainder. A full pass's sums
+/// go back to the rows through [`add_tap_runs_avx`], the shorter pass's
+/// and the bias sums through [`add_group_lanes`]. Each lane runs the
+/// portable body's chain — mul then add, never FMA — so the result is
+/// bitwise identical to it.
+#[cfg(target_arch = "x86_64")]
+macro_rules! conv_weight_grad_rows_simd {
+    (
+        $(#[$doc:meta])*
+        $name:ident, $feature:literal, $lanes:literal, $broadcast:ident,
+        $load:ident, $zero:ident, $add:ident, $mul:ident, $store:ident
+    ) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        ///
+        /// The host must support the body's ISA, the transposed row length
+        /// must be a multiple of its lane count, and the arguments must
+        /// satisfy the length and range assertions of
+        /// [`conv_weight_grad_rows`].
+        #[target_feature(enable = $feature)]
+        #[allow(clippy::too_many_arguments)] // geometry of one padded sample, passed flat
+        unsafe fn $name<const S: usize>(
+            xpad: &[f32],
+            dyt: &[f32],
+            mrange: std::ops::Range<usize>,
+            mut dwrows: [&mut [f32]; S],
+            mut dbrows: [&mut [f32]; S],
+            h: usize,
+            w: usize,
+            c: usize,
+            m: usize,
+            k: usize,
+        ) {
+            use std::arch::x86_64::*;
+
+            /// One pass: taps `q0..q0 + T` of the lane group whose first
+            /// transposed lane is `dg`, their sums stored into `sums[..T]`.
+            #[target_feature(enable = $feature)]
+            unsafe fn pass<const S: usize, const T: usize>(
+                g: WeightGradGeometry,
+                xp: *const f32,
+                q0: usize,
+                dg: *const f32,
+                sums: &mut [[f32; $lanes]; GRAD_TAPS],
+            ) {
+                // One base pointer per tap: pixel (oh, ow) of every tap sits
+                // at the same offset `(oh·pw + ow)·S` from its base.
+                let x: [*const f32; T] = std::array::from_fn(|i| {
+                    let q = q0 + i;
+                    let (ci, kh, kw) = (q / (g.k * g.k), q / g.k % g.k, q % g.k);
+                    xp.add((ci * g.phpw + kh * g.pw + kw) * S)
+                });
+                let mut a = [$zero(); T];
+                let mut d = dg;
+                for oh in 0..g.h {
+                    for o in (oh * g.pw..oh * g.pw + g.w).map(|o| o * S) {
+                        let dv = $load(d);
+                        d = d.add(g.row);
+                        for (av, xv) in a.iter_mut().zip(&x) {
+                            *av = $add(*av, $mul(dv, $broadcast::<S>(xv.add(o))));
+                        }
+                    }
+                }
+                for (av, sum) in a.into_iter().zip(sums.iter_mut()) {
+                    $store(sum.as_mut_ptr(), av);
+                }
+            }
+
+            let pad = k / 2;
+            let pw = w + 2 * pad;
+            let g = WeightGradGeometry {
+                h,
+                w,
+                k,
+                pw,
+                phpw: (h + 2 * pad) * pw,
+                row: grad_row_len(m, S),
+            };
+            let ckk = c * k * k;
+            let group_channels = $lanes / S;
+            let xp = xpad.as_ptr();
+            let mut sums = [[0.0f32; $lanes]; GRAD_TAPS];
+            for gi in mrange.start / group_channels..mrange.end.div_ceil(group_channels) {
+                let m0 = gi * group_channels;
+                let dg = dyt.as_ptr().add(gi * $lanes);
+                let mut sum = $zero();
+                for p in 0..h * w {
+                    sum = $add(sum, $load(dg.add(p * g.row)));
+                }
+                $store(sums[0].as_mut_ptr(), sum);
+                add_group_lanes(&mut dbrows, 1, 0, &mrange, m0, &sums[0]);
+                let mut q = 0;
+                while q < ckk {
+                    let taps = (ckk - q).min(GRAD_TAPS);
+                    match taps {
+                        1 => pass::<S, 1>(g, xp, q, dg, &mut sums),
+                        2 => pass::<S, 2>(g, xp, q, dg, &mut sums),
+                        3 => pass::<S, 3>(g, xp, q, dg, &mut sums),
+                        4 => pass::<S, 4>(g, xp, q, dg, &mut sums),
+                        5 => pass::<S, 5>(g, xp, q, dg, &mut sums),
+                        6 => pass::<S, 6>(g, xp, q, dg, &mut sums),
+                        7 => pass::<S, 7>(g, xp, q, dg, &mut sums),
+                        _ => pass::<S, GRAD_TAPS>(g, xp, q, dg, &mut sums),
+                    }
+                    if taps == GRAD_TAPS {
+                        add_tap_runs_avx(&mut dwrows, ckk, q, &mrange, m0, &sums);
+                    } else {
+                        for (i, lanes) in sums[..taps].iter().enumerate() {
+                            add_group_lanes(&mut dwrows, ckk, q + i, &mrange, m0, lanes);
+                        }
+                    }
+                    q += taps;
+                }
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+conv_weight_grad_rows_simd!(
+    /// AVX body of [`conv_weight_grad_rows`]: 8-lane groups.
+    conv_weight_grad_rows_avx, "avx", 8, broadcast_samples_avx,
+    _mm256_loadu_ps, _mm256_setzero_ps, _mm256_add_ps, _mm256_mul_ps, _mm256_storeu_ps
+);
+
+#[cfg(target_arch = "x86_64")]
+conv_weight_grad_rows_simd!(
+    /// AVX-512F body of [`conv_weight_grad_rows`]: 16-lane groups, one per
+    /// register (four samples of four channels at the training model's
+    /// `m = 4`).
+    conv_weight_grad_rows_avx512, "avx512f", 16, broadcast_samples_avx512,
+    _mm512_loadu_ps, _mm512_setzero_ps, _mm512_add_ps, _mm512_mul_ps, _mm512_storeu_ps
+);
 
 /// Per-item (per-sample) flop estimate of the fused
 /// conv→GroupNorm→activation kernel. Shared by the live grain computation
@@ -1485,12 +1893,13 @@ pub fn padded_plane_len(c: usize, k: usize, h: usize, w: usize) -> usize {
     c * (h + 2 * pad) * (w + 2 * pad)
 }
 
-/// Per-sample transposed `dy` scratch of the weight-gradient kernel
-/// (`[H·W][M rounded up to 8]`, which also holds a packed pair of
-/// samples: `2·M ≤ 8` lanes when [`grad_samples_per_vector`] is two).
-/// Shared by the live kernel and the access summaries below.
+/// Transposed `dy` scratch of the weight-gradient kernel for one sample
+/// pack: `[H·W][M·spv rounded up to a vector]`, with
+/// `spv =` [`grad_samples_per_vector`]. One sample alone needs the same
+/// row (`M·spv` fits one vector whenever `spv > 1`). Shared by the live
+/// kernel and the access summaries below.
 pub fn transposed_grad_len(m: usize, h: usize, w: usize) -> usize {
-    h * w * m.next_multiple_of(GRAD_LANES)
+    h * w * grad_row_len(m, grad_samples_per_vector(m))
 }
 
 /// Access summary of the batch split in [`Conv2d::forward`]: item `ni`
@@ -1675,8 +2084,8 @@ pub fn backward_input_channels_access(
 /// Access summary of the batch split in [`Conv2d::backward_params`]:
 /// item `ni` writes its own `(dW, db)` partial stride of the scratch
 /// partials buffer; the serial sample-order fold happens after the join
-/// and is outside the parallel phase. The zero-padded `x` plane (two
-/// samples interleaved when [`grad_samples_per_vector`] packs pairs) and
+/// and is outside the parallel phase. The zero-padded `x` plane (2 or 4
+/// samples interleaved when [`grad_samples_per_vector`] packs them) and
 /// the transposed `dy` are per-thread arenas.
 pub fn backward_params_batch_access(
     n: usize,
@@ -1918,15 +2327,14 @@ mod tests {
     }
 
     /// The bodies this host runs at row width `w`: the portable loop, the
-    /// AVX body when AVX is present and `w % 8 == 0`, and (when `wide`,
-    /// only the forward has one) the AVX-512F body when AVX-512F is
-    /// present and `w % 16 == 0`.
-    fn bodies(w: usize, wide: bool) -> Vec<Body> {
+    /// AVX body when AVX is present and `w % 8 == 0`, and the AVX-512F
+    /// body when AVX-512F is present and `w % 16 == 0`.
+    fn bodies(w: usize) -> Vec<Body> {
         let mut bodies = vec![Body::Portable];
         if w.is_multiple_of(8) && crate::simd::avx() {
             bodies.push(Body::Avx);
         }
-        if wide && w.is_multiple_of(16) && crate::simd::avx512f() {
+        if w.is_multiple_of(16) && crate::simd::avx512f() {
             bodies.push(Body::Avx512);
         }
         bodies
@@ -1962,8 +2370,10 @@ mod tests {
 
     /// Shapes `(c, m, h, w, k)` of the dispatch tests: m ∈ {1, 3, 4, 5, 9},
     /// w ∈ {8, 16, 24, 32}, k ∈ {1, 3, 5}, and odd block counts for both
-    /// vector widths (5×8, 3×24 and 5×16 pixels).
-    const DISPATCH_SHAPES: [(usize, usize, usize, usize, usize); 7] = [
+    /// vector widths (5×8, 3×24 and 5×16 pixels); then the tails of
+    /// `tests/conv_pin.rs` those miss: c ∈ {5, 8, 9}, m = 8, and rows of
+    /// 12 and 5 pixels, which no SIMD body of a row-tiled kernel takes.
+    const DISPATCH_SHAPES: [(usize, usize, usize, usize, usize); 11] = [
         (4, 4, 8, 8, 3),
         (3, 5, 5, 16, 5),
         (2, 9, 3, 24, 1),
@@ -1971,6 +2381,10 @@ mod tests {
         (1, 1, 5, 8, 5),
         (2, 4, 7, 16, 1),
         (3, 5, 2, 32, 5),
+        (9, 8, 3, 24, 1),
+        (8, 5, 3, 12, 3),
+        (1, 9, 2, 5, 3),
+        (5, 3, 3, 16, 5),
     ];
 
     /// Full, tail-starting and head-only channel ranges of `0..m`.
@@ -2041,7 +2455,7 @@ mod tests {
                 let run =
                     |body| run_direct(body, &xpad, &wmat, &bias, mrange.clone(), hh, ww, c, k);
                 let portable = run(Body::Portable);
-                for body in bodies(ww, true) {
+                for body in bodies(ww) {
                     assert_eq!(run(body), portable, "{body:?}: {case}");
                 }
                 let mut dispatched = vec![f32::NAN; mrange.len() * hh * ww];
@@ -2080,25 +2494,104 @@ mod tests {
                         Body::Portable => {
                             conv_input_grad_rows_portable(dy, wm, cr, &mut out, hh, ww, c, m, k)
                         }
-                        // SAFETY: `bodies` lists the AVX body only when AVX
-                        // is present and `w % 8 == 0`; the slices have the
-                        // lengths `conv_input_grad_rows` asserts.
+                        // SAFETY: `bodies` lists a SIMD body only when its
+                        // ISA is present and `w` is a whole number of its
+                        // blocks; the slices have the lengths
+                        // `conv_input_grad_rows` asserts.
                         #[cfg(target_arch = "x86_64")]
                         Body::Avx => unsafe {
                             conv_input_grad_rows_avx(dy, wm, cr, &mut out, hh, ww, c, m, k)
                         },
-                        _ => unreachable!("the input gradient has no {body:?} body"),
+                        #[cfg(target_arch = "x86_64")]
+                        Body::Avx512 => unsafe {
+                            conv_input_grad_rows_avx512(dy, wm, cr, &mut out, hh, ww, c, m, k)
+                        },
+                        #[cfg(not(target_arch = "x86_64"))]
+                        _ => unreachable!("no SIMD body off x86-64"),
                     }
                     canonical_bits(&out)
                 };
                 let portable = run(Body::Portable);
-                for body in bodies(ww, false) {
+                for body in bodies(ww) {
                     assert_eq!(run(body), portable, "{body:?}: {case}");
                 }
                 let mut dispatched = vec![f32::NAN; crange.len() * hh * ww];
                 conv_input_grad_rows(&dypad, &wmat, crange, &mut dispatched, hh, ww, c, m, k);
                 assert_eq!(canonical_bits(&dispatched), portable, "dispatch: {case}");
             }
+        }
+    }
+
+    #[test]
+    fn transpose_avx_and_portable_agree_bitwise() {
+        // Dispatch transparency of `transpose_sample` at one, two and four
+        // samples per vector: whole 8-pixel blocks plus ragged pixel tails
+        // (15 and 3 pixels), lane counts below, at and above one vector,
+        // over NaN-filled scratch so every lane must be written.
+        for (m, hh, ww) in [
+            (4usize, 8usize, 8usize),
+            (3, 5, 3),
+            (9, 4, 4),
+            (1, 1, 3),
+            (8, 2, 8),
+        ] {
+            let dy = init::uniform(&[5, m, hh, ww], -1.0, 1.0, 59);
+            for spv in [1usize, 2, 4] {
+                let len = hh * ww * grad_row_len(m, spv);
+                let mut dispatched = vec![f32::NAN; len];
+                transpose_sample(&dy, 1, spv, &mut dispatched);
+                let mut portable = vec![f32::NAN; len];
+                let planes = &dy.data()[m * hh * ww..(1 + spv) * m * hh * ww];
+                transpose_pixels(planes, m, spv, hh * ww, 0..hh * ww, &mut portable);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&dispatched),
+                    bits(&portable),
+                    "m={m} {hh}x{ww} spv={spv}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn interleave_avx_and_portable_agree_bitwise() {
+        // Dispatch transparency of the packed padding's interleave at two
+        // and four samples: rows of whole 8-pixel runs, ragged tails and
+        // rows shorter than one run, into a NaN-filled plane whose rows
+        // are strided past their width (its gaps must stay untouched).
+        fn check<const S: usize>(rows: usize, w: usize) {
+            let v = special_values(S * rows * w, 61);
+            let planes: [&[f32]; S] = std::array::from_fn(|s| &v[s * rows * w..(s + 1) * rows * w]);
+            let stride = (w + 3) * S;
+            let len = rows * stride;
+            let mut dispatched = vec![f32::NAN; len];
+            interleave_rows(planes, w, &mut dispatched, stride);
+            let mut expected = vec![f32::NAN; len];
+            for r in 0..rows {
+                for p in 0..w {
+                    for (s, plane) in planes.iter().enumerate() {
+                        expected[r * stride + p * S + s] = plane[r * w + p];
+                    }
+                }
+            }
+            let case = format!("S={S} {rows}x{w}");
+            assert_eq!(
+                canonical_bits(&dispatched),
+                canonical_bits(&expected),
+                "{case}"
+            );
+        }
+        for (rows, w) in [
+            (1usize, 1usize),
+            (3, 5),
+            (2, 8),
+            (4, 12),
+            (1, 16),
+            (3, 24),
+            (2, 35),
+        ] {
+            check::<2>(rows, w);
+            check::<4>(rows, w);
         }
     }
 
@@ -2114,6 +2607,33 @@ mod tests {
         usize,
         usize,
     );
+
+    /// The weight-gradient bodies this host runs at `S` samples per
+    /// vector: the portable loop, then the AVX and AVX-512F bodies when
+    /// their ISA is present, and last the dispatcher.
+    fn weight_grad_bodies<const S: usize>() -> Vec<(&'static str, WeightGradBody<S>)> {
+        let mut bodies: Vec<(&'static str, WeightGradBody<S>)> =
+            vec![("portable", conv_weight_grad_rows_portable::<S>)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY (both): each body runs only when the host has its ISA;
+            // `run_weight_grad` builds every slice at the lengths
+            // `conv_weight_grad_rows` asserts, and `grad_row_len` pads the
+            // rows to a multiple of 16 when AVX-512F is present (8 always).
+            if crate::simd::avx() {
+                bodies.push(("avx", |xp, dt, mr, dw, db, h, w, c, m, k| unsafe {
+                    conv_weight_grad_rows_avx::<S>(xp, dt, mr, dw, db, h, w, c, m, k)
+                }));
+            }
+            if crate::simd::avx512f() {
+                bodies.push(("avx512f", |xp, dt, mr, dw, db, h, w, c, m, k| unsafe {
+                    conv_weight_grad_rows_avx512::<S>(xp, dt, mr, dw, db, h, w, c, m, k)
+                }));
+            }
+        }
+        bodies.push(("dispatch", conv_weight_grad_rows::<S>));
+        bodies
+    }
 
     /// Runs a weight-gradient body on samples `ni..ni + S`, padded and
     /// transposed into NaN-filled scratch, accumulating into rows preset to
@@ -2138,76 +2658,67 @@ mod tests {
         let dwr: [&mut [f32]; S] = std::array::from_fn(|_| &mut dwi.next().unwrap()[..]);
         let dbr: [&mut [f32]; S] = std::array::from_fn(|_| &mut dbi.next().unwrap()[..]);
         body(&xpad, &dyt, mrange, dwr, dbr, hh, ww, c, m, k);
-        let bits = |v: &Vec<f32>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         dw.iter()
             .zip(&db)
-            .map(|(a, b)| (bits(a), bits(b)))
+            .map(|(a, b)| (canonical_bits(a), canonical_bits(b)))
             .collect()
     }
 
-    #[test]
-    fn transpose_avx_and_portable_agree_bitwise() {
-        // Dispatch transparency of `transpose_sample` at one and two
-        // samples per vector: whole 8-pixel blocks plus ragged pixel tails
-        // (15 and 3 pixels), lane counts below, at and above one vector,
-        // over NaN-filled scratch so every lane must be written.
-        for (m, hh, ww) in [
-            (4usize, 8usize, 8usize),
-            (3, 5, 3),
-            (9, 4, 4),
-            (1, 1, 3),
-            (8, 2, 8),
-        ] {
-            let dy = init::uniform(&[3, m, hh, ww], -1.0, 1.0, 59);
-            for spv in [1usize, 2] {
-                let len = hh * ww * grad_row_len(m, spv);
-                let mut dispatched = vec![f32::NAN; len];
-                transpose_sample(&dy, 1, spv, &mut dispatched);
-                let mut portable = vec![f32::NAN; len];
-                let planes = &dy.data()[m * hh * ww..(1 + spv) * m * hh * ww];
-                transpose_pixels(planes, m, spv, hh * ww, 0..hh * ww, &mut portable);
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&dispatched),
-                    bits(&portable),
-                    "m={m} {hh}x{ww} spv={spv}"
-                );
-            }
+    /// Every body at `S` samples per vector over samples `ni..ni + S` of
+    /// `x` and `dy`; returns the portable body's rows after checking that
+    /// every other body matches them bit for bit.
+    fn weight_grad_pack<const S: usize>(
+        x: &Tensor,
+        dy: &Tensor,
+        ni: usize,
+        mrange: std::ops::Range<usize>,
+        k: usize,
+        case: &str,
+    ) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut bodies = weight_grad_bodies::<S>().into_iter();
+        let (_, portable) = bodies.next().expect("the portable body");
+        let expected = run_weight_grad::<S>(portable, x, dy, ni, mrange.clone(), k);
+        for (name, body) in bodies {
+            let got = run_weight_grad::<S>(body, x, dy, ni, mrange.clone(), k);
+            assert_eq!(got, expected, "{name} S={S} ni={ni}: {case}");
         }
+        expected
     }
 
     #[test]
-    fn weight_grad_avx_and_portable_agree_bitwise() {
-        // Dispatch transparency of `conv_weight_grad_rows` at one and two
-        // samples per vector, over the full output-channel range and ranges
-        // that start and end inside a lane group (the row split's shape);
-        // 36, 75, 18 and 2 taps leave the AVX body a short last pass and 72
-        // taps none, and m = 1, 3 and 9 leave padding lanes. The packed pair
-        // must also equal each of its samples run alone, bit for bit.
-        for (c, m, hh, ww, k) in [
-            (4usize, 4usize, 8usize, 8usize, 3usize),
+    fn weight_grad_bodies_and_portable_agree_bitwise() {
+        // Every weight-gradient body this host runs, and the dispatcher,
+        // must equal the portable loop bit for bit at one, two and four
+        // samples per vector. Over the dispatch shapes and more, tap
+        // counts 2, 7, 9, 18, 25, 36, 54, 72, 75 and 125 leave every
+        // remainder of a pass of eight, and m = 1, 2, 3, 5, 9 and 11 leave
+        // padding lanes. Each shape runs the full output-channel range and
+        // a range that starts and ends inside a lane group (the row split's
+        // shape), over inputs holding ±0.0, subnormals and large
+        // magnitudes. Each pack must also equal its samples run alone,
+        // bit for bit: a lane that reads another sample's `x` or `dy`
+        // shows there.
+        let shapes = DISPATCH_SHAPES.into_iter().chain([
             (3, 9, 2, 16, 5),
             (2, 11, 5, 3, 1),
             (3, 3, 5, 3, 5),
             (2, 1, 4, 5, 3),
             (8, 2, 3, 8, 3),
-        ] {
-            let x = init::uniform(&[3, c, hh, ww], -1.0, 1.0, 47);
-            let dy = init::uniform(&[3, m, hh, ww], -1.0, 1.0, 53);
+            (6, 3, 3, 5, 3),
+            (7, 5, 2, 8, 1),
+        ]);
+        for (c, m, hh, ww, k) in shapes {
+            let x = Tensor::from_vec(special_values(5 * c * hh * ww, 47), &[5, c, hh, ww]);
+            let dy = Tensor::from_vec(special_values(5 * m * hh * ww, 53), &[5, m, hh, ww]);
             for mrange in std::iter::once(0..m).chain((m > 2).then_some(1..m - 1)) {
-                let case = format!("w={ww} k={k} m={m} mrange={mrange:?}");
-                let alone: Vec<_> = (1..3)
-                    .map(|ni| {
-                        let run = |body| run_weight_grad::<1>(body, &x, &dy, ni, mrange.clone(), k);
-                        let portable = run(conv_weight_grad_rows_portable::<1>);
-                        assert_eq!(portable, run(conv_weight_grad_rows::<1>), "{case}");
-                        portable.into_iter().next().unwrap()
-                    })
+                let case = format!("c={c} m={m} {hh}x{ww} k={k} mrange={mrange:?}");
+                let alone: Vec<_> = (1..5)
+                    .flat_map(|ni| weight_grad_pack::<1>(&x, &dy, ni, mrange.clone(), k, &case))
                     .collect();
-                let run = |body| run_weight_grad::<2>(body, &x, &dy, 1, mrange.clone(), k);
-                let portable = run(conv_weight_grad_rows_portable::<2>);
-                assert_eq!(portable, run(conv_weight_grad_rows::<2>), "{case}");
-                assert_eq!(portable, alone, "packed pair vs alone: {case}");
+                let pair = weight_grad_pack::<2>(&x, &dy, 1, mrange.clone(), k, &case);
+                assert_eq!(pair, alone[..2], "pair vs alone: {case}");
+                let four = weight_grad_pack::<4>(&x, &dy, 1, mrange.clone(), k, &case);
+                assert_eq!(four, alone, "four vs alone: {case}");
             }
         }
     }

@@ -117,14 +117,21 @@ pub fn pack_b_t(dst: &mut [f32], bt: &[f32], q: usize, p: usize) {
 /// reduction. Dispatches to an explicit 8-wide AVX body when the host has
 /// it ([`crate::simd`]); both bodies run the identical per-element
 /// mul-then-add sequence, so they are bitwise interchangeable.
+///
+/// # Panics
+///
+/// Panics if a panel holds fewer than `q` steps (`q·MR` and `q·NR`
+/// floats), in every build: the AVX body's pointer walk relies on it.
 #[inline]
 fn micro_tile(acc: &mut [[f32; NR]; MR], apanel: &[f32], bpanel: &[f32], q: usize) {
-    debug_assert!(apanel.len() >= q * MR && bpanel.len() >= q * NR);
+    assert!(
+        apanel.len() >= q * MR && bpanel.len() >= q * NR,
+        "micro-tile panels shorter than {q} steps"
+    );
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx() {
-        // SAFETY: AVX presence was just checked; the debug_assert above
-        // (and the callers' packed-length invariants) bound every pointer
-        // the body dereferences.
+        // SAFETY: AVX presence was just checked; the assertion above bounds
+        // every pointer the body dereferences.
         unsafe { micro_tile_avx(acc, apanel, bpanel, q) };
         return;
     }
@@ -413,6 +420,17 @@ mod tests {
             micro_tile_portable(&mut acc_port, &a, &b, q);
             assert_eq!(acc_avx, acc_port, "q={q}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "micro-tile panels shorter than 3 steps")]
+    fn micro_tile_rejects_a_short_panel_in_every_build() {
+        // Three reduction steps over a B panel that holds two: the AVX
+        // body would read a step past its end.
+        let mut acc = [[0.0f32; NR]; MR];
+        let a = vec![1.0f32; 3 * MR];
+        let b = vec![1.0f32; 2 * NR];
+        micro_tile(&mut acc, &a, &b, 3);
     }
 
     #[test]

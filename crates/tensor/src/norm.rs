@@ -492,10 +492,17 @@ fn moments_from_sums(sum: f64, sumsq: f64, len: usize, eps: f32) -> (f64, f64) {
 /// (widen, subtract, multiply, round back, multiply, add — `vcvtpd2ps`
 /// rounds to nearest-even exactly like `as f32`), so both bodies agree
 /// bitwise.
+///
+/// # Panics
+///
+/// Panics if `xs` and `ys` differ in length, in every build: the AVX
+/// body's pointer walk relies on it.
 fn normalize_row(xs: &[f32], ys: &mut [f32], gm: f32, bt: f32, mean: f64, istd: f64) {
+    assert_eq!(xs.len(), ys.len(), "normalize row length mismatch");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx() {
-        // SAFETY: AVX support verified at runtime by the dispatcher.
+        // SAFETY: AVX support verified at runtime; the rows' equal length
+        // is asserted above, so every load and store stays inside them.
         unsafe { normalize_row_avx(xs, ys, gm, bt, mean, istd) };
         return;
     }
@@ -509,12 +516,16 @@ fn normalize_row_portable(xs: &[f32], ys: &mut [f32], gm: f32, bt: f32, mean: f6
     }
 }
 
+/// AVX body of [`normalize_row`].
+///
+/// # Safety
+///
+/// The host must support AVX and `ys` must be as long as `xs`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn normalize_row_avx(xs: &[f32], ys: &mut [f32], gm: f32, bt: f32, mean: f64, istd: f64) {
     use core::arch::x86_64::*;
     let len = xs.len();
-    debug_assert_eq!(ys.len(), len);
     let meanv = _mm256_set1_pd(mean);
     let istdv = _mm256_set1_pd(istd);
     let gmv = _mm256_set1_ps(gm);
@@ -942,6 +953,16 @@ mod tests {
             let fdb = (lpb - lmb) / (2.0 * eps);
             assert!((fdb - dbeta.data()[ci]).abs() < 1e-2 * fdb.abs().max(1.0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "normalize row length mismatch")]
+    fn normalize_row_rejects_a_short_output_in_every_build() {
+        // A 16-element row into 9 outputs: the AVX body would store its
+        // second block past the end.
+        let xs = [0.5f32; 16];
+        let mut ys = [0.0f32; 9];
+        normalize_row(&xs, &mut ys, 1.0, 0.0, 0.0, 1.0);
     }
 
     #[test]

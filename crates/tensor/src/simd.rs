@@ -5,11 +5,12 @@
 //! loops are written. The hot microkernels ([`crate::matmul`],
 //! [`crate::norm`], [`crate::conv`], [`crate::lincomb`]) therefore carry
 //! explicit `std::arch` AVX bodies behind the runtime checks here,
-//! falling back to the portable loops elsewhere. Two kernels also have an
-//! AVX-512F body (16-wide blocks, one per register) behind [`avx512f`],
-//! each stamped by one macro from the same source as its AVX body: the
-//! conv forward and the Runge–Kutta linear combination. The host's ISA
-//! alone picks the body: there is no option or environment variable.
+//! falling back to the portable loops elsewhere. Four kernels also have
+//! an AVX-512F body (16 lanes, one register) behind [`avx512f`], each
+//! stamped by one macro from the same source as its AVX body: the three
+//! conv passes (forward, input gradient, weight gradient) and the
+//! Runge–Kutta linear combination. The host's ISA alone picks the body:
+//! there is no option or environment variable.
 //!
 //! # Determinism
 //!
@@ -39,8 +40,8 @@ pub(crate) fn avx() -> bool {
 }
 
 /// True when the host supports AVX-512F (512-bit float vectors), cached
-/// like [`avx`]. The conv forward and the Runge–Kutta linear combination
-/// have 16-wide bodies.
+/// like [`avx`]. The three conv passes and the Runge–Kutta linear
+/// combination have 16-lane bodies.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn avx512f() -> bool {
