@@ -40,20 +40,14 @@ ENODE_THREADS=4 cargo test -q -p enode-serve --features synctrace
 echo "==> bench_kernels_json smoke run (--quick)"
 cargo run -q --release -p enode-bench --bin bench_kernels_json -- --quick "$(mktemp)"
 
-echo "==> serve_bench smoke run (--smoke: JSON validated, p99 fields present)"
-cargo run -q --release -p enode-bench --bin serve_bench -- --smoke >/dev/null
-
-echo "==> fleet_bench smoke run (--smoke: JSON validated, residency fields present)"
-cargo run -q --release -p enode-bench --bin fleet_bench -- --smoke >/dev/null
-
-echo "==> serve_bench --check (BENCH_serve.json identity with a full regenerated sweep, host metadata skipped)"
+echo "==> serve_bench --check (BENCH_serve.json parses and matches a full regenerated sweep, host metadata skipped)"
 cargo run -q --release -p enode-bench --bin serve_bench -- --check >/dev/null
 
-echo "==> fleet_bench --check (BENCH_fleet.json identity with a full regenerated sweep, host metadata skipped)"
+echo "==> fleet_bench --check (BENCH_fleet.json parses and matches a full regenerated sweep, host metadata skipped)"
 cargo run -q --release -p enode-bench --bin fleet_bench -- --check >/dev/null
 
 echo "==> cost_table_json --check (COST_TABLE.json byte identity with the simulator)"
-cargo run -q --release -p enode-bench --bin cost_table_json -- --check
+cargo run -q --release -p enode-bench --bin cost_table_json -- --check >/dev/null
 
 echo "==> ablations (output identical to experiments_output.txt from '=== Ablation: packetized' to the end)"
 ablations_out="$(mktemp)"
@@ -88,39 +82,12 @@ cargo run -q --release --offline --manifest-path perfbench/Cargo.toml --bin perf
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-Dwarnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
-echo "==> enode-lint (static analysis over shipped artifacts)"
-cargo run -q --release -p enode-analysis --bin enode-lint
-
-echo "==> enode-lint --json (no error-severity diagnostics)"
+# Exits 1 on any error-severity diagnostic: every E code is an error.
+echo "==> enode-lint --json (static analysis over shipped artifacts; no error-severity diagnostics)"
 lint_json="$(cargo run -q --release -p enode-analysis --bin enode-lint -- --json)" || {
   echo "enode-lint --json exited nonzero:"
   echo "$lint_json"
   exit 1
 }
-if echo "$lint_json" | grep -q '"severity":"error"'; then
-  echo "error-severity lint diagnostics:"
-  echo "$lint_json" | grep '"severity":"error"'
-  exit 1
-fi
-if echo "$lint_json" | grep -q '"code":"E08'; then
-  echo "affine access proofs failed (E08x) on registered kernel summaries:"
-  echo "$lint_json" | grep '"code":"E08'
-  exit 1
-fi
-if echo "$lint_json" | grep -q '"code":"E09'; then
-  echo "schedulability / energy-budget proofs failed (E09x) on shipped policies:"
-  echo "$lint_json" | grep '"code":"E09'
-  exit 1
-fi
-if echo "$lint_json" | grep -q '"code":"E10'; then
-  echo "concurrency proofs failed (E10x) on the registered sync skeletons:"
-  echo "$lint_json" | grep '"code":"E10'
-  exit 1
-fi
-if echo "$lint_json" | grep -q '"code":"E11'; then
-  echo "fleet registry / residency proofs failed (E11x) on the shipped fleet:"
-  echo "$lint_json" | grep '"code":"E11'
-  exit 1
-fi
 
 echo "CI OK"

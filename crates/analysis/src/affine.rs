@@ -16,7 +16,7 @@
 //! # The lane-contiguity lemma
 //!
 //! The parallel layer assigns every lane a contiguous, balanced item
-//! range ([`enode_tensor::access::item_chunk`]) for **every** pool
+//! range ([`enode_tensor::parallel::chunk`]) for **every** pool
 //! width, grain, and schedule — grain only changes *how many* chunks
 //! exist, never their contiguity. Lane sets are therefore unions of
 //! per-item sets over disjoint item ranges, so:
@@ -59,6 +59,7 @@
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use crate::engine::{DataflowGraph, Lattice, Pass};
 use enode_tensor::access::{AccessKind, KernelAccessSummary, ScratchSource, StridedAccess};
+use enode_tensor::parallel;
 
 fn gcd(a: usize, b: usize) -> usize {
     let (mut a, mut b) = (a, b);
@@ -543,17 +544,17 @@ pub fn brute_force_region(
     grain: usize,
 ) -> BruteForceOutcome {
     let r = s.region(region).expect("undeclared region");
-    let ways = crate::parallelcheck::plan_chunks(pool, s.items, grain);
+    let ways = parallel::plan_chunks(pool, s.items, grain);
     let mut written = vec![0u32; r.elems];
     let mut out = BruteForceOutcome::default();
     for lane in 0..ways {
-        let (lo, hi) = enode_tensor::access::item_chunk(s.items, ways, lane);
+        let items = parallel::chunk(s.items, ways, lane);
         for a in s
             .accesses
             .iter()
             .filter(|a| a.region == region && a.kind == AccessKind::Write)
         {
-            for t in lo..hi {
+            for t in items.clone() {
                 for j in 0..a.count {
                     let e = a.offset + t * a.stride_per_item + j * a.elem_stride;
                     if e >= r.elems {

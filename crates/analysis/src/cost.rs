@@ -34,6 +34,7 @@
 //! (its recorded `host_cpus`), never the machine running the lint.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
+use enode_hw::json::{self, Value};
 use enode_tensor::access::KernelAccessSummary;
 
 /// The committed kernel-bench baseline at the repo root.
@@ -148,11 +149,61 @@ pub fn predicted_speedup(
     t_serial / t_parallel
 }
 
-// The baseline types and the line scanner behind them live in the shared
-// [`crate::benchjson`] module (the same scanner reads `COST_TABLE.json`
-// for `crate::schedcheck`); re-exported here so the cost pass's public
-// API is unchanged.
-pub use crate::benchjson::{parse_baseline, BenchBaseline, MeasuredKernel};
+/// One measured kernel row from `BENCH_kernels.json`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MeasuredKernel {
+    /// Bench row name, e.g. `"conv2d_forward_b8"`.
+    pub name: String,
+    /// Measured `secs_low / secs_high` speedup.
+    pub speedup: f64,
+    /// Measured single-thread speedup over the pinned pre-microkernel
+    /// serial referent (`secs_referent / secs_low`, schema v2 rows only).
+    pub speedup_vs_referent: Option<f64>,
+}
+
+/// The fields of the committed kernel-bench baseline the cost pass
+/// consumes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BenchBaseline {
+    /// Physical cores of the machine that produced the baseline.
+    pub host_cpus: usize,
+    /// Thread count of the `secs_high` measurements.
+    pub threads_high: usize,
+    /// Measured kernel rows, in file order.
+    pub kernels: Vec<MeasuredKernel>,
+}
+
+/// Reads the subset of `enode-bench-kernels/v1`/`v2` the cost pass needs
+/// (v2 adds the optional per-row serial-referent columns) through the
+/// one JSON reader. `None` on malformed JSON, a foreign schema, a missing
+/// field or an empty `kernels` list.
+pub fn parse_baseline(text: &str) -> Option<BenchBaseline> {
+    let doc = json::parse(text).ok()?;
+    if !doc
+        .get("schema")?
+        .as_str()?
+        .starts_with("enode-bench-kernels/")
+    {
+        return None;
+    }
+    let kernels = doc
+        .get("kernels")?
+        .as_array()?
+        .iter()
+        .map(|k| {
+            Some(MeasuredKernel {
+                name: k.get("name")?.as_str()?.to_string(),
+                speedup: k.get("speedup")?.as_f64()?,
+                speedup_vs_referent: k.get("speedup_vs_referent").and_then(Value::as_f64),
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    (!kernels.is_empty()).then_some(BenchBaseline {
+        host_cpus: doc.get("host_cpus")?.as_usize()?,
+        threads_high: doc.get("threads_high")?.as_usize()?,
+        kernels,
+    })
+}
 
 /// Affine summaries at the *bench* shapes (which differ from the
 /// representative lint shapes in [`crate::affine::registered_summaries`]),
@@ -291,6 +342,16 @@ mod tests {
         assert!(parse_baseline("{\"schema\": \"other/v1\"}").is_none());
         // Schema line alone, no kernel rows.
         assert!(parse_baseline("{\"schema\": \"enode-bench-kernels/v1\"}").is_none());
+        // A kernel row without its speedup, and the committed baseline cut
+        // short of its closing brackets.
+        let no_speedup = SHIPPED_BASELINE.replace("\"speedup\": 0.950", "\"x\": 0.950");
+        assert!(parse_baseline(&no_speedup).is_none());
+        assert!(parse_baseline(
+            SHIPPED_BASELINE
+                .trim_end()
+                .trim_end_matches(['}', ']', '\n', ' '])
+        )
+        .is_none());
     }
 
     #[test]

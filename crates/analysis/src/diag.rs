@@ -30,7 +30,7 @@
 //! [`crate::registry`], emit it from the pass, and add a negative test
 //! that triggers it on a deliberately broken input.
 
-use crate::benchjson::json_escape;
+use enode_hw::json::escape;
 use std::fmt;
 
 /// How bad a finding is.
@@ -655,8 +655,8 @@ impl Diagnostic {
         let mut out = format!(
             "{{\"code\":\"{}\",\"severity\":\"{severity}\",\"artifact\":\"{}\",\"message\":\"{}\"",
             self.code,
-            json_escape(&self.subject),
-            json_escape(&self.message)
+            escape(&self.subject),
+            escape(&self.message)
         );
         if !self.notes.is_empty() {
             out.push_str(",\"notes\":{");
@@ -664,7 +664,7 @@ impl Diagnostic {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+                out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
             }
             out.push('}');
         }

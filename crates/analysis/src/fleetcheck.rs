@@ -32,11 +32,11 @@
 //! checks short-circuit: verdicts derived from a malformed fleet or a
 //! stale registry would be unsound, so nothing else runs until they pass.
 
-use crate::benchjson::ParsedCostTable;
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use crate::schedcheck::ServiceModel;
 use enode_hw::mapping::per_core_weight_bytes;
+use enode_hw::table::CostTable;
 use enode_serve::fleet::FleetConfig;
 use enode_serve::policies::ServeConfig;
 use enode_serve::registry::version_fingerprint;
@@ -195,10 +195,10 @@ impl Pass<FleetGraph> for LoadPass {
     }
 }
 
-/// Lints one fleet config against one parsed cost table. Split out from
+/// Lints one fleet config against one cost table. Split out from
 /// [`lint_shipped_fleet`] so mutation and golden tests can inject
 /// doctored registries, assignments, and envelopes.
-pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics {
+pub fn lint_fleet(config: &FleetConfig, table: &CostTable) -> Diagnostics {
     let mut ds = Diagnostics::new();
     let subject = format!("fleet {}", config.name);
     let registry = &config.registry;
@@ -517,7 +517,7 @@ mod tests {
     use enode_serve::registry::Registry;
     use enode_serve::ServeConfig;
 
-    fn table() -> ParsedCostTable {
+    fn table() -> CostTable {
         crate::schedcheck::shipped_table().expect("committed table parses")
     }
 

@@ -53,9 +53,11 @@
 //!   [`schedcheck`]'s response-time bound), and
 //!   published-version fingerprint provenance.
 //!
-//! [`benchjson`] holds the shared line scanner both committed-artifact
-//! ingests ([`cost`], [`schedcheck`]) parse with, and the one JSON string
-//! escape every emitter in the workspace writes with.
+//! Both committed-artifact ingests read through the one JSON reader,
+//! `enode_hw::json`: [`cost`] parses `BENCH_kernels.json`, and
+//! [`schedcheck`] reads `COST_TABLE.json` with
+//! `enode_hw::table::CostTable::from_json`, beside the writer that
+//! renders it.
 //!
 //! [`registry`] carries a rustc-style long explanation for every code
 //! (`enode-lint --explain CODE`, `docs/LINTS.md`).
@@ -65,7 +67,6 @@
 //! any error-severity diagnostic fires.
 
 pub mod affine;
-pub mod benchjson;
 pub mod consistency;
 pub mod cost;
 pub mod ddg;

@@ -20,22 +20,18 @@
 //!   (lanes ping-pong ownership of shared lines).
 //! * `W044` — the planner's work-size floor keeps the kernel serial.
 //!
-//! The grain and floor constants are `enode_tensor::parallel`'s own;
-//! [`plan_chunks`] models its chunk planner at a given pool width.
+//! The grain and floor constants and the chunk planner
+//! ([`plan_chunks`], applied here at a given pool width) are
+//! `enode_tensor::parallel`'s own.
 //! Codes `E041`, `E042` and `W043` are retired
 //! ([`crate::registry::RETIRED`]).
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use enode_tensor::access::{AccessKind, KernelAccessSummary, RegionDecl};
-use enode_tensor::parallel::{MIN_CHUNK_FLOPS, SERIAL_FLOOR_FLOPS};
+use enode_tensor::parallel::{plan_chunks, MIN_CHUNK_FLOPS, SERIAL_FLOOR_FLOPS};
 
 /// Cache-line size assumed by the false-sharing lint.
 const CACHE_LINE: usize = 64;
-
-/// Mirror of `enode_tensor::parallel::plan_chunks` for a given pool width.
-pub fn plan_chunks(pool: usize, items: usize, grain: usize) -> usize {
-    pool.min(items / grain.max(1)).max(1)
-}
 
 /// Lints one kernel split against a pool of `pool` lanes.
 pub fn lint_kernel_split(s: &KernelAccessSummary, pool: usize) -> Diagnostics {

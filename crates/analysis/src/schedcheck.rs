@@ -42,9 +42,8 @@
 //! constructor asserts) and reachability (`W071`) need no table and are
 //! checked first.
 
-use crate::benchjson::{parse_cost_table, CostTableRow, ParsedCostTable};
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use enode_hw::table::{points_for, tableau_cost, trials_for, TABLE_VERSION};
+use enode_hw::table::{points_for, tableau_cost, trials_for, CostRow, CostTable, TABLE_VERSION};
 use enode_serve::{fingerprint, LadderDefect, ServeConfig, ToleranceClass};
 
 /// The committed serving cost table at the repo root (regenerate with
@@ -92,7 +91,7 @@ impl<'a> ServiceModel<'a> {
     /// be derived from it.
     pub(crate) fn resolve(
         policy: &'a ServeConfig,
-        table: &ParsedCostTable,
+        table: &CostTable,
         ds: &mut Diagnostics,
     ) -> Option<ServiceModel<'a>> {
         let subject = format!("serve policy {}", policy.name);
@@ -146,7 +145,7 @@ impl<'a> ServiceModel<'a> {
         let mut points = Vec::new();
         let mut sound = true;
         for tier in 0..policy.tiers.len() {
-            let rows: Vec<&CostTableRow> = table.rows_for(policy.name, tier);
+            let rows: Vec<&CostRow> = table.rows_for(policy.name, tier);
             if rows.is_empty() {
                 ds.push(
                     Diagnostic::new(
@@ -308,10 +307,10 @@ fn lint_ladder(policy: &ServeConfig, subject: &str, ds: &mut Diagnostics) -> boo
     true
 }
 
-/// Lints one policy against one parsed cost table. Split out from
+/// Lints one policy against one cost table. Split out from
 /// [`lint_shipped_policies`] so mutation and golden tests can inject
 /// doctored tables and envelopes.
-pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics {
+pub fn lint_config(policy: &ServeConfig, table: &CostTable) -> Diagnostics {
     let mut ds = Diagnostics::new();
     let subject = format!("serve policy {}", policy.name);
 
@@ -511,22 +510,22 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
     ds
 }
 
-/// Parses the committed `COST_TABLE.json`, or reports why it cannot be
+/// Reads the committed `COST_TABLE.json`, or reports why it cannot be
 /// used (as diagnostics against the table itself).
-pub fn shipped_table() -> Result<ParsedCostTable, Diagnostics> {
-    match parse_cost_table(SHIPPED_TABLE) {
-        Some(t) => Ok(t),
-        None => {
-            let mut ds = Diagnostics::new();
-            ds.push(Diagnostic::new(
+pub fn shipped_table() -> Result<CostTable, Diagnostics> {
+    CostTable::from_json(SHIPPED_TABLE).map_err(|reason| {
+        let mut ds = Diagnostics::new();
+        ds.push(
+            Diagnostic::new(
                 Code::E093SchedTableVersion,
                 "COST_TABLE.json",
                 "committed cost table does not parse as enode-cost-table JSON; \
                  regenerate it with the cost_table_json generator",
-            ));
-            Err(ds)
-        }
-    }
+            )
+            .with_note("reason", reason),
+        );
+        ds
+    })
 }
 
 /// Lints every shipped policy against the committed table — the entry
@@ -548,7 +547,7 @@ pub fn lint_shipped_policies() -> Diagnostics {
 mod tests {
     use super::*;
 
-    fn table() -> ParsedCostTable {
+    fn table() -> CostTable {
         shipped_table().expect("committed table parses")
     }
 
@@ -572,7 +571,7 @@ mod tests {
         }
     }
 
-    fn model<'a>(p: &'a ServeConfig, t: &ParsedCostTable) -> ServiceModel<'a> {
+    fn model<'a>(p: &'a ServeConfig, t: &CostTable) -> ServiceModel<'a> {
         ServiceModel::resolve(p, t, &mut Diagnostics::new()).expect("resolves")
     }
 

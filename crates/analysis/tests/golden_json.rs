@@ -210,7 +210,7 @@ fn corpus() -> String {
     // committed baseline's machine-checked 1-core caveat.
     let fabricated = cost::parse_baseline(
         "{\n\"schema\": \"enode-bench-kernels/v1\",\n\"threads_high\": 4,\n\
-         \"host_cpus\": 4,\n{ \"name\": \"conv2d_forward_b8\", \"speedup\": 40.0 }\n}",
+         \"host_cpus\": 4,\n\"kernels\": [ { \"name\": \"conv2d_forward_b8\", \"speedup\": 40.0 } ]\n}",
     )
     .expect("fabricated baseline parses");
     section(

@@ -17,18 +17,11 @@
 
 use enode_analysis::cost::{self, BenchBaseline, MeasuredKernel, RooflineModel};
 use enode_bench::kernels_json::{measure, render_json, THREADS_HIGH};
-use enode_bench::report;
+use enode_bench::report::{self, ArtifactArgs};
 
 fn main() {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_kernels.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let args = ArtifactArgs::from_env("bench_kernels_json", &["--quick"], "BENCH_kernels.json");
+    let quick = args.quick;
     eprintln!(
         "measuring kernels at 1 and {THREADS_HIGH} threads{} ...",
         if quick { " (quick)" } else { "" }
@@ -81,9 +74,7 @@ fn main() {
         eprint!("{}", ds.render());
     }
 
-    let json = render_json(&timings, quick);
-    std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
-    eprintln!("wrote {out_path}");
+    args.emit(&render_json(&timings, quick));
 
     // Regression gate: every rewritten kernel must at least match its
     // pinned pre-microkernel serial referent on this host. CI runs the

@@ -14,37 +14,12 @@
 //! (plus the `analysis::schedcheck` verdicts) must be regenerated
 //! together.
 
+use enode_bench::report::ArtifactArgs;
 use enode_serve::shipped_cost_table;
 
 fn main() {
-    let mut check = false;
-    let mut out_path = String::from("COST_TABLE.json");
-    for arg in std::env::args().skip(1) {
-        if arg == "--check" {
-            check = true;
-        } else {
-            out_path = arg;
-        }
-    }
+    let args = ArtifactArgs::from_env("cost_table_json", &["--check"], "COST_TABLE.json");
     let table = shipped_cost_table();
-    let json = table.render_json();
-
-    if check {
-        let committed = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
-            eprintln!("cannot read {out_path}: {e}");
-            std::process::exit(1);
-        });
-        if committed != json {
-            eprintln!(
-                "{out_path} is stale: regeneration differs from the committed bytes; \
-                 rerun `cargo run --release -p enode-bench --bin cost_table_json`"
-            );
-            std::process::exit(1);
-        }
-        println!("{out_path}: up to date ({} rows)", table.rows.len());
-        return;
-    }
-
     println!(
         "{:<20} {:>4} {:>5} {:>6} {:>7} {:>11} {:>10}",
         "policy", "tier", "batch", "points", "f_evals", "latency_us", "energy_uj"
@@ -55,6 +30,5 @@ fn main() {
             r.policy, r.tier, r.batch, r.points, r.f_evals, r.latency_us, r.energy_uj
         );
     }
-    std::fs::write(&out_path, &json).expect("write cost table");
-    eprintln!("wrote {out_path} ({} rows)", table.rows.len());
+    args.emit(&table.render_json());
 }

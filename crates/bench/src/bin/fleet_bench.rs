@@ -3,7 +3,6 @@
 //! ```sh
 //! cargo run --release -p enode-bench --bin fleet_bench              # full sweep -> BENCH_fleet.json
 //! cargo run --release -p enode-bench --bin fleet_bench -- --quick /tmp/fleet.json
-//! cargo run --release -p enode-bench --bin fleet_bench -- --smoke  # CI: validate only, write nothing
 //! cargo run --release -p enode-bench --bin fleet_bench -- --check  # CI: diff the full sweep against BENCH_fleet.json
 //! ```
 //!
@@ -13,29 +12,12 @@
 //! `enode_threads_default` are host metadata. See
 //! [`enode_bench::fleet_json`] for the format.
 
-use enode_bench::fleet_json::{render_json, sweep_fleet, validate};
-use enode_bench::report;
+use enode_bench::fleet_json::{render_json, sweep_fleet};
+use enode_bench::report::{self, ArtifactArgs};
 
 fn main() {
-    let mut quick = false;
-    let mut smoke = false;
-    let mut check = false;
-    let mut out_path = String::from("BENCH_fleet.json");
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--smoke" => {
-                smoke = true;
-                quick = true;
-            }
-            "--check" => check = true,
-            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
-            path => out_path = path.to_string(),
-        }
-    }
-    if check && quick {
-        usage("--check compares the full sweep; it takes no --quick or --smoke");
-    }
+    let args = ArtifactArgs::from_env("fleet_bench", &["--quick", "--check"], "BENCH_fleet.json");
+    let quick = args.quick;
     eprintln!(
         "sweeping fleet size x tenants x offered load over the shipped registry{} ...",
         if quick { " (quick)" } else { "" }
@@ -76,30 +58,5 @@ fn main() {
         ]);
     }
 
-    let json = render_json(&cells, quick);
-    if let Err(e) = validate(&json) {
-        eprintln!("fleet_bench: emitted document failed validation: {e}");
-        std::process::exit(1);
-    }
-    if check {
-        report::check_artifact(
-            &out_path,
-            &json,
-            "cargo run --release -p enode-bench --bin fleet_bench",
-        );
-        return;
-    }
-    if smoke {
-        eprintln!(
-            "smoke OK: JSON well-formed, per-tenant percentiles and residency fields present"
-        );
-        return;
-    }
-    std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
-    eprintln!("wrote {out_path}");
-}
-
-fn usage(problem: &str) -> ! {
-    eprintln!("fleet_bench: {problem}\nusage: fleet_bench [--quick | --smoke | --check] [PATH]");
-    std::process::exit(2);
+    args.emit(&render_json(&cells, quick));
 }

@@ -3,7 +3,6 @@
 //! ```sh
 //! cargo run --release -p enode-bench --bin serve_bench              # full sweep -> BENCH_serve.json
 //! cargo run --release -p enode-bench --bin serve_bench -- --quick /tmp/serve.json
-//! cargo run --release -p enode-bench --bin serve_bench -- --smoke  # CI: validate only, write nothing
 //! cargo run --release -p enode-bench --bin serve_bench -- --check  # CI: diff the full sweep against BENCH_serve.json
 //! ```
 //!
@@ -12,29 +11,12 @@
 //! row bit-for-bit; only `host_cpus` / `enode_threads_default` are host
 //! metadata. See [`enode_bench::serve_json`] for the format.
 
-use enode_bench::report;
-use enode_bench::serve_json::{hw_sweep, pareto_frontier, render_json, sweep_shipped, validate};
+use enode_bench::report::{self, ArtifactArgs};
+use enode_bench::serve_json::{hw_sweep, pareto_frontier, render_json, sweep_shipped};
 
 fn main() {
-    let mut quick = false;
-    let mut smoke = false;
-    let mut check = false;
-    let mut out_path = String::from("BENCH_serve.json");
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--smoke" => {
-                smoke = true;
-                quick = true;
-            }
-            "--check" => check = true,
-            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
-            path => out_path = path.to_string(),
-        }
-    }
-    if check && quick {
-        usage("--check compares the full sweep; it takes no --quick or --smoke");
-    }
+    let args = ArtifactArgs::from_env("serve_bench", &["--quick", "--check"], "BENCH_serve.json");
+    let quick = args.quick;
     eprintln!(
         "sweeping offered load x batch window over shipped policies{} ...",
         if quick { " (quick)" } else { "" }
@@ -117,31 +99,5 @@ fn main() {
         ]);
     }
 
-    let json = render_json(&sweeps, &hw, quick);
-    if let Err(e) = validate(&json) {
-        eprintln!("serve_bench: emitted document failed validation: {e}");
-        std::process::exit(1);
-    }
-    if check {
-        report::check_artifact(
-            &out_path,
-            &json,
-            "cargo run --release -p enode-bench --bin serve_bench",
-        );
-        return;
-    }
-    if smoke {
-        eprintln!("smoke OK: JSON well-formed, p50/p95/p99 and outcome fields present");
-        if let Some(caveat) = report::host_caveat(enode_bench::kernels_json::THREADS_HIGH) {
-            eprintln!("{caveat}");
-        }
-        return;
-    }
-    std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
-    eprintln!("wrote {out_path}");
-}
-
-fn usage(problem: &str) -> ! {
-    eprintln!("serve_bench: {problem}\nusage: serve_bench [--quick | --smoke | --check] [PATH]");
-    std::process::exit(2);
+    args.emit(&render_json(&sweeps, &hw, quick));
 }

@@ -21,7 +21,7 @@
 //!   "lanes": 4,                    // CostModel lanes (fixed, not host-derived)
 //!   "host_cpus": 1,                // available_parallelism() on the host
 //!   "enode_threads_default": 1,    // pool width this host would default to
-//!   "quick": false,                // true when run with the reduced grid (CI smoke)
+//!   "quick": false,                // true when run with the reduced grid (--quick)
 //!   "seed": 24301,                 // master seed for arrivals and inputs
 //!   "cost_model": { "per_nfe_us": 20.0, "dispatch_overhead_us": 150, "lanes": 4 },
 //!   "cells": [
@@ -54,7 +54,7 @@ use crate::report::host_cpus;
 // Every cell runs under the `BENCH_serve.json` cost model, lane count and
 // seed, so fleet and single-server numbers compare.
 use crate::serve_json::{cost_model, LANES, SEED};
-use enode_analysis::benchjson::json_escape;
+use enode_hw::json::escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{
@@ -126,7 +126,8 @@ pub struct FleetCell {
 }
 
 /// Runs the full fleet-size × tenants × offered-load sweep. `quick`
-/// shrinks the grid and the request count (the CI smoke configuration).
+/// shrinks the grid and the request count (`--quick`, and the unit
+/// tests).
 pub fn sweep_fleet(quick: bool) -> Vec<FleetCell> {
     let models = bench_models();
     let opts = NodeSolveOptions::new(1e-4);
@@ -204,7 +205,7 @@ pub fn render_json(cells: &[FleetCell], quick: bool) -> String {
                 "        {{ \"tenant\": \"{}\", \"offered\": {}, \"submitted\": {}, \
                  \"completed\": {}, \"shed\": {}, \"failed\": {}, \"rejected\": {}, \
                  \"not_resident\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {} }}{}\n",
-                json_escape(&t.tenant),
+                escape(&t.tenant),
                 t.offered,
                 t.submitted,
                 t.completed,
@@ -224,7 +225,7 @@ pub fn render_json(cells: &[FleetCell], quick: bool) -> String {
             let versions = inst
                 .resident_versions
                 .iter()
-                .map(|(name, v)| format!("[\"{}\", {v}]", json_escape(name)))
+                .map(|(name, v)| format!("[\"{}\", {v}]", escape(name)))
                 .collect::<Vec<_>>()
                 .join(",");
             let tiers = inst
@@ -238,7 +239,7 @@ pub fn render_json(cells: &[FleetCell], quick: bool) -> String {
                  \"resident_bytes\": {}, \"resident_versions\": [{}], \
                  \"tier_counts\": [{}], \"metrics\": {} }}{}\n",
                 inst.instance,
-                json_escape(&inst.model),
+                escape(&inst.model),
                 inst.alive,
                 inst.resident_bytes,
                 versions,
@@ -257,38 +258,10 @@ pub fn render_json(cells: &[FleetCell], quick: bool) -> String {
     s
 }
 
-/// Validates an emitted document: well-formed JSON and every field the
-/// acceptance tracking reads is present. The `fleet_bench` binary runs
-/// this on its own output (and `--smoke` gates CI on it).
-pub fn validate(json: &str) -> Result<(), String> {
-    crate::serve_json::validate_json(json)?;
-    for field in [
-        "\"schema\": \"enode-bench-fleet/v1\"",
-        "\"fleet_size\"",
-        "\"tenants_per_model\"",
-        "\"offered_rps\"",
-        "\"makespan_us\"",
-        "\"p50_us\"",
-        "\"p95_us\"",
-        "\"p99_us\"",
-        "\"shed\"",
-        "\"rejected\"",
-        "\"not_resident\"",
-        "\"resident_bytes\"",
-        "\"resident_versions\"",
-        "\"tier_counts\"",
-        "\"host_cpus\"",
-    ] {
-        if !json.contains(field) {
-            return Err(format!("missing required field {field}"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enode_hw::json::{self, Value};
 
     #[test]
     fn quick_sweep_emits_a_valid_document() {
@@ -311,11 +284,62 @@ mod tests {
             // Every instance pins exactly its served model's live bytes.
             assert!(cell.result.instances.iter().all(|i| i.resident_bytes > 0));
         }
-        let json = render_json(&cells, true);
-        validate(&json).expect("emitted document must validate");
-        assert!(json.contains("\"tenant\": \"vision_a_0\""));
-        assert!(json.contains("\"tenant\": \"keyword_a_0\""));
-        assert!(json.contains("\"quick\": true"));
+        let doc = json::parse(&render_json(&cells, true)).expect("emitted document parses");
+        let list = |v: &Value, key: &str| v.get(key).and_then(Value::as_array).expect(key).to_vec();
+        let count = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("enode-bench-fleet/v1")
+        );
+        assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
+        assert!(doc.get("host_cpus").and_then(Value::as_usize).is_some());
+        let docs = list(&doc, "cells");
+        assert_eq!(docs.len(), cells.len());
+        for (c, cell) in docs.iter().zip(&cells) {
+            assert_eq!(
+                c.get("fleet_size").and_then(Value::as_usize),
+                Some(cell.fleet_size)
+            );
+            assert_eq!(
+                c.get("tenants_per_model").and_then(Value::as_usize),
+                Some(cell.tenants_per_model)
+            );
+            assert_eq!(count(c, "makespan_us"), Some(cell.result.makespan_us));
+            let (tenants, instances) = (list(c, "tenants"), list(c, "instances"));
+            assert_eq!(tenants.len(), cell.result.tenants.len());
+            assert_eq!(instances.len(), cell.result.instances.len());
+            for (t, want) in tenants.iter().zip(&cell.result.tenants) {
+                assert_eq!(t.get("tenant").and_then(Value::as_str), Some(&*want.tenant));
+                for (key, v) in [
+                    ("completed", want.completed),
+                    ("shed", want.shed),
+                    ("rejected", want.rejected),
+                    ("not_resident", want.not_resident),
+                    ("p50_us", want.p50_us),
+                    ("p95_us", want.p95_us),
+                    ("p99_us", want.p99_us),
+                ] {
+                    assert_eq!(count(t, key), Some(v), "{key}");
+                }
+            }
+            for (i, want) in instances.iter().zip(&cell.result.instances) {
+                assert_eq!(count(i, "resident_bytes"), Some(want.resident_bytes));
+                let versions = list(i, "resident_versions");
+                assert_eq!(versions.len(), want.resident_versions.len());
+                for (v, (name, version)) in versions.iter().zip(&want.resident_versions) {
+                    let pair = v.as_array().expect("[name, version] pair");
+                    assert_eq!(pair[0].as_str(), Some(name.as_str()));
+                    assert_eq!(pair[1].as_u64(), Some(u64::from(*version)));
+                }
+                assert_eq!(list(i, "tier_counts").len(), want.tier_counts.len());
+            }
+        }
+        let tenants: Vec<Value> = docs.iter().flat_map(|c| list(c, "tenants")).collect();
+        for name in ["vision_a_0", "keyword_a_0"] {
+            assert!(tenants
+                .iter()
+                .any(|t| t.get("tenant").and_then(Value::as_str) == Some(name)));
+        }
     }
 
     #[test]
@@ -323,12 +347,6 @@ mod tests {
         let a = render_json(&sweep_fleet(true), true);
         let b = render_json(&sweep_fleet(true), true);
         assert_eq!(a, b, "rerun must reproduce the document bit-for-bit");
-    }
-
-    #[test]
-    fn validate_flags_missing_fields() {
-        let err = validate("{\"schema\": \"enode-bench-fleet/v1\"}").unwrap_err();
-        assert!(err.contains("missing required field"));
     }
 
     #[test]

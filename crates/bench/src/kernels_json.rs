@@ -18,7 +18,7 @@
 //!   "threads_high": 4,             // lane count of the parallel runs
 //!   "host_cpus": 1,                // available_parallelism() on the host
 //!   "enode_threads_default": 1,    // pool width this host would default to
-//!   "quick": false,                // true when run with reduced samples (CI smoke)
+//!   "quick": false,                // true when run with reduced samples (--quick)
 //!   "kernels": [
 //!     {
 //!       "name": "conv2d_forward_b8",
@@ -47,7 +47,7 @@ use crate::driver::{expedited_opts, run_inference_only, Bench};
 use crate::micro::Micro;
 use crate::referent;
 use crate::report::host_cpus;
-use enode_analysis::benchjson::json_escape;
+use enode_hw::json::escape;
 use enode_node::eval::forward_model_batched;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
@@ -92,7 +92,7 @@ impl KernelTiming {
 }
 
 /// Measures every tracked kernel at 1 and [`THREADS_HIGH`] threads.
-/// `quick` trades precision for runtime (the CI smoke configuration).
+/// `quick` trades precision for runtime (`--quick`, CI's run).
 pub fn measure(quick: bool) -> Vec<KernelTiming> {
     let m = if quick {
         Micro {
@@ -329,7 +329,7 @@ pub fn render_json(timings: &[KernelTiming], quick: bool) -> String {
         };
         s.push_str(&format!(
             "    {{ \"name\": \"{}\", \"secs_low\": {:.6e}, \"secs_high\": {:.6e}, \"speedup\": {:.3}{referent} }}{}\n",
-            json_escape(t.name),
+            escape(t.name),
             t.secs_low,
             t.secs_high,
             t.speedup(),
@@ -343,6 +343,8 @@ pub fn render_json(timings: &[KernelTiming], quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enode_analysis::cost::parse_baseline;
+    use enode_hw::json::{self, Value};
 
     #[test]
     fn json_shape_is_wellformed() {
@@ -361,16 +363,30 @@ mod tests {
             },
         ];
         let json = render_json(&timings, true);
-        assert!(json.contains("\"schema\": \"enode-bench-kernels/v2\""));
-        assert!(json.contains("\"speedup\": 2.000"));
-        assert!(json.contains("\"secs_referent\": 4.000000e-3"));
-        assert!(json.contains("\"speedup_vs_referent\": 2.000"));
-        assert!(json.contains("\"quick\": true"));
-        // The referent fields appear only on the row that has one.
-        assert_eq!(json.matches("speedup_vs_referent").count(), 1);
-        // Exactly one trailing comma between the two kernel entries.
-        assert_eq!(json.matches("} }").count(), 0);
-        assert!(json.trim_end().ends_with('}'));
+        let doc = json::parse(&json).expect("emitted document parses");
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("enode-bench-kernels/v2")
+        );
+        assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
+        let rows = doc
+            .get("kernels")
+            .and_then(Value::as_array)
+            .expect("kernels");
+        assert_eq!(
+            rows[0].get("secs_referent").and_then(Value::as_f64),
+            Some(4.0e-3)
+        );
+        // The cost pass reads it back: the referent column only on the row
+        // that has one.
+        let b = parse_baseline(&json).expect("the cost pass reads the document");
+        assert_eq!((b.host_cpus, b.threads_high), (host_cpus(), THREADS_HIGH));
+        let read: Vec<_> = b
+            .kernels
+            .iter()
+            .map(|k| (k.name.as_str(), k.speedup, k.speedup_vs_referent))
+            .collect();
+        assert_eq!(read, [("a", 2.0, Some(2.0)), ("b", 1.0, None)]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Console table formatting and JSON-emission helpers shared by the
-//! experiment harnesses and the machine-readable baselines
-//! (`BENCH_kernels.json`, `BENCH_serve.json`).
+//! Console table formatting shared by the experiment harnesses, and the
+//! command line and `--check` shared by the four artifact bins
+//! (`serve_bench`, `fleet_bench`, `cost_table_json`,
+//! `bench_kernels_json`).
 
 /// Prints an experiment banner.
 pub fn banner(id: &str, title: &str) {
@@ -54,15 +55,90 @@ pub fn host_cpus() -> usize {
         .unwrap_or(1)
 }
 
+/// The command line of an artifact bin: the flags it takes and an
+/// optional output path.
+#[derive(Debug)]
+pub struct ArtifactArgs {
+    bin: &'static str,
+    /// `--quick`: the reduced grid or sample count.
+    pub quick: bool,
+    /// `--check`: compare with the committed file instead of writing it.
+    check: bool,
+    /// Where the artifact is written or checked (its committed name by
+    /// default).
+    path: String,
+}
+
+impl ArtifactArgs {
+    /// Reads the process arguments of `bin`, which takes the `flags`
+    /// listed (`--quick`, `--check` or both) and writes `default_path`.
+    /// Any other `-`-prefixed argument, or `--check` with `--quick`,
+    /// exits 2 with a usage line.
+    pub fn from_env(bin: &'static str, flags: &[&str], default_path: &str) -> ArtifactArgs {
+        Self::parse(bin, flags, default_path, std::env::args().skip(1)).unwrap_or_else(|problem| {
+            let flags: String = flags.iter().map(|f| format!("[{f}] ")).collect();
+            eprintln!("{bin}: {problem}\nusage: {bin} {flags}[PATH]");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse(
+        bin: &'static str,
+        flags: &[&str],
+        default_path: &str,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<ArtifactArgs, String> {
+        let mut out = ArtifactArgs {
+            bin,
+            quick: false,
+            check: false,
+            path: default_path.to_string(),
+        };
+        for arg in args {
+            match arg.as_str() {
+                "--quick" if flags.contains(&"--quick") => out.quick = true,
+                "--check" if flags.contains(&"--check") => out.check = true,
+                path if !path.starts_with('-') => out.path = arg,
+                flag => return Err(format!("unknown flag {flag}")),
+            }
+        }
+        if out.quick && out.check {
+            return Err("--check compares the full run; it takes no --quick".to_string());
+        }
+        Ok(out)
+    }
+
+    /// Finishes the run: the rendered `json` must parse with the one JSON
+    /// reader (exit 1 if not), then it is compared with the committed
+    /// file under `--check` ([`check_artifact`]) or written to the path.
+    pub fn emit(&self, json: &str) {
+        if let Err(e) = enode_hw::json::parse(json) {
+            eprintln!("{}: the rendered document is not JSON: {e}", self.bin);
+            std::process::exit(1);
+        }
+        if self.check {
+            let regenerate = format!("cargo run --release -p enode-bench --bin {}", self.bin);
+            check_artifact(&self.path, json, &regenerate);
+            return;
+        }
+        if let Err(e) = std::fs::write(&self.path, json) {
+            eprintln!("{}: cannot write {}: {e}", self.bin, self.path);
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", self.path);
+    }
+}
+
 /// The top-level fields of `BENCH_serve.json` and `BENCH_fleet.json` that
 /// describe the emitting host rather than the simulation. Everything else
 /// in those documents is a pure function of the seed.
 pub const HOST_METADATA_FIELDS: [&str; 2] = ["host_cpus", "enode_threads_default"];
 
-/// `--check` for the serve and fleet artifacts: compares the regenerated
-/// document with the committed file at `path` byte for byte, except for
-/// the lines holding one of the [`HOST_METADATA_FIELDS`]. On a mismatch
-/// it prints the first differing line and how to regenerate, and exits 1.
+/// `--check` for the artifact bins: compares the regenerated document
+/// with the committed file at `path` byte for byte, except for the lines
+/// holding one of the [`HOST_METADATA_FIELDS`] (`COST_TABLE.json` has
+/// none). On a mismatch it prints the first differing line and how to
+/// regenerate, and exits 1.
 pub fn check_artifact(path: &str, regenerated: &str, regenerate_cmd: &str) {
     let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
@@ -150,6 +226,30 @@ mod tests {
         assert!(first_difference_ignoring_host(committed, &renamed).is_some());
         assert!(first_difference_ignoring_host(committed, committed.trim_end()).is_some());
         assert!(first_difference_ignoring_host(committed, "{\n").is_some());
+    }
+
+    #[test]
+    fn artifact_args_refuse_typos_and_check_with_quick() {
+        let parse = |flags: &[&str], args: &[&str]| {
+            let args = args.iter().map(|a| a.to_string());
+            ArtifactArgs::parse("bin", flags, "OUT.json", args).map(|a| (a.quick, a.check, a.path))
+        };
+        let both = ["--quick", "--check"];
+        assert_eq!(parse(&both, &[]), Ok((false, false, "OUT.json".into())));
+        assert_eq!(
+            parse(&both, &["--quick", "/tmp/x.json"]),
+            Ok((true, false, "/tmp/x.json".into()))
+        );
+        assert_eq!(
+            parse(&both, &["--check"]),
+            Ok((false, true, "OUT.json".into()))
+        );
+        // A typo is refused rather than taken for the output path.
+        assert_eq!(parse(&both, &["--chek"]), Err("unknown flag --chek".into()));
+        assert!(parse(&both, &["--check", "--quick"]).is_err());
+        // So is a flag this bin does not take.
+        assert!(parse(&["--quick"], &["--check"]).is_err());
+        assert!(parse(&["--check"], &["-q"]).is_err());
     }
 
     #[test]

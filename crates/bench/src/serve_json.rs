@@ -17,7 +17,7 @@
 //!   "lanes": 4,                    // CostModel lanes (fixed, not host-derived)
 //!   "host_cpus": 1,                // available_parallelism() on the host
 //!   "enode_threads_default": 1,    // pool width this host would default to
-//!   "quick": false,                // true when run with the reduced grid (CI smoke)
+//!   "quick": false,                // true when run with the reduced grid (--quick)
 //!   "seed": 24301,                 // master seed for arrivals and inputs
 //!   "cost_model": { "per_nfe_us": 20.0, "dispatch_overhead_us": 150, "lanes": 4 },
 //!   "rows": [
@@ -66,7 +66,7 @@
 //! `"cost_table_version"` records which table generation produced both.
 
 use crate::report::host_cpus;
-use enode_analysis::benchjson::json_escape;
+use enode_hw::json::escape;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::fleet::InstanceStats;
@@ -169,7 +169,7 @@ pub struct PolicySweep {
 /// Runs the full sweep over every shipped policy: per (policy, deadline),
 /// one [`run_single`] per (batch window, offered load) cell with the
 /// policy's window overridden. `quick` shrinks the grid and the request
-/// count (the CI smoke configuration).
+/// count (`--quick`, and the unit tests).
 pub fn sweep_shipped(quick: bool) -> Vec<PolicySweep> {
     let cost = cost_model();
     let (requests, rates, windows): (usize, Vec<f64>, Vec<u64>) = if quick {
@@ -355,7 +355,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
                 "    {{ \"policy\": \"{}\", \"offered_rps\": {:.1}, \"batch_window_us\": {}, \
                  \"deadline_us\": {}, \"offered\": {}, \"makespan_us\": {}, \
                  \"tier_counts\": [{}], \"metrics\": {} }}{}\n",
-                json_escape(sw.policy.name),
+                escape(sw.policy.name),
                 r.offered_rps,
                 r.batch_window_us,
                 sw.deadline_us,
@@ -371,7 +371,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
     let table = shipped_cost_table();
     s.push_str(&format!(
         "  \"cost_table_version\": \"{}\",\n",
-        json_escape(&table.version)
+        escape(&table.version)
     ));
     s.push_str("  \"pareto\": [\n");
     let frontier = pareto_frontier();
@@ -379,7 +379,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
         s.push_str(&format!(
             "    {{ \"policy\": \"{}\", \"tier\": {}, \"batch\": {}, \"points\": {}, \
              \"latency_us_per_req\": {:.3}, \"energy_uj_per_req\": {:.3} }}{}\n",
-            json_escape(&p.policy),
+            escape(&p.policy),
             p.tier,
             p.batch,
             p.points,
@@ -403,7 +403,7 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
             "    {{ \"policy\": \"{}\", \"deadline_us\": {}, \"offered_rps\": {:.1}, \
              \"batch_window_us\": {}, \"offered\": {}, \"makespan_us\": {}, \
              \"tier_counts\": [{}], \"energy_uj_per_req\": {:.3}, \"metrics\": {} }}{}\n",
-            json_escape(&row.policy),
+            escape(&row.policy),
             row.deadline_us,
             r.offered_rps,
             r.batch_window_us,
@@ -419,189 +419,26 @@ pub fn render_json(sweeps: &[PolicySweep], hw: &[HwSweepRow], quick: bool) -> St
     s
 }
 
-/// Validates an emitted document: well-formed JSON and every field the
-/// acceptance tracking reads is present. The `serve_bench` binary runs
-/// this on its own output (and `--smoke` gates CI on it).
-pub fn validate(json: &str) -> Result<(), String> {
-    validate_json(json)?;
-    for field in [
-        "\"schema\": \"enode-bench-serve/v1\"",
-        "\"latency_p50_us\"",
-        "\"latency_p95_us\"",
-        "\"latency_p99_us\"",
-        "\"mean_batch\"",
-        "\"shed\"",
-        "\"degraded\"",
-        "\"completed\"",
-        "\"tier_counts\"",
-        "\"host_cpus\"",
-        "\"cost_table_version\"",
-        "\"pareto\"",
-        "\"hw_sweep\"",
-        "\"energy_uj_per_req\"",
-    ] {
-        if !json.contains(field) {
-            return Err(format!("missing required field {field}"));
-        }
-    }
-    Ok(())
-}
-
-/// A minimal JSON well-formedness checker (no external deps): accepts
-/// exactly one value — object, array, string, number, `true`, `false`,
-/// `null` — with nothing but whitespace after it.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
-    }
-    Ok(())
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("{what} at offset {}", self.i)
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(&c) = self.b.get(self.i) {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => self.i += 2, // escape: skip the escaped byte too
-                _ => self.i += 1,
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.i;
-        while matches!(
-            self.b.get(self.i),
-            Some(c) if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or("");
-        text.parse::<f64>()
-            .map(|_| ())
-            .map_err(|_| self.err("malformed number"))
-    }
-
-    fn literal(&mut self, lit: &[u8]) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("malformed literal"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enode_hw::json::{self, Value};
 
-    #[test]
-    fn validator_accepts_and_rejects() {
-        assert!(validate_json("{\"a\": [1, 2.5e-3, \"x\\\"y\"], \"b\": null}").is_ok());
-        assert!(validate_json("  true  ").is_ok());
-        assert!(validate_json("{\"a\": }").is_err());
-        assert!(validate_json("{\"a\": 1} extra").is_err());
-        assert!(validate_json("[1, 2,]").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("1.2.3").is_err());
+    /// The metrics fields a reader of the document compares across runs.
+    fn assert_metrics(doc: &Value, m: &enode_serve::MetricsSnapshot) {
+        let doc = doc.get("metrics").expect("metrics object");
+        for (key, want) in [
+            ("submitted", m.submitted),
+            ("completed", m.completed),
+            ("degraded", m.degraded),
+            ("shed", m.shed),
+            ("latency_p50_us", m.latency_p50_us),
+            ("latency_p95_us", m.latency_p95_us),
+            ("latency_p99_us", m.latency_p99_us),
+        ] {
+            assert_eq!(doc.get(key).and_then(Value::as_u64), Some(want), "{key}");
+        }
+        assert!(doc.get("mean_batch").and_then(Value::as_f64).is_some());
     }
 
     #[test]
@@ -615,12 +452,44 @@ mod tests {
             .flat_map(|p| &p.rows)
             .all(|r| r.server.metrics.reconciles()));
         let hw = hw_sweep(true);
-        let json = render_json(&sweeps, &hw, true);
-        validate(&json).expect("emitted document must validate");
-        assert!(json.contains("\"policy\": \"edge_default\""));
-        assert!(json.contains("\"policy\": \"streaming_keyword\""));
-        assert!(json.contains("\"quick\": true"));
-        assert!(json.contains("\"cost_table_version\": \"enode-cost-table/v1\""));
+        let doc = json::parse(&render_json(&sweeps, &hw, true)).expect("emitted document parses");
+        let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+        let list = |key: &str| doc.get(key).and_then(Value::as_array).expect(key);
+        assert_eq!(
+            text(&doc, "schema").as_deref(),
+            Some("enode-bench-serve/v1")
+        );
+        assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
+        assert!(doc.get("host_cpus").and_then(Value::as_usize).is_some());
+        assert_eq!(
+            text(&doc, "cost_table_version").as_deref(),
+            Some("enode-cost-table/v1")
+        );
+        let cells: Vec<(&PolicySweep, &ServeRow)> = sweeps
+            .iter()
+            .flat_map(|sw| sw.rows.iter().map(move |r| (sw, r)))
+            .collect();
+        assert_eq!(list("rows").len(), cells.len());
+        for (row, (sw, r)) in list("rows").iter().zip(cells) {
+            assert_eq!(text(row, "policy").as_deref(), Some(sw.policy.name));
+            assert_eq!(
+                row.get("tier_counts")
+                    .and_then(Value::as_array)
+                    .map(|t| t.len()),
+                Some(r.server.tier_counts.len())
+            );
+            assert_metrics(row, &r.server.metrics);
+        }
+        assert_eq!(list("pareto").len(), pareto_frontier().len());
+        assert_eq!(list("hw_sweep").len(), hw.len());
+        for (row, h) in list("hw_sweep").iter().zip(&hw) {
+            assert_eq!(text(row, "policy"), Some(h.policy.clone()));
+            assert!(row
+                .get("energy_uj_per_req")
+                .and_then(Value::as_f64)
+                .is_some());
+            assert_metrics(row, &h.result.server.metrics);
+        }
     }
 
     #[test]
@@ -649,12 +518,6 @@ mod tests {
             assert_eq!(cells, [(0, 200.0), (2_000, 200.0)], "{}", sw.policy.name);
             assert!(sw.rows.iter().all(|r| r.server.metrics.reconciles()));
         }
-    }
-
-    #[test]
-    fn validate_flags_missing_fields() {
-        let err = validate("{\"schema\": \"enode-bench-serve/v1\"}").unwrap_err();
-        assert!(err.contains("missing required field"));
     }
 
     #[test]

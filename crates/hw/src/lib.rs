@@ -27,6 +27,8 @@
 //! * [`fingerprint`] — the shared FNV-1a content hash stamped on every
 //!   committed artifact (cost tables, registry model versions) so the
 //!   staleness lints (`E093`, `E113`) can prove provenance.
+//! * [`json`] — the one JSON reader and string escape every committed
+//!   artifact is checked and read back with.
 
 pub mod area;
 pub mod config;
@@ -36,6 +38,7 @@ pub mod dram;
 pub mod energy;
 pub mod fingerprint;
 pub mod gpu;
+pub mod json;
 pub mod mapping;
 pub mod packet;
 pub mod pe;

@@ -26,6 +26,7 @@
 
 use crate::config::{HwConfig, LayerDims, WorkloadRun};
 use crate::energy::EnergyModel;
+use crate::json::{self, escape, Value};
 use crate::perf::simulate_enode;
 use enode_node::inference::TableauKind;
 
@@ -213,6 +214,14 @@ pub fn build_table(specs: &[TableSpec]) -> CostTable {
 }
 
 impl CostTable {
+    /// The ladder fingerprint recorded for `policy`, if any.
+    pub fn fingerprint(&self, policy: &str) -> Option<&str> {
+        self.policies
+            .iter()
+            .find(|(p, _)| p == policy)
+            .map(|(_, fp)| fp.as_str())
+    }
+
     /// The row for an exact `(policy, tier, batch)` design point.
     pub fn lookup(&self, policy: &str, tier: usize, batch: usize) -> Option<&CostRow> {
         self.rows
@@ -228,19 +237,21 @@ impl CostTable {
             .collect()
     }
 
-    /// Renders the table as the committed `COST_TABLE.json` format: flat,
-    /// line-per-row JSON that the hand-rolled `analysis::benchjson`
-    /// scanner reads back. Deliberately carries **no** host metadata —
-    /// the bytes depend only on the specs.
+    /// Renders the table as the committed `COST_TABLE.json` format, one
+    /// policy or row per line, which [`Self::from_json`] reads back.
+    /// Deliberately carries **no** host metadata — the bytes depend only
+    /// on the specs.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("\"schema\": \"{}\",\n", self.version));
+        out.push_str(&format!("\"schema\": \"{}\",\n", escape(&self.version)));
         out.push_str("\"policies\": [\n");
         for (i, (name, fp)) in self.policies.iter().enumerate() {
             let comma = if i + 1 < self.policies.len() { "," } else { "" };
             out.push_str(&format!(
-                "{{ \"policy\": \"{name}\", \"fingerprint\": \"{fp}\" }}{comma}\n"
+                "{{ \"policy\": \"{}\", \"fingerprint\": \"{}\" }}{comma}\n",
+                escape(name),
+                escape(fp)
             ));
         }
         out.push_str("],\n");
@@ -250,12 +261,56 @@ impl CostTable {
             out.push_str(&format!(
                 "{{ \"policy\": \"{}\", \"tier\": {}, \"batch\": {}, \"points\": {}, \
                  \"f_evals\": {}, \"latency_us\": {}, \"energy_uj\": {} }}{comma}\n",
-                r.policy, r.tier, r.batch, r.points, r.f_evals, r.latency_us, r.energy_uj
+                escape(&r.policy),
+                r.tier,
+                r.batch,
+                r.points,
+                r.f_evals,
+                r.latency_us,
+                r.energy_uj
             ));
         }
         out.push_str("]\n");
         out.push_str("}\n");
         out
+    }
+
+    /// Reads a table back from the JSON [`Self::render_json`] writes, in
+    /// any layout. The `schema` string is kept as found, so a consumer
+    /// pinned to [`TABLE_VERSION`] can report a foreign version itself
+    /// (lint `E093`). Malformed JSON, a missing field or a table with no
+    /// rows is an error.
+    pub fn from_json(text: &str) -> Result<CostTable, String> {
+        let doc = json::parse(text)?;
+        let name = |v: &Value, key: &str| v.field(key, Value::as_str).map(str::to_string);
+        let policies = doc
+            .field("policies", Value::as_array)?
+            .iter()
+            .map(|p| Ok((name(p, "policy")?, name(p, "fingerprint")?)))
+            .collect::<Result<_, String>>()?;
+        let rows: Vec<CostRow> = doc
+            .field("rows", Value::as_array)?
+            .iter()
+            .map(|r| {
+                Ok(CostRow {
+                    policy: name(r, "policy")?,
+                    tier: r.field("tier", Value::as_usize)?,
+                    batch: r.field("batch", Value::as_usize)?,
+                    points: r.field("points", Value::as_usize)?,
+                    f_evals: r.field("f_evals", Value::as_usize)?,
+                    latency_us: r.field("latency_us", Value::as_u64)?,
+                    energy_uj: r.field("energy_uj", Value::as_u64)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        if rows.is_empty() {
+            return Err("the table has no rows".to_string());
+        }
+        Ok(CostTable {
+            version: name(&doc, "schema")?,
+            policies,
+            rows,
+        })
     }
 }
 
@@ -326,10 +381,32 @@ mod tests {
         let a = t.render_json();
         let b = build_table(&[edge_spec()]).render_json();
         assert_eq!(a, b, "two sweeps must be byte-identical");
-        assert!(a.contains("\"schema\": \"enode-cost-table/v1\""));
+        assert_eq!(CostTable::from_json(&a), Ok(t.clone()), "reads back");
+        assert_eq!(t.version, "enode-cost-table/v1");
+        assert_eq!(t.fingerprint("test_edge"), Some("0000000000000000"));
+        assert_eq!(t.fingerprint("other"), None);
         assert_eq!(t.rows.len(), 2 * 4); // 2 tiers x full batch grid
         assert!(t.lookup("test_edge", 0, 8).is_some());
         assert!(t.lookup("test_edge", 2, 8).is_none());
+    }
+
+    #[test]
+    fn from_json_keeps_foreign_versions_and_refuses_broken_tables() {
+        let json = build_table(&[edge_spec()]).render_json();
+        // A future version still reads; the consumer decides it is E093.
+        let future = json.replace("enode-cost-table/v1", "enode-cost-table/v9");
+        let t = CostTable::from_json(&future).expect("foreign version reads");
+        assert_eq!(t.version, "enode-cost-table/v9");
+        let rowless = format!("{}\"rows\": []}}", &json[..json.find("\"rows\"").unwrap()]);
+        for broken in [
+            "",
+            "{\"schema\": \"enode-cost-table/v1\"}",
+            &rowless,
+            &json.replace("\"batch\": 8, ", ""),
+            &json.replace("\"energy_uj\": ", "\"energy_uj\": -"),
+        ] {
+            assert!(CostTable::from_json(broken).is_err(), "{broken}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::policies::ServeConfig;
 use enode_hw::config::LayerDims;
 use enode_hw::fingerprint::Fnv64;
 use enode_hw::table::{build_table, tableau_cost, CostTable, TableSpec, TierSim};
+use enode_tensor::parallel;
 
 /// The serving-scale model profile a policy deploys: feature-map
 /// dimensions and conv depth of the integration layer the simulator is
@@ -99,7 +100,7 @@ pub struct CostModel {
 impl CostModel {
     /// Simulated service time (µs) for a batch with the given per-sample
     /// NFE counts: dispatch overhead plus the slowest-lane makespan under
-    /// the pool's balanced contiguous decomposition.
+    /// the pool's balanced contiguous decomposition ([`parallel::chunk`]).
     ///
     /// Fed [`crate::server::SolvedBatch::per_sample_nfe`], which lists
     /// only the samples that solved, a partly failed batch is priced as a
@@ -111,18 +112,13 @@ impl CostModel {
             return self.dispatch_overhead_us;
         }
         let ways = self.lanes.max(1).min(n);
-        let mut makespan = 0u64;
-        // Same split as parallel.rs `chunk`: sizes differ by at most one,
-        // earlier lanes take the remainder.
-        let (base, rem) = (n / ways, n % ways);
-        let mut start = 0;
-        for lane in 0..ways {
-            let len = base + usize::from(lane < rem);
-            let lane_nfe: u64 = per_sample_nfe[start..start + len].iter().sum();
-            let lane_us = (lane_nfe as f64 * self.per_nfe_us).ceil() as u64;
-            makespan = makespan.max(lane_us);
-            start += len;
-        }
+        let makespan = (0..ways)
+            .map(|lane| {
+                let lane_nfe: u64 = per_sample_nfe[parallel::chunk(n, ways, lane)].iter().sum();
+                (lane_nfe as f64 * self.per_nfe_us).ceil() as u64
+            })
+            .max()
+            .unwrap_or(0);
         self.dispatch_overhead_us + makespan
     }
 

@@ -13,8 +13,8 @@
 //! ```
 //!
 //! The parallel layer always assigns each lane a *contiguous* item range
-//! (the balanced [`item_chunk`] decomposition, for every pool width,
-//! grain, and schedule), so per-lane read/write sets are unions of
+//! (the balanced [`crate::parallel::chunk`] decomposition, for every pool
+//! width, grain, and schedule), so per-lane read/write sets are unions of
 //! per-item sets over disjoint item ranges. That reduction is what lets
 //! the prover in `enode-analysis::affine` discharge disjointness and
 //! coverage obligations once, symbolically, for the *entire* (thread
@@ -228,47 +228,15 @@ impl KernelAccessSummary {
     }
 }
 
-/// The balanced contiguous item range lane `lane` of `ways` receives
-/// over `items` items — the exact decomposition every
-/// `parallel_for_disjoint*` broadcast uses (earlier lanes absorb the
-/// remainder). Exposed so the prover's brute-force soundness checks can
-/// materialize real lane sets without running a kernel.
-pub fn item_chunk(items: usize, ways: usize, lane: usize) -> (usize, usize) {
-    assert!(ways >= 1 && lane < ways, "lane {lane} of {ways} ways");
-    let base = items / ways;
-    let rem = items % ways;
-    let start = lane * base + lane.min(rem);
-    let len = base + usize::from(lane < rem);
-    (start, start + len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parallel;
 
     #[test]
-    fn item_chunks_partition_for_every_way_count() {
-        for items in 0..40usize {
-            for ways in 1..12usize {
-                let mut next = 0;
-                for lane in 0..ways {
-                    let (lo, hi) = item_chunk(items, ways, lane);
-                    assert_eq!(lo, next, "items={items} ways={ways} lane={lane}");
-                    assert!(hi >= lo);
-                    // Balanced: lane sizes differ by at most one.
-                    assert!(hi - lo <= items / ways + 1);
-                    next = hi;
-                }
-                assert_eq!(next, items, "chunks must cover [0, items)");
-            }
-        }
-    }
-
-    #[test]
     fn item_chunk_matches_the_live_parallel_decomposition() {
         // Drive a real disjoint split and record which item range each
-        // chunk received; it must be exactly `item_chunk`'s answer.
+        // chunk received; it must be exactly `parallel::chunk`'s answer.
         for &threads in &[1usize, 2, 4, 7] {
             parallel::with_threads(threads, || {
                 let items = 11usize;
@@ -280,7 +248,10 @@ mod tests {
                 let mut got = observed.into_inner().unwrap();
                 got.sort_unstable();
                 let ways = got.len();
-                let want: Vec<_> = (0..ways).map(|l| item_chunk(items, ways, l)).collect();
+                let want: Vec<_> = (0..ways)
+                    .map(|l| parallel::chunk(items, ways, l))
+                    .map(|r| (r.start, r.end))
+                    .collect();
                 assert_eq!(got, want, "threads={threads}");
             });
         }

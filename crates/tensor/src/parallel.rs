@@ -453,8 +453,16 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Balanced contiguous chunk `i` of `0..n` split `ways` ways: sizes differ
-/// by at most one, earlier chunks take the remainder.
-fn chunk(n: usize, ways: usize, i: usize) -> Range<usize> {
+/// by at most one, earlier chunks take the remainder. The one chunk law:
+/// every broadcast here hands lane `i` this range, the split provers
+/// (`analysis::affine`) materialize lane sets with it, and the serving
+/// cost model (`enode_serve::CostModel`) prices a batch's lanes with it.
+///
+/// # Panics
+///
+/// Panics unless `i < ways`.
+pub fn chunk(n: usize, ways: usize, i: usize) -> Range<usize> {
+    assert!(i < ways, "chunk {i} of {ways} ways");
     let base = n / ways;
     let rem = n % ways;
     let start = i * base + i.min(rem);
@@ -462,12 +470,12 @@ fn chunk(n: usize, ways: usize, i: usize) -> Range<usize> {
     start..end
 }
 
-/// Number of chunks to split `n` items into, given a minimum grain per
-/// chunk and the current pool width. A live [`with_grain_override`]
-/// replaces `grain`.
-fn plan_chunks(n: usize, grain: usize) -> usize {
-    let grain = GRAIN.with(|g| g.get()).unwrap_or(grain);
-    let lanes = current_threads();
+/// Number of chunks a `lanes`-wide pool splits `n` items into, given a
+/// minimum grain per chunk: at least one, at most one per lane. The
+/// runtime applies it at the current pool width (with a live
+/// [`with_grain_override`] replacing `grain`); the split lints
+/// (`analysis::parallelcheck`, `analysis::affine`) at every pool width.
+pub fn plan_chunks(lanes: usize, n: usize, grain: usize) -> usize {
     lanes.min(n / grain.max(1)).max(1)
 }
 
@@ -481,7 +489,8 @@ fn parallel_for_lanes<F: Fn(Range<usize>, usize) + Sync>(n: usize, grain: usize,
         return;
     }
     let shadow = sanitize::region_enter("indices", n);
-    let ways = plan_chunks(n, grain);
+    let grain = GRAIN.with(|g| g.get()).unwrap_or(grain);
+    let ways = plan_chunks(current_threads(), n, grain);
     if ways <= 1 {
         sanitize::claim(&shadow, 0, 0..n);
         f(0..n, 0);
@@ -789,15 +798,17 @@ mod tests {
 
     #[test]
     fn chunks_cover_and_balance() {
-        for n in [0usize, 1, 5, 16, 17] {
-            for ways in 1..=5 {
-                let mut seen = vec![0u8; n];
+        for n in 0..40usize {
+            for ways in 1..12usize {
+                let mut next = 0;
                 for i in 0..ways {
-                    for j in chunk(n, ways, i) {
-                        seen[j] += 1;
-                    }
+                    let r = chunk(n, ways, i);
+                    // Contiguous and in lane order, sizes within one.
+                    assert_eq!(r.start, next, "n={n} ways={ways} i={i}");
+                    assert!(r.len() == n / ways || r.len() == n / ways + 1);
+                    next = r.end;
                 }
-                assert!(seen.iter().all(|&c| c == 1), "n={n} ways={ways}");
+                assert_eq!(next, n, "chunks must cover 0..{n}");
             }
         }
     }
@@ -1004,9 +1015,7 @@ mod tests {
     fn sized_grain_floors_tiny_kernels_to_serial() {
         // Below the floor: one serial chunk regardless of pool width.
         assert_eq!(grain_for_sized(10, 100), usize::MAX);
-        with_threads(4, || {
-            assert_eq!(plan_chunks(10, grain_for_sized(10, 100)), 1);
-        });
+        assert_eq!(plan_chunks(4, 10, grain_for_sized(10, 100)), 1);
         // At/above the floor: identical to the plain grain policy.
         let per_item = SERIAL_FLOOR_FLOPS / 8;
         assert_eq!(grain_for_sized(8, per_item), grain_for(per_item));
