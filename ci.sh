@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Scratch outputs of the smoke runs below; removed however the script exits.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -34,11 +38,11 @@ cargo test -q -p enode-analysis --test mutations
 echo "==> tensor + ODE suites in release (per-body SIMD tests against the optimized portable loops)"
 cargo test -q --release -p enode-tensor -p enode-ode
 
-echo "==> serve suite + sync-parity under the synctrace recorder (ENODE_THREADS=4)"
+echo "==> serve suite + traced lock order under the synctrace recorder (ENODE_THREADS=4)"
 ENODE_THREADS=4 cargo test -q -p enode-serve --features synctrace
 
 echo "==> bench_kernels_json smoke run (--quick)"
-cargo run -q --release -p enode-bench --bin bench_kernels_json -- --quick "$(mktemp)"
+cargo run -q --release -p enode-bench --bin bench_kernels_json -- --quick "$scratch/kernels.json"
 
 echo "==> serve_bench --check (BENCH_serve.json parses and matches a full regenerated sweep, host metadata skipped)"
 cargo run -q --release -p enode-bench --bin serve_bench -- --check >/dev/null
@@ -50,10 +54,9 @@ echo "==> cost_table_json --check (COST_TABLE.json byte identity with the simula
 cargo run -q --release -p enode-bench --bin cost_table_json -- --check >/dev/null
 
 echo "==> ablations (output identical to experiments_output.txt from '=== Ablation: packetized' to the end)"
-ablations_out="$(mktemp)"
-cargo run -q --release -p enode-bench --bin ablations > "$ablations_out"
+cargo run -q --release -p enode-bench --bin ablations > "$scratch/ablations.txt"
 # The bin prints one leading blank line the committed section does not have.
-diff <(tail -n +2 "$ablations_out") <(sed -n '/^=== Ablation: packetized/,$p' experiments_output.txt)
+diff <(tail -n +2 "$scratch/ablations.txt") <(sed -n '/^=== Ablation: packetized/,$p' experiments_output.txt)
 
 echo "==> perfbench self-tests (its own package, built against the workspace crates)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml

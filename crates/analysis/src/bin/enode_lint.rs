@@ -13,7 +13,7 @@
 
 use enode_analysis::{
     affine, consistency, cost, ddg, fleetcheck, hwcheck, lint_everything, paper_pipelines,
-    parallelcheck, precision, registry, schedcheck, shape, synccheck, tableau,
+    parallelcheck, precision, registry, schedcheck, shape, tableau,
 };
 
 fn main() {
@@ -119,12 +119,6 @@ fn main() {
 
     println!("\n-- static roofline cost model --");
     print!("{}", cost::lint_shipped_baseline().render());
-
-    println!(
-        "\n-- concurrency skeletons ({} registered) --",
-        enode_serve::skeleton::registered_skeletons().len()
-    );
-    print!("{}", synccheck::lint_registered().render());
 
     println!("\n-- fleet registry & residency --");
     print!("{}", fleetcheck::lint_shipped_fleet().render());

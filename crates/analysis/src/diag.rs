@@ -21,12 +21,11 @@
 //! | `E070–E079` / `W070–W079` | Serving-policy ladder & load lints (emitted by [`crate::schedcheck`]) |
 //! | `E080–E089` / `W080–W089` | Affine access & roofline cost lints ([`crate::affine`], [`crate::cost`]) |
 //! | `E090–E099` / `W090–W099` | Schedulability & energy-budget lints ([`crate::schedcheck`]) |
-//! | `E100–E109` / `W100–W109` | Concurrency skeleton lints ([`crate::synccheck`]) |
 //! | `E110–E119` / `W110–W119` | Fleet registry & residency lints ([`crate::fleetcheck`]) |
 //!
-//! Adding a pass: pick the next free code in the family's range, add a
-//! [`Code`] variant with its `summary()` text and `as_str()` mapping,
-//! append it to [`Code::ALL`], give it an explanation in
+//! Adding a pass: pick the next free code in the family's range, add one
+//! entry (doc comment, variant, code string, summary) to the
+//! `lint_codes!` table below, give it an explanation in
 //! [`crate::registry`], emit it from the pass, and add a negative test
 //! that triggers it on a deliberately broken input.
 
@@ -42,562 +41,284 @@ pub enum Severity {
     Error,
 }
 
-/// Stable lint codes. The numeric part is permanent: codes are never
-/// renumbered, only retired ([`crate::registry::RETIRED`] keeps the
-/// retired numbers reserved).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Code {
+/// Declares every lint code once: its doc comment, its variant, its stable
+/// code string and its one-line summary. Expands to [`Code`] with
+/// `as_str`, `ALL` and `summary`.
+macro_rules! lint_codes {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal, $summary:literal;)*) => {
+        /// Stable lint codes. The numeric part is permanent: codes are never
+        /// renumbered, only retired ([`crate::registry::RETIRED`] keeps the
+        /// retired numbers reserved).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Code {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Code {
+            /// The stable textual form, e.g. `"E001"`.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $(Code::$variant => $code,)*
+                }
+            }
+
+            /// Every code the crate can emit, in code order.
+            pub const ALL: [Code; [$(Code::$variant),*].len()] = [$(Code::$variant),*];
+
+            /// One-line description of what the lint checks.
+            pub fn summary(&self) -> &'static str {
+                match self {
+                    $(Code::$variant => $summary,)*
+                }
+            }
+        }
+    };
+}
+
+lint_codes! {
     // --- tableau lints (E001-E009 / W001-W009) ---
     /// Row-sum consistency `Σ_j a_ij = c_i` violated.
-    E001TableauRowSum,
+    E001TableauRowSum = "E001", "tableau row sum Σa_ij must equal c_i";
     /// The `a` matrix is not strictly lower triangular (method not explicit).
-    E002TableauNotExplicit,
+    E002TableauNotExplicit = "E002", "tableau must be strictly lower triangular";
     /// An order condition through order 4 fails for the claimed order.
-    E003TableauOrderCondition,
+    E003TableauOrderCondition = "E003", "order condition fails for claimed order";
     /// The embedded-pair weights do not satisfy their claimed order.
-    E004TableauEmbeddedOrder,
+    E004TableauEmbeddedOrder = "E004", "embedded pair fails its claimed order";
     /// Error weights of an adaptive pair do not sum to ~0.
-    E005TableauErrorWeights,
+    E005TableauErrorWeights = "E005", "error weights must sum to zero";
     /// Structural defect: stage-count mismatch between `c`, `a`, and `b`.
-    E006TableauShape,
+    E006TableauShape = "E006", "tableau stage counts inconsistent";
     /// FSAL flag inconsistent with the coefficients (last a-row vs `b`).
-    W001TableauFsalFlag,
+    W001TableauFsalFlag = "W001", "FSAL flag inconsistent with coefficients";
     /// Embedded order gap is not 1 (unusual for production pairs).
-    W002TableauOrderGap,
+    W002TableauOrderGap = "W002", "embedded order gap is not 1";
 
     // --- DDG schedule lints (E010-E019 / W010-W019) ---
     /// The DDG has a dependency cycle.
-    E010DdgCycle,
+    E010DdgCycle = "E010", "DDG contains a dependency cycle";
     /// An edge does not go strictly deeper (schedule illegal).
-    E011DdgIllegalEdge,
+    E011DdgIllegalEdge = "E011", "DDG edge does not go strictly deeper";
     /// Peak liveness exceeds the state-buffer rows the hardware assumes.
-    E012DdgLivenessExceedsBuffer,
+    E012DdgLivenessExceedsBuffer = "E012", "peak liveness exceeds buffer rows";
     /// A partial state lives longer than the one-row-lag retirement bound.
-    W010DdgPartialLifetime,
+    W010DdgPartialLifetime = "W010", "partial state outlives one-row-lag bound";
 
     // --- network shape & FP16 range lints (E020-E029 / W020-W029) ---
     /// Shape inference failed: an op rejects its input shape.
-    E020ShapeMismatch,
+    E020ShapeMismatch = "E020", "op rejects its input shape";
     /// The ODE function f does not preserve the state shape.
-    E021ShapeNotPreserved,
+    E021ShapeNotPreserved = "E021", "ODE function must preserve state shape";
     /// Worst-case magnitude exceeds `f16::MAX` (FP16 overflow).
-    E022Fp16Overflow,
+    E022Fp16Overflow = "E022", "worst-case magnitude exceeds f16::MAX";
     /// Worst-case magnitude within 8x of `f16::MAX` (near overflow).
-    W020Fp16NearOverflow,
+    W020Fp16NearOverflow = "W020", "worst-case magnitude near f16::MAX";
 
     // --- hardware feasibility lints (E030-E039 / W030-W039) ---
     /// A structural `HwConfig` field is zero/invalid.
-    E030HwConfigInvalid,
+    E030HwConfigInvalid = "E030", "hardware config field invalid";
     /// Training buffer smaller than peak depth-first live bytes.
-    E031HwTrainingBufferTooSmall,
+    E031HwTrainingBufferTooSmall = "E031", "training buffer below peak live bytes";
     /// Weight buffer cannot hold the resident weights.
-    E032HwWeightsNotResident,
+    E032HwWeightsNotResident = "E032", "weights exceed the weight buffer";
     /// DRAM bandwidth below the streaming demand of the workload.
-    E033HwDramBandwidth,
+    E033HwDramBandwidth = "E033", "DRAM bandwidth below streaming demand";
     /// Ring link bandwidth below the inter-core streaming demand.
-    W030HwLinkBandwidth,
+    W030HwLinkBandwidth = "W030", "ring link bandwidth below streaming demand";
     /// The layer mapping leaves cores idle in the last round.
-    W031HwIdleCores,
+    W031HwIdleCores = "W031", "layer mapping idles cores in last round";
     /// The layer mapping needs multiple rounds (weights swapped per step).
-    W032HwMultiRound,
+    W032HwMultiRound = "W032", "layer mapping needs multiple rounds";
     /// Integral-state buffer demand close to the training buffer size.
-    W033HwBufferHeadroom,
+    W033HwBufferHeadroom = "W033", "buffer headroom below 10%";
     /// A parallel pool is live but the work split is degenerate (e.g.
     /// batch 1 with per-batch-only splitting), so the run is silently
     /// serial.
-    W034HwDegenerateParallelSplit,
+    W034HwDegenerateParallelSplit = "W034", "parallel pool live but work split is degenerate";
 
     // --- parallel kernel-split lints (E040-E049 / W040-W049) ---
     /// A written region's length is not a whole number of strides per
     /// item, so the disjoint decomposition would be rejected at runtime.
-    E040ParStrideIndivisible,
+    E040ParStrideIndivisible = "E040", "written region not a whole number of strides";
     /// The split degenerates to a single chunk on a live pool despite
     /// substantial work (generalizes W034 beyond batch-1 runs).
-    W040ParDegenerateSplit,
+    W040ParDegenerateSplit = "W040", "kernel split degenerates to one chunk";
     /// A per-item partials region dwarfs the reduced output (memory that
     /// grows with the item count).
-    W041ParPartialBlowup,
+    W041ParPartialBlowup = "W041", "per-item partials dwarf the reduced output";
     /// Every written region gives each lane less than one cache line, so
     /// lanes ping-pong ownership of shared lines.
-    W042ParFalseSharing,
+    W042ParFalseSharing = "W042", "per-lane span below one cache line";
     /// The split planner's work-size floor (`grain_for_sized`) kept a
     /// kernel serial on a live pool because its total work cannot amortize
     /// one dispatch — deliberate, but recorded so small-shape serial runs
     /// are visible rather than silent.
-    W044ParSerialFloorEngaged,
+    W044ParSerialFloorEngaged = "W044", "work-size floor keeps the kernel serial";
 
     // --- FP16 precision lints (E050-E059 / W050-W059) ---
     /// A network op's worst-case output magnitude exceeds `f16::MAX`
     /// somewhere in the unrolled solver schedule.
-    E050PrecOpOverflow,
+    E050PrecOpOverflow = "E050", "op output can overflow f16 in the solver schedule";
     /// An RK combine (stage input, solution, or error estimate) can
     /// exceed `f16::MAX`.
-    E051PrecCombineOverflow,
+    E051PrecCombineOverflow = "E051", "RK combine can overflow f16";
     /// A trainable parameter tensor contains NaN or infinity.
-    E052PrecNonFiniteParam,
+    E052PrecNonFiniteParam = "E052", "parameter tensor contains NaN or infinity";
     /// A GroupNorm group has ≤ 1 element, so its variance is identically
     /// zero and normalization is degenerate.
-    E053PrecDegenerateGroupNorm,
+    E053PrecDegenerateGroupNorm = "E053", "GroupNorm group has no variance to normalize";
     /// An FP16 ACA checkpoint stores a state whose worst-case magnitude
     /// exceeds `f16::MAX`.
-    E054PrecCheckpointOverflow,
+    E054PrecCheckpointOverflow = "E054", "fp16 checkpoint stores an overflowing state";
     /// The solver tolerance is below the FP16 subnormal threshold, so the
     /// error estimate flushes to zero before the controller sees it.
-    E055PrecToleranceSubnormal,
+    E055PrecToleranceSubnormal = "E055", "tolerance below the fp16 subnormal threshold";
     /// Adjoint recomputation from a checkpoint amplifies the replayed
     /// state past `f16::MAX`.
-    E056PrecAdjointReplayOverflow,
+    E056PrecAdjointReplayOverflow = "E056", "adjoint replay amplifies state past f16::MAX";
     /// The solver tolerance is within 16x of the FP16 subnormal
     /// threshold.
-    W050PrecToleranceNearSubnormal,
+    W050PrecToleranceNearSubnormal = "W050", "tolerance within 16x of fp16 subnormals";
     /// FP16 rounding noise in the embedded error estimate is a
     /// significant fraction of the tolerance (catastrophic cancellation).
-    W051PrecCancellation,
+    W051PrecCancellation = "W051", "fp16 rounding noise rivals the error estimate";
     /// Accumulated per-step FP16 rounding error exceeds the solver's
     /// error budget.
-    W052PrecErrorBudget,
+    W052PrecErrorBudget = "W052", "fp16 rounding exceeds the solver error budget";
     /// FP16 checkpoint quantization error, amplified over the recompute
     /// interval, is a significant fraction of the tolerance.
-    W053PrecAdjointQuantization,
+    W053PrecAdjointQuantization = "W053", "checkpoint quantization rivals the tolerance";
 
     // --- cross-artifact consistency lints (E060-E069 / W060-W069) ---
     /// The layer-to-core mapping assumes resident weights but the actual
     /// layer footprints exceed the weight buffer (total or per core).
-    E060XArtMapResidency,
+    E060XArtMapResidency = "E060", "mapping assumes residency the weights exceed";
     /// The ACA checkpoint plan's working set exceeds the on-chip training
     /// buffer.
-    E061XArtAcaBuffer,
+    E061XArtAcaBuffer = "E061", "ACA working set exceeds the training buffer";
     /// The stepsize-controller bounds are inconsistent with the solver
     /// schedule or the tableau's embedded order.
-    E062XArtControllerBounds,
+    E062XArtControllerBounds = "E062", "controller bounds inconsistent with schedule";
 
     // --- serving-policy ladder & load lints (E070-E079 / W070-W079) ---
     /// The degradation ladder is not ordered cheapest-last: a later tier
     /// is not strictly coarser / no more expensive than its predecessor,
     /// or tier 0 is not full quality.
-    E072ServeTierOrdering,
+    E072ServeTierOrdering = "E072", "degradation tiers are not ordered cheapest-last";
     /// The declared design load exceeds the policy's service capacity
     /// (`max_batch` per Strict tier-0 batch of the cost table), so
     /// shedding is the steady state, not an overload response.
-    W070ServeDesignOverload,
+    W070ServeDesignOverload = "W070", "design load exceeds the service capacity";
     /// A degradation tier is unreachable (its slack threshold is not
     /// strictly below its predecessor's) or the ladder leaves a slack
     /// band uncovered (last tier's threshold is nonzero).
-    W071ServeUnreachableTier,
+    W071ServeUnreachableTier = "W071", "tier unreachable or slack band uncovered";
 
     // --- affine access & roofline cost lints (E080-E089 / W080-W089) ---
     /// The affine prover cannot show two lanes' write sets disjoint:
     /// per-item writes collide across items, two write accesses to the
     /// same region have overlapping footprints, or a read of a written
     /// region cannot be proven lane-local (a cross-lane race).
-    E080AffineLaneOverlap,
+    E080AffineLaneOverlap = "E080", "lane write-sets cannot be proven disjoint";
     /// The union of lane write sets does not cover the output region
     /// exactly: a gap with no declared slack, a write spilling past the
     /// region end, or an access naming an undeclared region.
-    E081AffineCoverage,
+    E081AffineCoverage = "E081", "lane writes do not cover the region exactly";
     /// A scratch arena is carved out of a live output region and its
     /// range intersects lane writes (scratch must never alias outputs).
-    E082AffineScratchAlias,
+    E082AffineScratchAlias = "E082", "scratch arena aliases a live output";
     /// Lane writes undercover the region by exactly the declared
     /// intentional slack — legal, but worth a visible record.
-    W080AffineCoverageSlack,
+    W080AffineCoverageSlack = "W080", "coverage gap matches the declared slack";
     /// A measured kernel speedup in `BENCH_kernels.json` deviates from
     /// the static roofline prediction beyond the model tolerance.
-    W084CostModelDeviation,
+    W084CostModelDeviation = "W084", "measured speedup deviates from the roofline";
     /// The roofline model predicts no parallel benefit for a split on
     /// the bench host (lanes exceed host cpus or the kernel is
     /// memory-bound), and the tracked bench already measures < 1x.
-    W085CostFutileSplit,
+    W085CostFutileSplit = "W085", "roofline predicts no parallel benefit on this host";
 
     // --- schedulability & energy-budget lints (E090-E099 / W090-W099) ---
     /// Worst-case response time exceeds the tightest admitted deadline
     /// at *every* tier of the degradation ladder: the deadline is
     /// infeasible even at the cheapest configuration.
-    E090SchedDeadlineInfeasible,
+    E090SchedDeadlineInfeasible = "E090", "deadline infeasible even at the cheapest tier";
     /// A tier admits requests it cannot finish: the simulated worst-case
     /// service time at that tier exceeds the tier's own `min_slack_us`
     /// admission threshold, so degradation cannot recover the slack it
     /// was routed on.
-    E091SchedLadderNoRecovery,
+    E091SchedLadderNoRecovery = "E091", "tier admits slack it cannot serve within";
     /// The simulated per-request energy at full quality exceeds the
     /// policy's declared per-request energy budget.
-    E092SchedEnergyBudget,
+    E092SchedEnergyBudget = "E092", "per-request energy exceeds the declared budget";
     /// The cost table's version or the policy's ladder fingerprint does
     /// not match what this analysis expects: the table was generated by
     /// a different generator or from a different ladder.
-    E093SchedTableVersion,
+    E093SchedTableVersion = "E093", "cost table version/fingerprint mismatch";
     /// The cost table has no rows for a shipped policy/tier, so no
     /// schedulability verdict can be derived for it.
-    E094SchedTableMissing,
+    E094SchedTableMissing = "E094", "cost table lacks rows for a shipped policy";
     /// A tier's table rows are not monotone in batch size (latency or
     /// energy decreases as the batch grows) — a corrupted or hand-edited
     /// table.
-    E095SchedTableNonMonotone,
+    E095SchedTableNonMonotone = "E095", "cost table rows not monotone in batch";
     /// Sustained power (`design_rate_rps × energy/request`) exceeds the
     /// policy's declared device power budget.
-    E096SchedPowerBudget,
+    E096SchedPowerBudget = "E096", "sustained power exceeds the declared budget";
     /// The deadline is missed at tier 0 and met only at a degraded tier:
     /// feasible, but every worst-case request is served degraded.
-    W090SchedDegradedOnly,
+    W090SchedDegradedOnly = "W090", "deadline missed at tier 0, met only degraded";
     /// Per-request energy does not decrease monotonically down the
     /// degradation ladder: a cheaper tier burns more energy per request
     /// than its predecessor.
-    W091SchedLadderEnergyNonMonotone,
+    W091SchedLadderEnergyNonMonotone = "W091", "energy does not fall down the ladder";
     /// A design point the analysis needs (the policy's `max_batch`) has
     /// no simulated row and was linearly extrapolated from the largest
     /// simulated batch.
-    W092SchedTableExtrapolated,
+    W092SchedTableExtrapolated = "W092", "design point extrapolated, not simulated";
     /// The worst-case response time at tier 0 leaves less than 10% of
     /// the tightest deadline as slack — feasible, but with thin margin.
-    W093SchedThinMargin,
-
-    // --- concurrency skeleton lints (E100-E109 / W100-W109) ---
-    /// The union of declared acquisition orders admits a cycle: two paths
-    /// can acquire the same locks in opposite nesting orders (or a path
-    /// re-acquires a lock it already holds), so a deadlock interleaving
-    /// exists.
-    E100SyncLockOrderCycle,
-    /// A condvar wait can miss its wakeup: a wait site lacks a predicate
-    /// re-check loop, a predicate-falsifying write has no notify of that
-    /// condvar reachable after it, or the condvar is waited but no path
-    /// ever notifies it — and no timeout bounds the sleep.
-    E101SyncLostWakeup,
-    /// A shutdown path leaves the runtime non-quiescent: a declared
-    /// worker thread is never joined, a declared queue is never swept,
-    /// or a thread is joined while holding a lock the joined thread's
-    /// own paths need (a self-deadlocking join).
-    E102SyncShutdownLeak,
-    /// An atomic declared as a published value (read concurrently while
-    /// written) writes with an ordering below `Release`, so readers can
-    /// observe the protocol out of order.
-    E103SyncAtomicOrdering,
-    /// The runtime trace drifted from the declared skeleton: an observed
-    /// lock, condvar, or acquisition-order edge is not admitted by any
-    /// declaration — the model no longer describes the code.
-    E104SyncTraceDrift,
-    /// A skeleton is malformed: a path references an undeclared
-    /// lock/condvar/thread/queue, releases a lock it does not hold,
-    /// waits without holding the condvar's guard, or ends a path with
-    /// locks still held.
-    E105SyncSkeletonMalformed,
-    /// A wait holds a foreign lock that *every* reachable notifier of
-    /// that condvar must acquire: the waiters starve their own wakers.
-    E106SyncWaitHoldsNotifierLock,
-    /// Relaxed-ordering counters whose exact values are only read at
-    /// quiescence — sound, recorded as a deliberate decision.
-    W100SyncRelaxedCounter,
-    /// A condvar is declared but no path ever waits on it.
-    W101SyncDeadCondvar,
-    /// A wait's liveness is bounded by a timeout rather than a notifier:
-    /// a missed notify costs latency (one timeout period), not progress.
-    W102SyncTimeoutWakeup,
-    /// A lock is declared but no path ever acquires it.
-    W103SyncDeadLock,
+    W093SchedThinMargin = "W093", "tier-0 deadline margin below 10%";
 
     // --- fleet registry & residency lints (E110-E119 / W110-W119) ---
     /// The aggregate resident set an instance must hold (every pinned
     /// live version assigned to it) overflows some core's weight buffer:
     /// the fleet cannot even warm up.
-    E110FleetResidencyOverflow,
+    E110FleetResidencyOverflow = "E110", "resident set overflows a core's weight buffer";
     /// Losing a single instance leaves some tenant's offered load
     /// unservable: no surviving instance holds the model, or the
     /// rebalanced per-survivor load exceeds a policy's design rate.
-    E111FleetRebalanceInfeasible,
+    E111FleetRebalanceInfeasible = "E111", "a node loss leaves load unservable";
     /// A tenant's SLA deadline is covered by no tier of its policy's
     /// degradation ladder: every admitted request is guaranteed to be
     /// shed or to miss its deadline.
-    E112FleetSlaUncovered,
+    E112FleetSlaUncovered = "E112", "tenant SLA covered by no ladder tier";
     /// A published version's recorded fingerprint does not match the
     /// FNV-1a digest recomputed from its name, version, and ladder — the
     /// registry entry is stale or was tampered with.
-    E113FleetStaleFingerprint,
+    E113FleetStaleFingerprint = "E113", "published fingerprint does not match the ladder";
     /// The fleet config is structurally malformed: zero instances, an
     /// assignment that does not name a model per instance, an assigned
     /// model with no live published version, or a tenant bound to a
     /// model no instance serves.
-    E114FleetConfigMalformed,
+    E114FleetConfigMalformed = "E114", "fleet config structurally malformed";
     /// An instance's resident set fits, but leaves less than 1/8 of some
     /// core's weight buffer free: the next publish will evict rollback
     /// versions immediately.
-    W110FleetResidencyHeadroom,
+    W110FleetResidencyHeadroom = "W110", "resident set leaves under 1/8 buffer headroom";
     /// The tenant quotas admitted against a model exceed the aggregate
     /// queue capacity of the instances serving it: admission control can
     /// overcommit the fleet's buffering.
-    W111FleetQuotaOversubscribed,
+    W111FleetQuotaOversubscribed = "W111", "quotas exceed the aggregate queue capacity";
 }
 
 impl Code {
-    /// The stable textual form, e.g. `"E001"`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Code::E001TableauRowSum => "E001",
-            Code::E002TableauNotExplicit => "E002",
-            Code::E003TableauOrderCondition => "E003",
-            Code::E004TableauEmbeddedOrder => "E004",
-            Code::E005TableauErrorWeights => "E005",
-            Code::E006TableauShape => "E006",
-            Code::W001TableauFsalFlag => "W001",
-            Code::W002TableauOrderGap => "W002",
-            Code::E010DdgCycle => "E010",
-            Code::E011DdgIllegalEdge => "E011",
-            Code::E012DdgLivenessExceedsBuffer => "E012",
-            Code::W010DdgPartialLifetime => "W010",
-            Code::E020ShapeMismatch => "E020",
-            Code::E021ShapeNotPreserved => "E021",
-            Code::E022Fp16Overflow => "E022",
-            Code::W020Fp16NearOverflow => "W020",
-            Code::E030HwConfigInvalid => "E030",
-            Code::E031HwTrainingBufferTooSmall => "E031",
-            Code::E032HwWeightsNotResident => "E032",
-            Code::E033HwDramBandwidth => "E033",
-            Code::W030HwLinkBandwidth => "W030",
-            Code::W031HwIdleCores => "W031",
-            Code::W032HwMultiRound => "W032",
-            Code::W033HwBufferHeadroom => "W033",
-            Code::W034HwDegenerateParallelSplit => "W034",
-            Code::E040ParStrideIndivisible => "E040",
-            Code::W040ParDegenerateSplit => "W040",
-            Code::W041ParPartialBlowup => "W041",
-            Code::W042ParFalseSharing => "W042",
-            Code::W044ParSerialFloorEngaged => "W044",
-            Code::E050PrecOpOverflow => "E050",
-            Code::E051PrecCombineOverflow => "E051",
-            Code::E052PrecNonFiniteParam => "E052",
-            Code::E053PrecDegenerateGroupNorm => "E053",
-            Code::E054PrecCheckpointOverflow => "E054",
-            Code::E055PrecToleranceSubnormal => "E055",
-            Code::E056PrecAdjointReplayOverflow => "E056",
-            Code::W050PrecToleranceNearSubnormal => "W050",
-            Code::W051PrecCancellation => "W051",
-            Code::W052PrecErrorBudget => "W052",
-            Code::W053PrecAdjointQuantization => "W053",
-            Code::E060XArtMapResidency => "E060",
-            Code::E061XArtAcaBuffer => "E061",
-            Code::E062XArtControllerBounds => "E062",
-            Code::E072ServeTierOrdering => "E072",
-            Code::W070ServeDesignOverload => "W070",
-            Code::W071ServeUnreachableTier => "W071",
-            Code::E080AffineLaneOverlap => "E080",
-            Code::E081AffineCoverage => "E081",
-            Code::E082AffineScratchAlias => "E082",
-            Code::W080AffineCoverageSlack => "W080",
-            Code::W084CostModelDeviation => "W084",
-            Code::W085CostFutileSplit => "W085",
-            Code::E090SchedDeadlineInfeasible => "E090",
-            Code::E091SchedLadderNoRecovery => "E091",
-            Code::E092SchedEnergyBudget => "E092",
-            Code::E093SchedTableVersion => "E093",
-            Code::E094SchedTableMissing => "E094",
-            Code::E095SchedTableNonMonotone => "E095",
-            Code::E096SchedPowerBudget => "E096",
-            Code::W090SchedDegradedOnly => "W090",
-            Code::W091SchedLadderEnergyNonMonotone => "W091",
-            Code::W092SchedTableExtrapolated => "W092",
-            Code::W093SchedThinMargin => "W093",
-            Code::E100SyncLockOrderCycle => "E100",
-            Code::E101SyncLostWakeup => "E101",
-            Code::E102SyncShutdownLeak => "E102",
-            Code::E103SyncAtomicOrdering => "E103",
-            Code::E104SyncTraceDrift => "E104",
-            Code::E105SyncSkeletonMalformed => "E105",
-            Code::E106SyncWaitHoldsNotifierLock => "E106",
-            Code::W100SyncRelaxedCounter => "W100",
-            Code::W101SyncDeadCondvar => "W101",
-            Code::W102SyncTimeoutWakeup => "W102",
-            Code::W103SyncDeadLock => "W103",
-            Code::E110FleetResidencyOverflow => "E110",
-            Code::E111FleetRebalanceInfeasible => "E111",
-            Code::E112FleetSlaUncovered => "E112",
-            Code::E113FleetStaleFingerprint => "E113",
-            Code::E114FleetConfigMalformed => "E114",
-            Code::W110FleetResidencyHeadroom => "W110",
-            Code::W111FleetQuotaOversubscribed => "W111",
-        }
-    }
-
-    /// Every code the crate can emit, in code order. New codes must be
-    /// appended here (a registry test enforces it).
-    pub const ALL: [Code; 82] = [
-        Code::E001TableauRowSum,
-        Code::E002TableauNotExplicit,
-        Code::E003TableauOrderCondition,
-        Code::E004TableauEmbeddedOrder,
-        Code::E005TableauErrorWeights,
-        Code::E006TableauShape,
-        Code::W001TableauFsalFlag,
-        Code::W002TableauOrderGap,
-        Code::E010DdgCycle,
-        Code::E011DdgIllegalEdge,
-        Code::E012DdgLivenessExceedsBuffer,
-        Code::W010DdgPartialLifetime,
-        Code::E020ShapeMismatch,
-        Code::E021ShapeNotPreserved,
-        Code::E022Fp16Overflow,
-        Code::W020Fp16NearOverflow,
-        Code::E030HwConfigInvalid,
-        Code::E031HwTrainingBufferTooSmall,
-        Code::E032HwWeightsNotResident,
-        Code::E033HwDramBandwidth,
-        Code::W030HwLinkBandwidth,
-        Code::W031HwIdleCores,
-        Code::W032HwMultiRound,
-        Code::W033HwBufferHeadroom,
-        Code::W034HwDegenerateParallelSplit,
-        Code::E040ParStrideIndivisible,
-        Code::W040ParDegenerateSplit,
-        Code::W041ParPartialBlowup,
-        Code::W042ParFalseSharing,
-        Code::W044ParSerialFloorEngaged,
-        Code::E050PrecOpOverflow,
-        Code::E051PrecCombineOverflow,
-        Code::E052PrecNonFiniteParam,
-        Code::E053PrecDegenerateGroupNorm,
-        Code::E054PrecCheckpointOverflow,
-        Code::E055PrecToleranceSubnormal,
-        Code::E056PrecAdjointReplayOverflow,
-        Code::W050PrecToleranceNearSubnormal,
-        Code::W051PrecCancellation,
-        Code::W052PrecErrorBudget,
-        Code::W053PrecAdjointQuantization,
-        Code::E060XArtMapResidency,
-        Code::E061XArtAcaBuffer,
-        Code::E062XArtControllerBounds,
-        Code::E072ServeTierOrdering,
-        Code::W070ServeDesignOverload,
-        Code::W071ServeUnreachableTier,
-        Code::E080AffineLaneOverlap,
-        Code::E081AffineCoverage,
-        Code::E082AffineScratchAlias,
-        Code::W080AffineCoverageSlack,
-        Code::W084CostModelDeviation,
-        Code::W085CostFutileSplit,
-        Code::E090SchedDeadlineInfeasible,
-        Code::E091SchedLadderNoRecovery,
-        Code::E092SchedEnergyBudget,
-        Code::E093SchedTableVersion,
-        Code::E094SchedTableMissing,
-        Code::E095SchedTableNonMonotone,
-        Code::E096SchedPowerBudget,
-        Code::W090SchedDegradedOnly,
-        Code::W091SchedLadderEnergyNonMonotone,
-        Code::W092SchedTableExtrapolated,
-        Code::W093SchedThinMargin,
-        Code::E100SyncLockOrderCycle,
-        Code::E101SyncLostWakeup,
-        Code::E102SyncShutdownLeak,
-        Code::E103SyncAtomicOrdering,
-        Code::E104SyncTraceDrift,
-        Code::E105SyncSkeletonMalformed,
-        Code::E106SyncWaitHoldsNotifierLock,
-        Code::W100SyncRelaxedCounter,
-        Code::W101SyncDeadCondvar,
-        Code::W102SyncTimeoutWakeup,
-        Code::W103SyncDeadLock,
-        Code::E110FleetResidencyOverflow,
-        Code::E111FleetRebalanceInfeasible,
-        Code::E112FleetSlaUncovered,
-        Code::E113FleetStaleFingerprint,
-        Code::E114FleetConfigMalformed,
-        Code::W110FleetResidencyHeadroom,
-        Code::W111FleetQuotaOversubscribed,
-    ];
-
     /// The severity implied by the code's letter.
     pub fn severity(&self) -> Severity {
         if self.as_str().starts_with('E') {
             Severity::Error
         } else {
             Severity::Warning
-        }
-    }
-
-    /// One-line description of what the lint checks.
-    pub fn summary(&self) -> &'static str {
-        match self {
-            Code::E001TableauRowSum => "tableau row sum Σa_ij must equal c_i",
-            Code::E002TableauNotExplicit => "tableau must be strictly lower triangular",
-            Code::E003TableauOrderCondition => "order condition fails for claimed order",
-            Code::E004TableauEmbeddedOrder => "embedded pair fails its claimed order",
-            Code::E005TableauErrorWeights => "error weights must sum to zero",
-            Code::E006TableauShape => "tableau stage counts inconsistent",
-            Code::W001TableauFsalFlag => "FSAL flag inconsistent with coefficients",
-            Code::W002TableauOrderGap => "embedded order gap is not 1",
-            Code::E010DdgCycle => "DDG contains a dependency cycle",
-            Code::E011DdgIllegalEdge => "DDG edge does not go strictly deeper",
-            Code::E012DdgLivenessExceedsBuffer => "peak liveness exceeds buffer rows",
-            Code::W010DdgPartialLifetime => "partial state outlives one-row-lag bound",
-            Code::E020ShapeMismatch => "op rejects its input shape",
-            Code::E021ShapeNotPreserved => "ODE function must preserve state shape",
-            Code::E022Fp16Overflow => "worst-case magnitude exceeds f16::MAX",
-            Code::W020Fp16NearOverflow => "worst-case magnitude near f16::MAX",
-            Code::E030HwConfigInvalid => "hardware config field invalid",
-            Code::E031HwTrainingBufferTooSmall => "training buffer below peak live bytes",
-            Code::E032HwWeightsNotResident => "weights exceed the weight buffer",
-            Code::E033HwDramBandwidth => "DRAM bandwidth below streaming demand",
-            Code::W030HwLinkBandwidth => "ring link bandwidth below streaming demand",
-            Code::W031HwIdleCores => "layer mapping idles cores in last round",
-            Code::W032HwMultiRound => "layer mapping needs multiple rounds",
-            Code::W033HwBufferHeadroom => "buffer headroom below 10%",
-            Code::W034HwDegenerateParallelSplit => {
-                "parallel pool live but work split is degenerate"
-            }
-            Code::E040ParStrideIndivisible => "written region not a whole number of strides",
-            Code::W040ParDegenerateSplit => "kernel split degenerates to one chunk",
-            Code::W041ParPartialBlowup => "per-item partials dwarf the reduced output",
-            Code::W042ParFalseSharing => "per-lane span below one cache line",
-            Code::W044ParSerialFloorEngaged => "work-size floor keeps the kernel serial",
-            Code::E050PrecOpOverflow => "op output can overflow f16 in the solver schedule",
-            Code::E051PrecCombineOverflow => "RK combine can overflow f16",
-            Code::E052PrecNonFiniteParam => "parameter tensor contains NaN or infinity",
-            Code::E053PrecDegenerateGroupNorm => "GroupNorm group has no variance to normalize",
-            Code::E054PrecCheckpointOverflow => "fp16 checkpoint stores an overflowing state",
-            Code::E055PrecToleranceSubnormal => "tolerance below the fp16 subnormal threshold",
-            Code::E056PrecAdjointReplayOverflow => "adjoint replay amplifies state past f16::MAX",
-            Code::W050PrecToleranceNearSubnormal => "tolerance within 16x of fp16 subnormals",
-            Code::W051PrecCancellation => "fp16 rounding noise rivals the error estimate",
-            Code::W052PrecErrorBudget => "fp16 rounding exceeds the solver error budget",
-            Code::W053PrecAdjointQuantization => "checkpoint quantization rivals the tolerance",
-            Code::E060XArtMapResidency => "mapping assumes residency the weights exceed",
-            Code::E061XArtAcaBuffer => "ACA working set exceeds the training buffer",
-            Code::E062XArtControllerBounds => "controller bounds inconsistent with schedule",
-            Code::E072ServeTierOrdering => "degradation tiers are not ordered cheapest-last",
-            Code::W070ServeDesignOverload => "design load exceeds the service capacity",
-            Code::W071ServeUnreachableTier => "tier unreachable or slack band uncovered",
-            Code::E080AffineLaneOverlap => "lane write-sets cannot be proven disjoint",
-            Code::E081AffineCoverage => "lane writes do not cover the region exactly",
-            Code::E082AffineScratchAlias => "scratch arena aliases a live output",
-            Code::W080AffineCoverageSlack => "coverage gap matches the declared slack",
-            Code::W084CostModelDeviation => "measured speedup deviates from the roofline",
-            Code::W085CostFutileSplit => "roofline predicts no parallel benefit on this host",
-            Code::E090SchedDeadlineInfeasible => "deadline infeasible even at the cheapest tier",
-            Code::E091SchedLadderNoRecovery => "tier admits slack it cannot serve within",
-            Code::E092SchedEnergyBudget => "per-request energy exceeds the declared budget",
-            Code::E093SchedTableVersion => "cost table version/fingerprint mismatch",
-            Code::E094SchedTableMissing => "cost table lacks rows for a shipped policy",
-            Code::E095SchedTableNonMonotone => "cost table rows not monotone in batch",
-            Code::E096SchedPowerBudget => "sustained power exceeds the declared budget",
-            Code::W090SchedDegradedOnly => "deadline missed at tier 0, met only degraded",
-            Code::W091SchedLadderEnergyNonMonotone => "energy does not fall down the ladder",
-            Code::W092SchedTableExtrapolated => "design point extrapolated, not simulated",
-            Code::W093SchedThinMargin => "tier-0 deadline margin below 10%",
-            Code::E100SyncLockOrderCycle => "lock acquisition order admits a cycle",
-            Code::E101SyncLostWakeup => "a condvar wait can miss its wakeup",
-            Code::E102SyncShutdownLeak => "shutdown leaves a worker or queue behind",
-            Code::E103SyncAtomicOrdering => "published atomic writes below Release",
-            Code::E104SyncTraceDrift => "runtime trace drifted from the declared skeleton",
-            Code::E105SyncSkeletonMalformed => "sync skeleton is structurally malformed",
-            Code::E106SyncWaitHoldsNotifierLock => "wait holds a lock its notifiers need",
-            Code::W100SyncRelaxedCounter => "relaxed counters exact only at quiescence",
-            Code::W101SyncDeadCondvar => "condvar declared but never waited on",
-            Code::W102SyncTimeoutWakeup => "wakeup bounded by a timeout, not a notifier",
-            Code::W103SyncDeadLock => "lock declared but never acquired",
-            Code::E110FleetResidencyOverflow => "resident set overflows a core's weight buffer",
-            Code::E111FleetRebalanceInfeasible => "a node loss leaves load unservable",
-            Code::E112FleetSlaUncovered => "tenant SLA covered by no ladder tier",
-            Code::E113FleetStaleFingerprint => "published fingerprint does not match the ladder",
-            Code::E114FleetConfigMalformed => "fleet config structurally malformed",
-            Code::W110FleetResidencyHeadroom => "resident set leaves under 1/8 buffer headroom",
-            Code::W111FleetQuotaOversubscribed => "quotas exceed the aggregate queue capacity",
         }
     }
 }

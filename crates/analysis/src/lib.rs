@@ -4,7 +4,7 @@
 //! [`ir`] lowers a whole pipeline artifact (model, solver schedule, ACA
 //! checkpoint plan, hardware mapping) into one typed dataflow program
 //! graph, and [`engine`] runs lattice-valued passes over it to a worklist
-//! fixpoint. Twelve lint families report [`Diagnostic`]s with stable
+//! fixpoint. Eleven lint families report [`Diagnostic`]s with stable
 //! codes:
 //!
 //! * [`tableau`] — Butcher-tableau consistency (`E001`–`E006`,
@@ -41,11 +41,6 @@
 //!   `COST_TABLE.json` against the deadline floor, design-load
 //!   serviceability, per-request energy and sustained-power budgets, and
 //!   table-provenance checks.
-//! * [`synccheck`] — concurrency skeleton proofs (`E100`–`E106`,
-//!   `W100`–`W103`): the declared lock/condvar/atomic protocols of the
-//!   serving runtime and the worker pool checked for lock-order
-//!   acyclicity, lost wakeups, shutdown quiescence and atomic-ordering
-//!   discipline, cross-checked at runtime by the `synctrace` tracer.
 //! * [`fleetcheck`] — fleet registry & residency proofs (`E110`–`E114`,
 //!   `W110`–`W111`): aggregate weight-SRAM residency per instance,
 //!   rebalance feasibility under every single-node loss (a forward load
@@ -80,7 +75,6 @@ pub mod precision;
 pub mod registry;
 pub mod schedcheck;
 pub mod shape;
-pub mod synccheck;
 pub mod tableau;
 
 pub use diag::{Code, Diagnostic, Diagnostics, Severity};
@@ -176,7 +170,6 @@ pub fn lint_everything() -> Diagnostics {
     ds.extend(schedcheck::lint_shipped_policies());
     ds.extend(affine::lint_registered_summaries());
     ds.extend(cost::lint_shipped_baseline());
-    ds.extend(synccheck::lint_registered());
     ds.extend(fleetcheck::lint_shipped_fleet());
     ds.sort_and_dedup();
     ds
@@ -191,11 +184,9 @@ mod tests {
         // Zero errors, and the only warnings are the ones raised *by
         // design* on the committed artifacts: the W085 host-caveat
         // advisories from the 1-core bench baseline (see
-        // `cost::lint_shipped_baseline`), the W044 serial-floor
+        // `cost::lint_shipped_baseline`) and the W044 serial-floor
         // records for the kernels the split planner deliberately keeps
-        // serial at the registered shapes, and the two concurrency
-        // decision records — W100 (metrics' relaxed admission counters)
-        // and W102 (the batch window's timeout-bounded wait).
+        // serial at the registered shapes.
         let ds = lint_everything();
         assert_eq!(
             ds.error_count(),
@@ -207,10 +198,8 @@ mod tests {
             ds.items()
                 .iter()
                 .all(|d| d.code == Code::W085CostFutileSplit
-                    || d.code == Code::W044ParSerialFloorEngaged
-                    || d.code == Code::W100SyncRelaxedCounter
-                    || d.code == Code::W102SyncTimeoutWakeup),
-            "only the by-design W085/W044/W100/W102 advisories may fire on shipped artifacts:\n{}",
+                    || d.code == Code::W044ParSerialFloorEngaged),
+            "only the by-design W085/W044 advisories may fire on shipped artifacts:\n{}",
             ds.render()
         );
         let floor: Vec<&str> = ds
@@ -225,7 +214,7 @@ mod tests {
             "{}",
             ds.render()
         );
-        assert_eq!(ds.warning_count(), 8, "{}", ds.render());
+        assert_eq!(ds.warning_count(), 6, "{}", ds.render());
     }
 
     #[test]

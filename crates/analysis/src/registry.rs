@@ -437,99 +437,6 @@ pub fn explanation(code: Code) -> &'static str {
              eats straight into deadline misses. Treat it as a capacity-planning alarm, not \
              an error."
         }
-        Code::E100SyncLockOrderCycle => {
-            "The union of every declared path's nested lock acquisitions forms a graph with an \
-             edge held→acquired; a forward ancestors fixpoint over that graph found a lock \
-             reachable from itself. Two interleavings can then acquire the same pair of locks \
-             in opposite orders and block on each other forever — the classic ABBA deadlock, \
-             fatal for a serving runtime that must keep draining its queue under deadline. \
-             Establish one global acquisition order (the skeleton's declaration order is the \
-             intended one) and release before re-acquiring against it."
-        }
-        Code::E101SyncLostWakeup => {
-            "A condvar wait can sleep through the event it is waiting for. Three obligations \
-             are proven per condvar: the wait must re-check its predicate in a loop (spurious \
-             wakeups and stale predicates race through otherwise), some declared path must \
-             notify it at all, and every path that falsifies its predicate must have a notify \
-             reachable *after* the write — a backward reachable-notify pass over the path's \
-             step chain catches a predicate write whose wakeup was dropped or hoisted before \
-             it. A timeout-bounded wait (see W102) trades this proof for bounded staleness."
-        }
-        Code::E102SyncShutdownLeak => {
-            "Shutdown must leave the runtime quiescent: every declared worker thread joined, \
-             every declared queue swept (parked tickets resolved, not leaked), and no join \
-             executed while holding a lock the joined thread's own paths acquire — the worker \
-             could be blocked on exactly that lock, deadlocking the join. The obligations are \
-             collected by a backward pass from each shutdown path's entry; a thread or queue \
-             missing from the union means a detached worker or a caller parked forever on a \
-             ticket that nobody will fill."
-        }
-        Code::E103SyncAtomicOrdering => {
-            "An atomic declared as a published value — read by threads other than its writer \
-             to observe completed work — writes with an ordering below Release. Without a \
-             Release/Acquire edge the reader can observe the flag while the data it publishes \
-             is still in flight, which on a weakly-ordered edge core (the deployment target \
-             this stack models) is a real reordering, not a theoretical one. Strengthen the \
-             write to Release (or SeqCst) or re-declare the role if the value is genuinely a \
-             statistic (see W100)."
-        }
-        Code::E104SyncTraceDrift => {
-            "The feature-gated `synctrace` recorder observed the runtime doing something the \
-             declared skeletons do not admit: an acquisition edge outside the transitive \
-             closure of the declared lock order, or a lock/condvar that was never declared at \
-             all. The declarations are the ground truth every E10x proof rests on, so drift \
-             means the proofs are about a runtime that no longer exists. Update the skeleton \
-             to match the code (and re-run the prover), or fix the code if the observed \
-             behaviour was unintended."
-        }
-        Code::E105SyncSkeletonMalformed => {
-            "A declared path is structurally inconsistent before any deeper analysis can run: \
-             it acquires or waits on an undeclared primitive, releases a lock it does not \
-             hold, waits on a condvar without holding its declared guard lock, or ends with \
-             locks still held. Malformed declarations poison every downstream proof, so the \
-             E100/E101/E102 passes are skipped until the skeleton is repaired — fix the \
-             declaration to mirror what the code actually does."
-        }
-        Code::E106SyncWaitHoldsNotifierLock => {
-            "A path waits on a condvar while holding an extra lock (beyond the condvar's \
-             guard), and every declared notifier of that condvar must acquire one of those \
-             held locks before it can reach its notify. The waiter therefore starves its own \
-             wakers: they queue on the lock the sleeper holds, and nobody ever calls notify. \
-             Release the foreign lock before waiting, or move the notify before the \
-             notifier's conflicting acquisition. (Holding an unrelated lock across a wait is \
-             allowed when at least one notifier path never touches it.)"
-        }
-        Code::W100SyncRelaxedCounter => {
-            "Statistics counters declared as quiescent-only increment with Relaxed ordering: \
-             cheap on the hot path, but a concurrent snapshot may observe increments out of \
-             order across counters, so cross-counter identities (submitted ≥ completed + shed \
-             + failed + cancelled) are only exact once the runtime is drained. This is a \
-             deliberate-decision record, not a defect — the resolution counters that feed \
-             under-load invariants use Release/Acquire instead (see the memory-ordering audit \
-             in serve::metrics)."
-        }
-        Code::W101SyncDeadCondvar => {
-            "A condvar is declared in a skeleton but no declared path ever waits on it. Either \
-             the declaration is stale (the code stopped waiting and the skeleton was not \
-             updated — which E104's tracer would eventually catch from the other side) or the \
-             condvar is dead weight in the runtime. Remove the declaration or the primitive."
-        }
-        Code::W102SyncTimeoutWakeup => {
-            "Waits on this condvar are bounded by a timeout rather than relying solely on a \
-             notify: a missed wakeup costs one timeout period of latency instead of liveness. \
-             The serving runtime uses this deliberately for the wall-clock batch window — the \
-             worker must wake when the window expires even if no new request arrives to \
-             notify it. The record documents that the E101 lost-wakeup proof is intentionally \
-             weakened to bounded staleness here; keep the timeout no larger than the batch \
-             window."
-        }
-        Code::W103SyncDeadLock => {
-            "A lock is declared in a skeleton but no declared path ever acquires it. A stale \
-             declaration hides real coverage gaps: the lock-order proof (E100) only sees \
-             edges between locks that paths actually touch, so an undeclared-but-real \
-             acquisition pattern would be invisible. Remove the declaration or add the \
-             missing paths."
-        }
         Code::E110FleetResidencyOverflow => {
             "An instance of the fleet must pin its assigned model's live version into the \
              per-core weight SRAM, but some core's round-robin share of the version's weight \
@@ -605,7 +512,7 @@ pub fn explanation(code: Code) -> &'static str {
 /// numbers stay reserved — a retired code is never reused for another
 /// check (a test keeps them out of [`Code::ALL`]) — and `docs/LINTS.md`
 /// lists them.
-pub const RETIRED: [(&str, &str); 5] = [
+pub const RETIRED: [(&str, &str); 16] = [
     (
         "E041",
         "compared a hand-declared kernel scratch size with a second hand-declared copy \
@@ -633,6 +540,65 @@ pub const RETIRED: [(&str, &str); 5] = [
         "checked a full queue's drain at a hand-typed service estimate against the \
          deadline floor; E090's response-time bound charges the same drain, priced by \
          COST_TABLE.json, so a clean Strict-class E090 proves it",
+    ),
+    (
+        "E100",
+        "proved lock-order acyclicity over hand-typed sync skeletons, not the code; the \
+         traced lock-order test fails on any cycle in the order the running code takes \
+         (DESIGN.md §15 ledger, row 4)",
+    ),
+    (
+        "E101",
+        "proved wakeups over hand-typed skeleton paths that nothing compared with the \
+         code: deleting submit's notify left it silent, while \
+         a_parked_worker_wakes_on_submit fails (DESIGN.md §15 ledger, row 1)",
+    ),
+    (
+        "E102",
+        "proved joins and queue sweeps over hand-typed shutdown paths; a skipped join \
+         or a dropped sweep planted in the code left it silent (DESIGN.md §15 ledger, \
+         rows 3 and 6)",
+    ),
+    (
+        "E103",
+        "checked the atomic orderings a skeleton declared, not the ones the code uses; \
+         a Release counter weakened to Relaxed in the code left it silent (DESIGN.md \
+         §15 ledger, row 5)",
+    ),
+    (
+        "E104",
+        "compared traced lock edges with the hand-typed skeletons; the traced test \
+         compares them with the expected nestings directly, so every edge E104 did not \
+         admit still fails it (DESIGN.md §15 ledger, row 4)",
+    ),
+    (
+        "E105",
+        "checked that the hand-typed skeletons were well formed; they are deleted",
+    ),
+    (
+        "E106",
+        "proved that no waiter held a lock its notifiers need, over hand-typed paths \
+         only; no defect planted in code reaches the declarations it read",
+    ),
+    (
+        "W100",
+        "recorded the metrics' relaxed admission counters as a skeleton declared them; \
+         the ordering audit stays in serve::metrics beside the counters",
+    ),
+    (
+        "W101",
+        "flagged a skeleton condvar no declared path waited on; it read only the \
+         declarations",
+    ),
+    (
+        "W102",
+        "recorded the batch window's timeout-bounded wait as a skeleton declared it; \
+         wall_clock_window_expires_with_no_notifier runs that wait",
+    ),
+    (
+        "W103",
+        "flagged a skeleton lock no declared path acquired; the traced test checks the \
+         six lock ids the code hooks",
     ),
 ];
 

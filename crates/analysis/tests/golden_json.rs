@@ -13,9 +13,7 @@
 use enode_analysis::consistency::lint_consistency;
 use enode_analysis::precision::lint_precision;
 use enode_analysis::shape::lint_network;
-use enode_analysis::{
-    affine, cost, fleetcheck, lint_everything, schedcheck, synccheck, PipelineArtifact,
-};
+use enode_analysis::{affine, cost, fleetcheck, lint_everything, schedcheck, PipelineArtifact};
 use enode_hw::config::HwConfig;
 use enode_hw::config::LayerDims;
 use enode_node::inference::NodeSolveOptions;
@@ -30,7 +28,6 @@ use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
 use enode_tensor::network::{Network, Op};
 use enode_tensor::norm::GroupNorm;
-use enode_tensor::syncmodel::{pool_skeleton, PathDecl, PathRole, Step};
 use enode_tensor::Tensor;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/lint_json.golden");
@@ -240,17 +237,6 @@ fn corpus() -> String {
         schedcheck::lint_config(&hot, &table).render_json(),
     );
 
-    // E100 / E101: the concurrency prover over the shipped pool skeleton
-    // with one declaration doctored (same seeds as tests/mutations.rs).
-    section(
-        "E100 inverted lock order",
-        synccheck::lint_skeletons(std::slice::from_ref(&inverted_pool())).render_json(),
-    );
-    section(
-        "E101 dropped notify",
-        synccheck::lint_skeletons(std::slice::from_ref(&silent_pool())).render_json(),
-    );
-
     // E110 / E113: the fleet prover over the shipped registry with one
     // publish or one fingerprint doctored (same seeds as
     // tests/mutations.rs).
@@ -288,38 +274,6 @@ fn tampered_fleet() -> FleetConfig {
     let mut cfg = FleetConfig::shipped();
     cfg.registry.models[0].fingerprint = "deadbeefdeadbeef".to_string();
     cfg
-}
-
-/// The shipped pool skeleton plus one path nesting the locks in the
-/// reverse of broadcast's declared order — the E100 seed.
-fn inverted_pool() -> enode_tensor::syncmodel::SyncSkeleton {
-    let mut sk = pool_skeleton();
-    sk.paths.push(PathDecl {
-        id: "pool.mutated_inverted",
-        role: PathRole::Normal,
-        runs_on: None,
-        steps: vec![
-            Step::Acquire("pool.slot"),
-            Step::Acquire("pool.submit"),
-            Step::Release("pool.submit"),
-            Step::Release("pool.slot"),
-        ],
-    });
-    sk
-}
-
-/// The shipped pool skeleton with the worker's completion notify removed
-/// — the E101 seed (both the never-notified and the write-without-notify
-/// obligations fire).
-fn silent_pool() -> enode_tensor::syncmodel::SyncSkeleton {
-    let mut sk = pool_skeleton();
-    sk.paths
-        .iter_mut()
-        .find(|p| p.id == "pool.worker_loop")
-        .expect("shipped path")
-        .steps
-        .retain(|s| *s != Step::Notify("pool.done"));
-    sk
 }
 
 #[test]
@@ -478,45 +432,6 @@ fn e09x_messages_are_byte_stable() {
     assert!(
         !ds.render_json().contains("\"code\":\"E096\""),
         "sustained power (237.5mW) stays inside the 1200mW budget:\n{}",
-        ds.render_json()
-    );
-}
-
-/// Same contract for the concurrency family: the E100 cycle wording (with
-/// the cyclic lock set from the ancestors fixpoint) and the E101
-/// lost-wakeup wording (with the offending path and condvar) are pinned
-/// byte-for-byte against the doctored pool skeletons above.
-#[test]
-fn e10x_messages_are_byte_stable() {
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&inverted_pool()));
-    assert!(
-        ds.render_json().contains(
-            "\"code\":\"E100\",\"severity\":\"error\",\"artifact\":\"sync lock-order\",\
-         \"message\":\"acquisition-order graph admits a cycle through: \
-         pool.submit, pool.slot\""
-        ),
-        "{}",
-        ds.render_json()
-    );
-
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&silent_pool()));
-    assert!(
-        ds.render_json().contains(
-            "\"code\":\"E101\",\"severity\":\"error\",\"artifact\":\"sync tensor.pool\",\
-         \"message\":\"pool.done is waited on but no declared path ever notifies it \
-         and no timeout bounds the sleep\""
-        ),
-        "{}",
-        ds.render_json()
-    );
-    assert!(
-        ds.render_json().contains(
-            "\"code\":\"E101\",\"severity\":\"error\",\"artifact\":\"sync tensor.pool\",\
-         \"message\":\"path pool.worker_loop falsifies the predicate of pool.done \
-         with no notify reachable afterwards (a parked waiter never observes the \
-         write)\""
-        ),
-        "{}",
         ds.render_json()
     );
 }

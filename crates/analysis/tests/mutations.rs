@@ -533,133 +533,6 @@ fn infeasible_design_load_fires_w070() {
     assert_eq!(verdicts(&ds), ["E096", "W070"], "{}", ds.render());
 }
 
-// ---- E10x concurrency-skeleton mutation seeds -------------------------
-//
-// Each seed doctors the *declared* skeleton of the shipped worker pool or
-// serving runtime — the code itself is untouched and stays correct; the
-// declaration is mutated into the bug the prover must catch — and asserts
-// exactly the pinned code fires with no collateral E10x noise.
-
-use enode_analysis::synccheck;
-use enode_serve::skeleton::registered_skeletons;
-use enode_tensor::syncmodel::{pool_skeleton, PathDecl, PathRole, Step};
-
-/// Error-severity E10x codes present in a run, as stable strings.
-fn e10x_errors(ds: &enode_analysis::Diagnostics) -> Vec<&'static str> {
-    let mut codes: Vec<&'static str> = ds
-        .items()
-        .iter()
-        .filter(|d| d.severity() == Severity::Error && d.code.as_str().starts_with("E10"))
-        .map(|d| d.code.as_str())
-        .collect();
-    codes.dedup();
-    codes
-}
-
-#[test]
-fn flipped_lock_order_fires_exactly_e100() {
-    // Mutation: a path that nests pool.submit *inside* pool.slot, the
-    // reverse of broadcast's declared submit-then-slot order. Two threads
-    // running the two paths deadlock; the ancestors fixpoint must find
-    // the cycle, and nothing else may fire.
-    let mut sk = pool_skeleton();
-    sk.paths.push(PathDecl {
-        id: "pool.mutated_inverted",
-        role: PathRole::Normal,
-        runs_on: None,
-        steps: vec![
-            Step::Acquire("pool.slot"),
-            Step::Acquire("pool.submit"),
-            Step::Release("pool.submit"),
-            Step::Release("pool.slot"),
-        ],
-    });
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&sk));
-    assert_eq!(e10x_errors(&ds), ["E100"], "{}", ds.render());
-}
-
-#[test]
-fn dropped_notify_fires_exactly_e101() {
-    // Mutation: the worker loop no longer notifies pool.done after
-    // finishing its slice. broadcast's wait on `pending == 0` would park
-    // forever (the wait has no timeout fallback).
-    let mut sk = pool_skeleton();
-    let worker = sk
-        .paths
-        .iter_mut()
-        .find(|p| p.id == "pool.worker_loop")
-        .expect("shipped path");
-    worker.steps.retain(|s| *s != Step::Notify("pool.done"));
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&sk));
-    assert_eq!(e10x_errors(&ds), ["E101"], "{}", ds.render());
-}
-
-#[test]
-fn skipped_join_fires_exactly_e102() {
-    // Mutation: pool shutdown wakes the workers but never joins them —
-    // detached threads outlive the pool and race its teardown.
-    let mut sk = pool_skeleton();
-    let drop_path = sk
-        .paths
-        .iter_mut()
-        .find(|p| p.id == "pool.drop")
-        .expect("shipped path");
-    drop_path.steps.retain(|s| *s != Step::Join("pool.worker"));
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&sk));
-    assert_eq!(e10x_errors(&ds), ["E102"], "{}", ds.render());
-}
-
-#[test]
-fn fabricated_trace_edge_fires_e104() {
-    // Mutation on the *observation* side: a synthetic trace claims the
-    // runtime acquired server.state while holding ticket.slot — an edge
-    // outside the declared order's transitive closure.
-    let regs = registered_skeletons();
-    let mut report = enode_serve::synctrace::TraceReport::default();
-    report.locks.insert("ticket.slot".into());
-    report.locks.insert("server.state".into());
-    report
-        .edges
-        .insert(("ticket.slot".into(), "server.state".into()));
-    let ds = synccheck::lint_trace(&regs, &report);
-    assert_eq!(e10x_errors(&ds), ["E104"], "{}", ds.render());
-}
-
-#[test]
-fn wait_starving_all_notifiers_fires_exactly_e106() {
-    // Mutation: the worker loop (sole notifier of pool.done) now also
-    // acquires pool.submit — which broadcast holds across its wait on
-    // pool.done. The waiter starves its only waker.
-    let mut sk = pool_skeleton();
-    let worker = sk
-        .paths
-        .iter_mut()
-        .find(|p| p.id == "pool.worker_loop")
-        .expect("shipped path");
-    worker.steps = vec![
-        Step::Acquire("pool.submit"),
-        Step::Acquire("pool.slot"),
-        Step::Wait("pool.work"),
-        Step::Write("pool.done"),
-        Step::Notify("pool.done"),
-        Step::Release("pool.slot"),
-        Step::Release("pool.submit"),
-    ];
-    let ds = synccheck::lint_skeletons(std::slice::from_ref(&sk));
-    assert!(
-        ds.has_code(Code::E106SyncWaitHoldsNotifierLock),
-        "{}",
-        ds.render()
-    );
-    // The added submit-inside-slot-free nesting keeps one global order,
-    // so the lock-order proof itself must stay clean.
-    assert!(
-        !ds.has_code(Code::E100SyncLockOrderCycle),
-        "{}",
-        ds.render()
-    );
-}
-
 // ---- E11x fleet registry & residency mutation seeds -------------------
 //
 // Each seed doctors the shipped fleet config or registry snapshot — a

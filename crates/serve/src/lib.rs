@@ -24,8 +24,6 @@
 //! | [`registry`] | Versioned model registry: publish/rollback + tenant bindings |
 //! | [`residency`] | Per-instance weight-SRAM residency accounting |
 //! | [`fleet`] | N-instance fleet router (consistent hashing) + the discrete-event serving simulator ([`simulate_traffic`], open or closed loop per tenant) |
-//! | [`skeleton`] | Declared sync skeletons (locks/condvars/atomics) for the E10x prover |
-//! | [`synctrace`] | Feature-gated runtime sync tracer (parity vs the skeletons) |
 //!
 //! # Determinism
 //!
@@ -48,8 +46,6 @@ pub mod registry;
 pub mod request;
 pub mod residency;
 pub mod server;
-pub mod skeleton;
-pub mod synctrace;
 
 pub use clock::Clock;
 pub use fleet::{

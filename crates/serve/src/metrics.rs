@@ -43,8 +43,7 @@
 //!   `batches`) are incremented with `Relaxed`: each is written under the
 //!   state mutex (which already orders it against dispatch) and no
 //!   invariant relates them to a *later* load on another thread, so a
-//!   stronger ordering would buy nothing. This is the W100 class the
-//!   concurrency linter records as a deliberate decision.
+//!   stronger ordering would buy nothing.
 //! * **Histogram buckets and sums** are `Relaxed` monotone accumulators:
 //!   percentile estimates are already bucket-quantized, and the
 //!   count/sum pair is only read for exact means at quiescence.

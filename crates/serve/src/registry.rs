@@ -23,7 +23,7 @@ use crate::request::ToleranceClass;
 use enode_hw::config::LayerDims;
 use enode_hw::fingerprint::Fnv64;
 use enode_hw::table::serving_profile;
-use enode_tensor::syncmodel::trace;
+use enode_tensor::synctrace;
 use std::sync::{Arc, RwLock};
 
 /// Content fingerprint of one published model version: the model name,
@@ -166,8 +166,8 @@ impl RegistrySnapshot {
 
 /// The copy-on-write registry. All mutation happens under one write
 /// lock; readers grab an `Arc` to the current snapshot and work lock-free
-/// from then on. The declared sync protocol is `fleet.registry` in
-/// [`crate::skeleton`]; the E10x prover covers it.
+/// from then on. The lock is traced as `fleet.registry` under
+/// `--features synctrace`.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: RwLock<Arc<RegistrySnapshot>>,
@@ -192,7 +192,7 @@ impl Registry {
             .inner
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _t = trace::lock_acquired("fleet.registry");
+        let _t = synctrace::lock_acquired("fleet.registry");
         Arc::clone(&guard)
     }
 
@@ -201,7 +201,7 @@ impl Registry {
             .inner
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _t = trace::lock_acquired("fleet.registry");
+        let _t = synctrace::lock_acquired("fleet.registry");
         // Copy-on-write: in-flight readers keep their old snapshot.
         let mut next = (**guard).clone();
         next.epoch += 1;

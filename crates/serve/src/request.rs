@@ -2,7 +2,7 @@
 //! explicit ways the runtime refuses work.
 
 use enode_node::inference::NodeError;
-use enode_tensor::syncmodel::trace;
+use enode_tensor::synctrace;
 use enode_tensor::Tensor;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
@@ -169,10 +169,9 @@ impl TicketInner {
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _t = trace::lock_acquired("ticket.slot");
+        let _t = synctrace::lock_acquired("ticket.slot");
         if slot.is_none() {
             *slot = Some(result);
-            trace::notify_event("ticket.ready");
             self.ready.notify_all();
         }
     }
@@ -193,12 +192,11 @@ impl Ticket {
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _t = trace::lock_acquired("ticket.slot");
+        let _t = synctrace::lock_acquired("ticket.slot");
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            trace::wait_event("ticket.ready");
             slot = self
                 .inner
                 .ready
@@ -214,7 +212,7 @@ impl Ticket {
             .slot
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _t = trace::lock_acquired("ticket.slot");
+        let _t = synctrace::lock_acquired("ticket.slot");
         slot.take()
     }
 }

@@ -43,7 +43,7 @@ use crate::request::{Priority, Rejected, Request, Response, Ticket, TicketInner,
 use enode_node::eval::forward_model_batched_with;
 use enode_node::inference::{NodeError, NodeSolveOptions};
 use enode_node::model::NodeModel;
-use enode_tensor::syncmodel::trace;
+use enode_tensor::synctrace;
 use enode_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -236,7 +236,7 @@ impl Server {
     /// Requests currently queued (not yet batched).
     pub fn queue_len(&self) -> usize {
         let st = lock_state(&self.core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         st.queue.len()
     }
 
@@ -249,7 +249,7 @@ impl Server {
     pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
         let core = &self.core;
         let mut st = lock_state(&core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         if st.closed {
             return Err(Rejected::ShuttingDown);
         }
@@ -280,7 +280,6 @@ impl Server {
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
-        trace::notify_event("server.work_cv");
         core.work_cv.notify_one();
         Ok(Ticket { inner })
     }
@@ -296,7 +295,7 @@ impl Server {
     pub fn drain(&self) {
         let core = &self.core;
         let mut st = lock_state(&core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         if st.closed {
             // After shutdown the queue is already swept, in-flight work
             // was delivered before the join loop returned, and the
@@ -309,10 +308,8 @@ impl Server {
             "drain() needs worker threads; in pump mode call form_batch in a loop"
         );
         st.draining = true;
-        trace::notify_event("server.work_cv");
         core.work_cv.notify_all();
         while !(st.queue.is_empty() && st.in_flight == 0) {
-            trace::wait_event("server.idle_cv");
             st = core
                 .idle_cv
                 .wait(st)
@@ -328,7 +325,7 @@ impl Server {
         let core = &self.core;
         {
             let mut st = lock_state(&core.state);
-            let _t = trace::lock_acquired("server.state");
+            let _t = synctrace::lock_acquired("server.state");
             if !st.closed {
                 st.closed = true;
                 let swept: Vec<Pending> = st.queue.drain(..).collect();
@@ -342,9 +339,7 @@ impl Server {
                     p.ticket.fill(Err(Rejected::ShuttingDown));
                 }
             }
-            trace::notify_event("server.work_cv");
             core.work_cv.notify_all();
-            trace::notify_event("server.idle_cv");
             core.idle_cv.notify_all();
         }
         // Join outside the state lock: a worker finishing its in-flight
@@ -363,7 +358,7 @@ impl Server {
     /// when nothing is dispatchable yet.
     pub fn form_batch(&self, force: bool) -> Option<PreparedBatch> {
         let mut st = lock_state(&self.core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         self.core.try_form(&mut st, force)
     }
 
@@ -384,7 +379,7 @@ impl Server {
     /// `None` when the queue is empty.
     pub fn next_window_expiry_us(&self) -> Option<u64> {
         let st = lock_state(&self.core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         st.queue
             .iter()
             .map(|p| p.submitted_us + self.core.config.batch_window_us)
@@ -426,7 +421,6 @@ impl Core {
         }
         st.queue = kept;
         if st.queue.is_empty() {
-            trace::notify_event("server.idle_cv");
             self.idle_cv.notify_all();
         }
     }
@@ -648,11 +642,9 @@ impl Drop for DeliverGuard<'_> {
             }
         }
         let mut st = lock_state(&self.core.state);
-        let _t = trace::lock_acquired("server.state");
+        let _t = synctrace::lock_acquired("server.state");
         st.in_flight -= 1;
-        trace::notify_event("server.idle_cv");
         self.core.idle_cv.notify_all();
-        trace::notify_event("server.work_cv");
         self.core.work_cv.notify_all();
     }
 }
@@ -663,7 +655,7 @@ fn worker_loop(core: &Core) {
     loop {
         let batch = {
             let mut st = lock_state(&core.state);
-            let _t = trace::lock_acquired("server.state");
+            let _t = synctrace::lock_acquired("server.state");
             loop {
                 if let Some(b) = core.try_form(&mut st, false) {
                     break Some(b);
@@ -675,7 +667,6 @@ fn worker_loop(core: &Core) {
                     // Virtual time only moves when the owner moves it, and
                     // the owner notifies via submit/drain/shutdown — a
                     // timeout would spin without making progress.
-                    trace::wait_event("server.work_cv");
                     st = core
                         .work_cv
                         .wait(st)
@@ -693,7 +684,6 @@ fn worker_loop(core: &Core) {
                         .min()
                         .unwrap_or(now);
                     let wait_us = window_end.saturating_sub(now).max(100);
-                    trace::wait_event("server.work_cv");
                     let (guard, _) = core
                         .work_cv
                         .wait_timeout(st, Duration::from_micros(wait_us))

@@ -1,9 +1,9 @@
-//! Runtime coverage for the sync protocols the E10x prover reasons
-//! about: the wall-clock batch window's timeout-bounded wait (the W102
-//! decision record), shutdown racing a parked worker on both clock
-//! flavours, and a multi-threaded stress of the metrics ordering
-//! protocol (`consistent()` on every mid-flight snapshot, `reconciles()`
-//! at quiescence).
+//! Runtime coverage for the serving runtime's wakeups, shutdown and
+//! metrics ordering: the submit notify that wakes a parked worker, the
+//! wall-clock batch window's timeout-bounded wait, shutdown racing a
+//! parked worker on both clock flavours, and a multi-threaded stress of
+//! the metrics ordering protocol (`consistent()` on every mid-flight
+//! snapshot, `reconciles()` at quiescence).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,12 +35,37 @@ fn req(seed: u64, deadline_us: u64) -> Request {
 }
 
 #[test]
+fn a_parked_worker_wakes_on_submit() {
+    // One worker, wall clock, empty queue: the worker parks on the
+    // untimed empty-queue wait in `worker_loop`, which only a notify can
+    // end. `submit`'s notify must wake it; without that notify the
+    // request sits in the queue until some unrelated wakeup.
+    let s = server_with(Clock::wall(), 1);
+    std::thread::sleep(Duration::from_millis(100));
+    let deadline = s.clock().now_us() + 30_000_000;
+    let t = s.submit(req(3, deadline)).unwrap();
+    let start = Instant::now();
+    let result = loop {
+        if let Some(result) = t.try_take() {
+            break result;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the parked worker never woke for the submitted request"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let resp = result.expect("30s of slack must complete");
+    assert_eq!(resp.tier, 0, "30s of slack must not degrade");
+}
+
+#[test]
 fn wall_clock_window_expires_with_no_notifier() {
     // One request, one worker, wall clock. The worker wakes on the submit
     // notify, cannot form a batch while the 2ms window is open, and parks
     // on the *timeout* wait. Nobody notifies again: the only way the
     // request completes is the timeout expiring and `try_form` seeing the
-    // window closed — the runtime behaviour the W102 record documents.
+    // window closed.
     let s = server_with(Clock::wall(), 1);
     let deadline = s.clock().now_us() + 30_000_000;
     let t = s.submit(req(1, deadline)).unwrap();
@@ -85,8 +110,7 @@ fn shutdown_while_worker_parked_on_the_batch_window() {
 fn shutdown_while_worker_parked_on_the_virtual_clock_wait() {
     // With a virtual clock the worker parks on the *untimed* wait (a
     // timeout would spin — simulated time only moves when the owner moves
-    // it), so shutdown's notify is the only thing that can wake it. This
-    // is the externally-pumped path E101's no-notifier obligation guards.
+    // it), so shutdown's notify is the only thing that can wake it.
     let mut s = server_with(Clock::virtual_at(0), 1);
     std::thread::sleep(Duration::from_micros(200));
     let start = Instant::now();
@@ -103,10 +127,10 @@ fn four_thread_stress_keeps_every_snapshot_consistent() {
     // 4 submitter threads hammer one wall-clock server while a snapshot
     // thread asserts the under-load identity on every observation it
     // makes mid-flight; after drain + shutdown the strict quiescent
-    // identity must hold. This is the runtime cross-check of the
-    // Release/Acquire protocol in `metrics::snapshot` — with Relaxed
-    // resolution counters the consistent() assertion fails under
-    // reordering, which is exactly what E103 guards statically.
+    // identity must hold. This is the runtime check of the
+    // Release/Acquire protocol in `metrics::snapshot`: with Relaxed
+    // resolution counters the consistent() assertion can fail on a
+    // weakly-ordered core.
     const SUBMITTERS: usize = 4;
     const PER_THREAD: usize = 24;
 

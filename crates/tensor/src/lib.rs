@@ -24,11 +24,10 @@
 //! * Affine access summaries ([`access`]) registered beside every
 //!   parallel kernel, giving the static prover in `enode-analysis` a
 //!   symbolic description of each split's per-lane read/write sets.
-//! * Declared synchronization skeletons and a feature-gated runtime sync
-//!   tracer ([`syncmodel`]): the worker pool (and the serving runtime one
-//!   crate up) declares its lock/condvar/atomic protocol for the static
-//!   concurrency prover in `enode-analysis`, and `--features synctrace`
-//!   records actual acquisition orders for the parity test.
+//! * A feature-gated lock-order recorder ([`synctrace`]): under
+//!   `--features synctrace` the worker pool (and the serving runtime one
+//!   crate up) records every `held → acquired` lock nesting it takes, for
+//!   the serve crate's traced lock-order test.
 //!
 //! # Example
 //!
@@ -71,7 +70,7 @@ pub mod rng;
 pub mod sanitize;
 pub mod shape;
 pub(crate) mod simd;
-pub mod syncmodel;
+pub mod synctrace;
 pub mod tensor;
 
 pub use f16::F16;

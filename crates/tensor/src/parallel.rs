@@ -52,7 +52,7 @@
 //! item), so the default path is unaffected.
 
 use crate::sanitize;
-use crate::syncmodel::trace;
+use crate::synctrace;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -245,7 +245,7 @@ impl ThreadPool {
             return;
         }
         let _submit = lock_pool(&self.submit);
-        let _t_submit = trace::lock_acquired("pool.submit");
+        let _t_submit = synctrace::lock_acquired("pool.submit");
         unsafe fn call_closure<F: Fn(usize, usize) + Sync>(
             ctx: *const (),
             lane: usize,
@@ -258,7 +258,7 @@ impl ThreadPool {
         }
         {
             let mut slot = lock_pool(&self.shared.slot);
-            let _t_slot = trace::lock_acquired("pool.slot");
+            let _t_slot = synctrace::lock_acquired("pool.slot");
             slot.epoch += 1;
             slot.job = Some(Job {
                 ctx: f as *const F as *const (),
@@ -266,7 +266,6 @@ impl ThreadPool {
             });
             slot.pending = self.threads - 1;
             slot.panicked = false;
-            trace::notify_event("pool.work");
             self.shared.work.notify_all();
         }
         // Whatever happens on lane 0 (including a panic), we must not
@@ -275,9 +274,8 @@ impl ThreadPool {
         impl Drop for WaitAll<'_> {
             fn drop(&mut self) {
                 let mut slot = lock_pool(&self.0.slot);
-                let _t_slot = trace::lock_acquired("pool.slot");
+                let _t_slot = synctrace::lock_acquired("pool.slot");
                 while slot.pending > 0 {
-                    trace::wait_event("pool.done");
                     slot = self
                         .0
                         .done
@@ -307,7 +305,7 @@ impl ThreadPool {
             // the panic flag under a fresh lock below.
             drop(_wait);
             let mut slot = lock_pool(&self.shared.slot);
-            let _t_slot = trace::lock_acquired("pool.slot");
+            let _t_slot = synctrace::lock_acquired("pool.slot");
             std::mem::take(&mut slot.panicked)
         };
         if panicked {
@@ -320,13 +318,12 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
             let mut slot = lock_pool(&self.shared.slot);
-            let _t_slot = trace::lock_acquired("pool.slot");
+            let _t_slot = synctrace::lock_acquired("pool.slot");
             slot.shutdown = true;
-            trace::notify_event("pool.work");
             self.shared.work.notify_all();
         }
         let mut handles = lock_pool(&self.handles);
-        let _t_handles = trace::lock_acquired("pool.handles");
+        let _t_handles = synctrace::lock_acquired("pool.handles");
         for h in handles.drain(..) {
             let _ = h.join();
         }
@@ -339,7 +336,7 @@ fn worker_loop(shared: &Shared, lane: usize, lanes: usize) {
     loop {
         let job = {
             let mut slot = lock_pool(&shared.slot);
-            let _t_slot = trace::lock_acquired("pool.slot");
+            let _t_slot = synctrace::lock_acquired("pool.slot");
             loop {
                 if slot.shutdown {
                     return;
@@ -348,7 +345,6 @@ fn worker_loop(shared: &Shared, lane: usize, lanes: usize) {
                     seen_epoch = slot.epoch;
                     break slot.job.expect("job present at new epoch");
                 }
-                trace::wait_event("pool.work");
                 slot = shared
                     .work
                     .wait(slot)
@@ -365,13 +361,12 @@ fn worker_loop(shared: &Shared, lane: usize, lanes: usize) {
         }))
         .is_err();
         let mut slot = lock_pool(&shared.slot);
-        let _t_slot = trace::lock_acquired("pool.slot");
+        let _t_slot = synctrace::lock_acquired("pool.slot");
         if panicked {
             slot.panicked = true;
         }
         slot.pending -= 1;
         if slot.pending == 0 {
-            trace::notify_event("pool.done");
             shared.done.notify_all();
         }
     }

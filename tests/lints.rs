@@ -15,23 +15,19 @@ fn shipped_artifacts_pass_all_static_lints() {
     );
     // The only tolerated warnings are advisories raised *by design*:
     // W085 host caveats from the roofline pass against the committed
-    // 1-core bench baseline (see `analysis::cost`), W044 serial-floor
+    // 1-core bench baseline (see `analysis::cost`) and W044 serial-floor
     // notes on the two registered shapes that fall below the dispatch
-    // floor (see `analysis::parallelcheck`), and the two concurrency
-    // decision records — W100 for metrics' relaxed admission counters
-    // and W102 for the batch window's timeout-bounded wait (see
-    // `analysis::synccheck`); anything else is a regression.
+    // floor (see `analysis::parallelcheck`); anything else is a
+    // regression.
     assert!(
         ds.items().iter().all(|d| matches!(
             d.code,
-            Code::W085CostFutileSplit
-                | Code::W044ParSerialFloorEngaged
-                | Code::W100SyncRelaxedCounter
-                | Code::W102SyncTimeoutWakeup
+            Code::W085CostFutileSplit | Code::W044ParSerialFloorEngaged
         )),
         "static lints found unexpected warnings:\n{}",
         ds.render()
     );
+    assert_eq!(ds.warning_count(), 6, "{}", ds.render());
     let floored: Vec<&str> = ds
         .items()
         .iter()
