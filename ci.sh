@@ -32,6 +32,11 @@ ENODE_THREADS=4 cargo test -q --workspace
 echo "==> sanitizer-enabled tensor suite + mutation tests (ENODE_THREADS=4)"
 ENODE_THREADS=4 cargo test -q -p enode-tensor --features sanitize
 
+# The shadow tracker is the one check on lane claims; this runs it over the
+# registered per-sample fan-out, node.forward_model_batched (the serving solve).
+echo "==> sanitizer-enabled NODE determinism suite (ENODE_THREADS=4)"
+ENODE_THREADS=4 cargo test -q -p enode-node --features enode-tensor/sanitize --test parallel_determinism
+
 echo "==> analysis mutation suite (planted defects must fire their exact codes)"
 cargo test -q -p enode-analysis --test mutations
 

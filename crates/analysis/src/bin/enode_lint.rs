@@ -12,8 +12,8 @@
 //! code; `--emit-lints-md` prints the generated `docs/LINTS.md`.
 
 use enode_analysis::{
-    affine, consistency, cost, ddg, fleetcheck, hwcheck, lint_everything, paper_pipelines,
-    parallelcheck, precision, registry, schedcheck, shape, tableau,
+    consistency, cost, ddg, fleetcheck, hwcheck, lint_everything, paper_pipelines, parallelcheck,
+    precision, registry, schedcheck, shape, tableau,
 };
 
 fn main() {
@@ -105,17 +105,14 @@ fn main() {
     println!("\n-- hardware configurations (Table I) --");
     print!("{}", hwcheck::lint_paper_configs().render());
 
-    println!("\n-- parallel kernel splits --");
+    println!(
+        "\n-- parallel kernel splits ({} summaries) --",
+        parallelcheck::registered_summaries().len()
+    );
     print!("{}", parallelcheck::lint_registered_splits(4).render());
 
     println!("\n-- serving policies: ladders, load, deadlines and energy (COST_TABLE.json) --");
     print!("{}", schedcheck::lint_shipped_policies().render());
-
-    println!(
-        "\n-- affine access proofs ({} summaries) --",
-        affine::registered_summaries().len()
-    );
-    print!("{}", affine::lint_registered_summaries().render());
 
     println!("\n-- static roofline cost model --");
     print!("{}", cost::lint_shipped_baseline().render());

@@ -1,7 +1,7 @@
 //! Static roofline cost model (`W084`/`W085`): predicts serial-vs-parallel
-//! benefit for each registered kernel split from its affine access summary
-//! and cross-checks the prediction against the committed
-//! `BENCH_kernels.json` measurements.
+//! benefit for each registered kernel split from its split summary and
+//! cross-checks the prediction against the committed `BENCH_kernels.json`
+//! measurements.
 //!
 //! # Model
 //!
@@ -16,8 +16,7 @@
 //! bandwidth (memory traffic does not scale with lanes), `E = min(lanes,
 //! host_cpus)` the *effective* parallelism, and `t_dispatch` the fixed
 //! cost of waking the pool. `flops` comes straight from the summary;
-//! `bytes` is the sum of the proven access footprints from
-//! [`crate::affine`] (a broadcast read is fetched once, not per item).
+//! `bytes` is the sum of its declared region sizes ([`bytes_moved`]).
 //!
 //! # Lints
 //!
@@ -85,7 +84,7 @@ impl RooflineModel {
 pub struct CostEstimate {
     /// Total scalar operations (`items × flops_per_item`).
     pub flops: f64,
-    /// Total bytes moved, from the access footprints.
+    /// Total bytes moved, from the declared regions.
     pub bytes: f64,
     /// `flops / bytes` — the roofline's x-axis.
     pub arithmetic_intensity: f64,
@@ -93,22 +92,15 @@ pub struct CostEstimate {
     pub serial_secs: f64,
 }
 
-/// Bytes moved per invocation: each access's footprint times the
-/// region's element width. A broadcast read (`stride_per_item == 0`)
-/// streams its set once; every other access is per-item. Thread-local
-/// scratch stays in cache and is not counted.
+/// Bytes moved per invocation: every declared region streamed once. A
+/// written region is one stride per item; an input is read one stride per
+/// item or whole by every item (resident weights, fetched once).
+/// Thread-local scratch stays in cache and is not declared.
 pub fn bytes_moved(s: &KernelAccessSummary) -> f64 {
-    let mut bytes = 0.0f64;
-    for a in &s.accesses {
-        let elem_bytes = s.region(a.region).map_or(4, |r| r.elem_bytes) as f64;
-        let elems = if a.stride_per_item == 0 {
-            a.count
-        } else {
-            s.items * a.count
-        } as f64;
-        bytes += elems * elem_bytes;
-    }
-    bytes
+    s.regions
+        .iter()
+        .map(|r| (r.elems * r.elem_bytes) as f64)
+        .sum()
 }
 
 /// Computes the static cost of one summary.
@@ -205,8 +197,9 @@ pub fn parse_baseline(text: &str) -> Option<BenchBaseline> {
     })
 }
 
-/// Affine summaries at the *bench* shapes (which differ from the
-/// representative lint shapes in [`crate::affine::registered_summaries`]),
+/// Split summaries at the *bench* shapes (which differ from the
+/// representative lint shapes in
+/// [`crate::parallelcheck::registered_summaries`]),
 /// keyed by the bench row each one predicts. Rows with no summary
 /// (serial preprocessing, the bare solver step) are deliberately absent.
 pub fn bench_shape_summaries() -> Vec<(&'static str, KernelAccessSummary)> {
@@ -352,6 +345,55 @@ mod tests {
                 .trim_end_matches(['}', ']', '\n', ' '])
         )
         .is_none());
+    }
+
+    #[test]
+    fn roofline_inputs_hold_their_pinned_values() {
+        // `bytes_moved` and total flops of every registered and
+        // bench-shape summary. W085's message prints neither number, so a
+        // moved byte count would otherwise change the lint's verdicts and
+        // `bench_kernels_json`'s predictions unseen.
+        let registered: [(&str, f64, usize); 14] = [
+            ("conv2d.forward (batch split)", 82512.0, 368640),
+            ("conv2d.fused_forward (batch split)", 82544.0, 430080),
+            ("conv2d.forward (row split)", 9872.0, 36864),
+            ("conv2d.backward_input (batch split)", 82496.0, 368640),
+            ("conv2d.backward_input (channel split)", 9856.0, 36864),
+            ("conv2d.backward_params (batch split)", 87840.0, 368640),
+            ("conv2d.backward_params (row split)", 22160.0, 36864),
+            ("dense.forward", 4480.0, 6144),
+            ("dense.backward_input", 4352.0, 6144),
+            ("dense.backward_params", 4480.0, 6144),
+            ("groupnorm.forward", 164544.0, 81920),
+            ("groupnorm.backward", 247072.0, 163840),
+            ("node.forward_model_batched", 320.0, 5242880),
+            ("bench.run_benches", 1536.0, 50331648),
+        ];
+        let got: Vec<(&str, f64, usize)> = crate::parallelcheck::registered_summaries()
+            .iter()
+            .map(|s| (s.kernel, bytes_moved(s), s.items * s.flops_per_item))
+            .collect();
+        assert_eq!(got, registered);
+        let bench: [(&str, f64, usize); 7] = [
+            ("conv2d_forward_b8", 133408.0, 1179648),
+            ("conv2d_backward_input_b8", 133376.0, 1179648),
+            ("conv2d_backward_params_b8", 149760.0, 1179648),
+            ("dense_forward_b64", 49408.0, 262144),
+            ("groupnorm_forward_b8", 131648.0, 65536),
+            ("node_batched_inference_b8", 512.0, 8388608),
+            ("run_bench_lv_inference", 1536.0, 50331648),
+        ];
+        let got: Vec<(&str, f64, usize)> = bench_shape_summaries()
+            .iter()
+            .map(|(row, s)| (*row, bytes_moved(s), s.items * s.flops_per_item))
+            .collect();
+        assert_eq!(got, bench);
+        // Dense's weight gradient reads the interleaved column dy[:, oi]
+        // per item; the o columns together still price all n·o elements
+        // of dy once: dw + db + x + dy.
+        let (n, d, o) = (16usize, 12usize, 32usize);
+        let s = enode_tensor::dense::backward_params_access(n, d, o);
+        assert_eq!(bytes_moved(&s), (4 * (o * d + o + n * d + n * o)) as f64);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! | `E010–E019` / `W010–W019` | DDG schedule lints ([`crate::ddg`]) |
 //! | `E020–E029` / `W020–W029` | Network shape & FP16 range lints ([`crate::shape`]) |
 //! | `E030–E039` / `W030–W039` | Hardware feasibility lints ([`crate::hwcheck`]) |
-//! | `E040–E049` / `W040–W049` | Parallel kernel-split lints ([`crate::parallelcheck`]) |
+//! | `W040–W049` | Parallel kernel-split lints ([`crate::parallelcheck`]) |
 //! | `E050–E059` / `W050–W059` | FP16 precision lints ([`crate::precision`]) |
 //! | `E060–E069` / `W060–W069` | Cross-artifact consistency lints ([`crate::consistency`]) |
 //! | `E070–E079` / `W070–W079` | Serving-policy ladder & load lints (emitted by [`crate::schedcheck`]) |
-//! | `E080–E089` / `W080–W089` | Affine access & roofline cost lints ([`crate::affine`], [`crate::cost`]) |
+//! | `W080–W089` | Roofline cost lints ([`crate::cost`]) |
 //! | `E090–E099` / `W090–W099` | Schedulability & energy-budget lints ([`crate::schedcheck`]) |
 //! | `E110–E119` / `W110–W119` | Fleet registry & residency lints ([`crate::fleetcheck`]) |
 //!
@@ -136,10 +136,7 @@ lint_codes! {
     /// serial.
     W034HwDegenerateParallelSplit = "W034", "parallel pool live but work split is degenerate";
 
-    // --- parallel kernel-split lints (E040-E049 / W040-W049) ---
-    /// A written region's length is not a whole number of strides per
-    /// item, so the disjoint decomposition would be rejected at runtime.
-    E040ParStrideIndivisible = "E040", "written region not a whole number of strides";
+    // --- parallel kernel-split lints (W040-W049) ---
     /// The split degenerates to a single chunk on a live pool despite
     /// substantial work (generalizes W034 beyond batch-1 runs).
     W040ParDegenerateSplit = "W040", "kernel split degenerates to one chunk";
@@ -214,22 +211,7 @@ lint_codes! {
     /// band uncovered (last tier's threshold is nonzero).
     W071ServeUnreachableTier = "W071", "tier unreachable or slack band uncovered";
 
-    // --- affine access & roofline cost lints (E080-E089 / W080-W089) ---
-    /// The affine prover cannot show two lanes' write sets disjoint:
-    /// per-item writes collide across items, two write accesses to the
-    /// same region have overlapping footprints, or a read of a written
-    /// region cannot be proven lane-local (a cross-lane race).
-    E080AffineLaneOverlap = "E080", "lane write-sets cannot be proven disjoint";
-    /// The union of lane write sets does not cover the output region
-    /// exactly: a gap with no declared slack, a write spilling past the
-    /// region end, or an access naming an undeclared region.
-    E081AffineCoverage = "E081", "lane writes do not cover the region exactly";
-    /// A scratch arena is carved out of a live output region and its
-    /// range intersects lane writes (scratch must never alias outputs).
-    E082AffineScratchAlias = "E082", "scratch arena aliases a live output";
-    /// Lane writes undercover the region by exactly the declared
-    /// intentional slack — legal, but worth a visible record.
-    W080AffineCoverageSlack = "W080", "coverage gap matches the declared slack";
+    // --- roofline cost lints (W080-W089) ---
     /// A measured kernel speedup in `BENCH_kernels.json` deviates from
     /// the static roofline prediction beyond the model tolerance.
     W084CostModelDeviation = "W084", "measured speedup deviates from the roofline";
@@ -575,12 +557,8 @@ mod tests {
     fn json_lines_have_stable_keys_and_escaping() {
         let mut ds = Diagnostics::new();
         ds.push(
-            Diagnostic::new(
-                Code::E040ParStrideIndivisible,
-                "conv2d \"fwd\"",
-                "len 7\nitems 2",
-            )
-            .with_note("items", 2),
+            Diagnostic::new(Code::E020ShapeMismatch, "conv2d \"fwd\"", "len 7\nitems 2")
+                .with_note("items", 2),
         );
         ds.push(Diagnostic::new(
             Code::W040ParDegenerateSplit,
@@ -592,7 +570,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
-            "{\"code\":\"E040\",\"severity\":\"error\",\
+            "{\"code\":\"E020\",\"severity\":\"error\",\
              \"artifact\":\"conv2d \\\"fwd\\\"\",\
              \"message\":\"len 7\\nitems 2\",\"notes\":{\"items\":\"2\"}}"
         );

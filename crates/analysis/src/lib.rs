@@ -4,7 +4,7 @@
 //! [`ir`] lowers a whole pipeline artifact (model, solver schedule, ACA
 //! checkpoint plan, hardware mapping) into one typed dataflow program
 //! graph, and [`engine`] runs lattice-valued passes over it to a worklist
-//! fixpoint. Eleven lint families report [`Diagnostic`]s with stable
+//! fixpoint. Ten lint families report [`Diagnostic`]s with stable
 //! codes:
 //!
 //! * [`tableau`] — Butcher-tableau consistency (`E001`–`E006`,
@@ -19,21 +19,17 @@
 //! * [`hwcheck`] — hardware-configuration feasibility (`E030`–`E033`,
 //!   `W030`–`W033`): buffer provisioning, weight residency, DRAM and
 //!   ring-link bandwidth, layer-to-core mapping.
-//! * [`parallelcheck`] — parallel kernel-split decompositions (`E040`,
-//!   `W040`–`W042`, `W044`), read from the same access summaries as
-//!   [`affine`]: stride divisibility, grain degeneracy, partial-buffer
-//!   size, false sharing, the serial work floor.
+//! * [`parallelcheck`] — parallel kernel-split decompositions (`W040`–`W042`,
+//!   `W044`) over the one registry of kernel-split summaries: grain
+//!   degeneracy, partial-buffer size, false sharing, the serial work
+//!   floor.
 //! * [`precision`] — FP16 range and rounding-error accumulation across
 //!   the unrolled solver schedule (`E050`–`E056`, `W050`–`W053`).
 //! * [`consistency`] — cross-artifact agreement between the model, the
 //!   solver plan, and the hardware configuration (`E060`–`E062`).
-//! * [`affine`] — affine access proofs for kernel splits (`E080`–`E082`,
-//!   `W080`): lane write-set disjointness by stride congruence, exact
-//!   output coverage by counting, scratch/output aliasing — discharged
-//!   symbolically over the whole thread-count × grain envelope.
 //! * [`cost`] — static roofline cost model (`W084`–`W085`): predicted
-//!   serial-vs-parallel benefit from the proven access footprints,
-//!   cross-checked against the committed `BENCH_kernels.json`.
+//!   serial-vs-parallel benefit from the same summaries' flops and region
+//!   sizes, cross-checked against the committed `BENCH_kernels.json`.
 //! * [`schedcheck`] — the serving-policy pass (`E072`, `W070`–`W071`,
 //!   `E090`–`E096`, `W090`–`W093`): degradation-ladder order and
 //!   reachability, then one closed-form worst-case response time per
@@ -61,7 +57,6 @@
 //! tableaux, pipelines and Table I configurations and exits nonzero if
 //! any error-severity diagnostic fires.
 
-pub mod affine;
 pub mod consistency;
 pub mod cost;
 pub mod ddg;
@@ -168,7 +163,6 @@ pub fn lint_everything() -> Diagnostics {
     ds.extend(hwcheck::lint_paper_configs());
     ds.extend(parallelcheck::lint_registered_splits(NOMINAL_POOL));
     ds.extend(schedcheck::lint_shipped_policies());
-    ds.extend(affine::lint_registered_summaries());
     ds.extend(cost::lint_shipped_baseline());
     ds.extend(fleetcheck::lint_shipped_fleet());
     ds.sort_and_dedup();

@@ -1,15 +1,13 @@
-//! Parallel kernel-split lints (`E040`, `W040`–`W042`, `W044`).
+//! Parallel kernel-split lints (`W040`–`W042`, `W044`) and the one
+//! registry of kernel-split summaries.
 //!
-//! The static complement of the runtime sanitizer in
-//! `enode_tensor::sanitize`. Every parallelized kernel declares its
-//! decomposition once, as the [`KernelAccessSummary`] its `*_access`
-//! function builds beside the kernel from the kernel's own size helpers.
-//! This pass reads the same registry as the affine prover and the cost
-//! pass ([`crate::affine::registered_summaries`]) and checks each split
-//! against a modeled pool width:
+//! Every parallelized kernel declares its decomposition once, as the
+//! [`KernelAccessSummary`] its `*_access` function builds beside the
+//! kernel from the kernel's own size helpers. [`registered_summaries`]
+//! collects them at representative paper shapes; this pass and the cost
+//! pass ([`crate::cost`]) are the only readers. This pass checks each
+//! split against a modeled pool width:
 //!
-//! * `E040` — every written region must be a whole number of strides per
-//!   item, or `parallel_for_disjoint*` rejects it at runtime.
 //! * `W040` — a split that degenerates to one chunk on a live pool
 //!   despite substantial work (generalizes `W034`, which only sees
 //!   batch-1 runs).
@@ -20,14 +18,15 @@
 //!   (lanes ping-pong ownership of shared lines).
 //! * `W044` — the planner's work-size floor keeps the kernel serial.
 //!
-//! The grain and floor constants and the chunk planner
-//! ([`plan_chunks`], applied here at a given pool width) are
-//! `enode_tensor::parallel`'s own.
-//! Codes `E041`, `E042` and `W043` are retired
-//! ([`crate::registry::RETIRED`]).
+//! Lane safety is not checked here: `parallel_for_disjoint*` hands each
+//! lane a `&mut` subslice of whole item strides and panics in every
+//! build on a buffer that is not a whole number of strides. The grain and
+//! floor constants and the chunk planner ([`plan_chunks`], applied here at
+//! a given pool width) are `enode_tensor::parallel`'s own. Codes `E040`,
+//! `E041`, `E042` and `W043` are retired ([`crate::registry::RETIRED`]).
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use enode_tensor::access::{AccessKind, KernelAccessSummary, RegionDecl};
+use enode_tensor::access::{KernelAccessSummary, RegionDecl, RegionRole};
 use enode_tensor::parallel::{plan_chunks, MIN_CHUNK_FLOPS, SERIAL_FLOOR_FLOPS};
 
 /// Cache-line size assumed by the false-sharing lint.
@@ -37,36 +36,14 @@ const CACHE_LINE: usize = 64;
 pub fn lint_kernel_split(s: &KernelAccessSummary, pool: usize) -> Diagnostics {
     let mut ds = Diagnostics::new();
     let items = s.items;
-    let written: Vec<&RegionDecl> = s
-        .regions
-        .iter()
-        .filter(|r| {
-            s.accesses
-                .iter()
-                .any(|a| a.region == r.name && a.kind == AccessKind::Write)
-        })
-        .collect();
+    let written: Vec<&RegionDecl> = s.regions.iter().filter(|r| r.written()).collect();
     // One item's stride of a written region, in bytes.
     let stride_bytes = |r: &RegionDecl| r.elems / items.max(1) * r.elem_bytes;
 
     for r in &written {
-        if items > 0 && !r.elems.is_multiple_of(items) {
-            ds.push(
-                Diagnostic::new(
-                    Code::E040ParStrideIndivisible,
-                    s.kernel,
-                    format!(
-                        "region `{}` (len {}) is not a whole number of strides for {} items",
-                        r.name, r.elems, items
-                    ),
-                )
-                .with_note("items", items)
-                .with_note("len", r.elems),
-            );
-        }
-        // Written but not live past the kernel: a partials buffer the
-        // serial fold reduces to one item's stride.
-        if !r.live_output {
+        // A partials buffer: the serial fold reduces it to one item's
+        // stride.
+        if r.role == RegionRole::Partials {
             let partial_bytes = r.elems * r.elem_bytes;
             let output_bytes = stride_bytes(r);
             if partial_bytes > 8 * output_bytes.max(1) && partial_bytes > 64 * 1024 {
@@ -158,11 +135,43 @@ pub fn lint_kernel_split(s: &KernelAccessSummary, pool: usize) -> Diagnostics {
     ds
 }
 
+/// Every parallelized kernel's split summary at representative paper
+/// shapes (the `edge image_classifier` conv stage, the dynamic-system
+/// dense stages, the normed classifier's GroupNorm): the one kernel-split
+/// registry this pass and the cost pass read.
+pub fn registered_summaries() -> Vec<KernelAccessSummary> {
+    use enode_tensor::{conv, dense, norm};
+    // conv2d at the edge image-classifier stage: 4->4 channels, 3x3
+    // kernels, 16x16 maps, batch 10.
+    let (n, c, m, k) = (10usize, 4usize, 4usize, 3usize);
+    let (ch, cw) = (16usize, 16usize);
+    // Dense at the three-body dynamic-system stage: batch 16, 12->32.
+    let (dn, dd, dout) = (16usize, 12usize, 32usize);
+    // GroupNorm at the normed image-classifier stage: 8 ch, 4 groups.
+    let (gn_n, gc, gg, ghw) = (10usize, 8usize, 4usize, 256usize);
+    vec![
+        conv::forward_batch_access(n, c, m, k, ch, cw),
+        conv::fused_forward_access(n, c, m, k, ch, cw),
+        conv::forward_rows_access(c, m, k, ch, cw),
+        conv::backward_input_batch_access(n, c, m, k, ch, cw),
+        conv::backward_input_channels_access(c, m, k, ch, cw),
+        conv::backward_params_batch_access(n, c, m, k, ch, cw),
+        conv::backward_params_rows_access(c, m, k, ch, cw),
+        dense::forward_access(dn, dd, dout),
+        dense::backward_input_access(dn, dd, dout),
+        dense::backward_params_access(dn, dd, dout),
+        norm::forward_access(gn_n, gc, gg, ghw),
+        norm::backward_access(gn_n, gc, gg, ghw),
+        enode_node::eval::batched_access(5),
+        KernelAccessSummary::coarse_fanout("bench.run_benches", 3, 1 << 24, 512),
+    ]
+}
+
 /// Lints every registered kernel split. `pool` is the modeled pool width
 /// (pass a fixed nominal width — e.g. 4 — for host-independent results).
 pub fn lint_registered_splits(pool: usize) -> Diagnostics {
     let mut ds = Diagnostics::new();
-    for s in crate::affine::registered_summaries() {
+    for s in registered_summaries() {
         ds.extend(lint_kernel_split(&s, pool));
     }
     ds
@@ -171,7 +180,6 @@ pub fn lint_registered_splits(pool: usize) -> Diagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enode_tensor::access::StridedAccess;
 
     /// A healthy baseline split the negative tests mutate: a live output
     /// and a partials region, each one contiguous stride per item.
@@ -185,36 +193,12 @@ mod tests {
                 RegionDecl::output("data", 8 * 256),
                 RegionDecl::partials("partials", 8 * 256),
             ],
-            accesses: vec![
-                StridedAccess::contiguous("data", AccessKind::Write, 256),
-                StridedAccess::contiguous("partials", AccessKind::Write, 256),
-            ],
-            scratch: vec![],
         }
     }
 
     #[test]
     fn healthy_split_is_clean() {
         let ds = lint_kernel_split(&good(), 4);
-        assert!(ds.is_empty(), "{}", ds.render());
-    }
-
-    #[test]
-    fn indivisible_stride_fires_e040() {
-        let mut s = good();
-        s.regions[0].elems = 8 * 256 + 3;
-        let ds = lint_kernel_split(&s, 4);
-        assert!(
-            ds.has_code(Code::E040ParStrideIndivisible),
-            "{}",
-            ds.render()
-        );
-        // A read-only region is not split: its length is unconstrained.
-        let mut s = good();
-        s.regions.push(RegionDecl::input("x", 8 * 256 + 3));
-        s.accesses
-            .push(StridedAccess::broadcast_read("x", 8 * 256 + 3));
-        let ds = lint_kernel_split(&s, 4);
         assert!(ds.is_empty(), "{}", ds.render());
     }
 
@@ -248,7 +232,6 @@ mod tests {
         let mut s = good();
         s.items = 32;
         s.regions[1].elems = 32 * 1024;
-        s.accesses[1] = StridedAccess::contiguous("partials", AccessKind::Write, 1024);
         s.regions[0].elems = 32 * 256;
         let ds = lint_kernel_split(&s, 4);
         assert!(ds.has_code(Code::W041ParPartialBlowup), "{}", ds.render());
@@ -261,7 +244,7 @@ mod tests {
             ds.render()
         );
         // The same region as a live output is not reduced: quiet.
-        s.regions[1].live_output = true;
+        s.regions[1].role = RegionRole::Output;
         let ds = lint_kernel_split(&s, 4);
         assert!(ds.is_empty(), "{}", ds.render());
     }
@@ -270,17 +253,14 @@ mod tests {
     fn narrow_lanes_fire_w042_only_when_every_region_is_narrow() {
         let mut s = good();
         s.regions = vec![RegionDecl::output("data", 8)];
-        s.accesses = vec![StridedAccess::contiguous("data", AccessKind::Write, 1)];
         let ds = lint_kernel_split(&s, 4);
         assert!(ds.has_code(Code::W042ParFalseSharing), "{}", ds.render());
         // A second, wide written region absorbs the traffic: quiet.
         s.regions.push(RegionDecl::output("wide", 8 * 256));
-        s.accesses
-            .push(StridedAccess::contiguous("wide", AccessKind::Write, 256));
         let ds = lint_kernel_split(&s, 4);
         assert!(!ds.has_code(Code::W042ParFalseSharing), "{}", ds.render());
         // A wide region the split only reads does not.
-        s.accesses[1].kind = AccessKind::Read;
+        s.regions[1].role = RegionRole::Input;
         let ds = lint_kernel_split(&s, 4);
         assert!(ds.has_code(Code::W042ParFalseSharing), "{}", ds.render());
     }
@@ -289,10 +269,8 @@ mod tests {
     fn shipped_registry_is_clean_on_a_nominal_pool() {
         // The expected diagnostics are the W044 serial-floor notes on the
         // two kernels whose registered shapes fall below the dispatch
-        // floor (dense.forward, groupnorm.forward) — only when the modeled
-        // pool could actually have split them — and, at 8 lanes, W042 on
-        // the gemm_bias row split: 9 rows of 15 f32 (60 B) planned one row
-        // per lane.
+        // floor (dense.forward, groupnorm.forward), only when the modeled
+        // pool could actually have split them.
         for pool in [1usize, 2, 4, 8] {
             let ds = lint_registered_splits(pool);
             let got: Vec<(&str, &str)> = ds
@@ -304,9 +282,6 @@ mod tests {
             if pool > 1 {
                 want.push(("W044", "dense.forward"));
                 want.push(("W044", "groupnorm.forward"));
-            }
-            if pool == 8 {
-                want.push(("W042", "gemm_bias (row split)"));
             }
             assert_eq!(got, want, "pool {pool}:\n{}", ds.render());
         }
@@ -340,13 +315,10 @@ mod tests {
 
     #[test]
     fn registry_covers_every_parallelized_kernel() {
-        // Every `parallel_for_disjoint*` split and coarse fan-out the
-        // schedule-permutation audit exercises has exactly one summary in
-        // the one registry the E04x, E08x and cost passes read.
-        let names: Vec<&str> = crate::affine::registered_summaries()
-            .iter()
-            .map(|s| s.kernel)
-            .collect();
+        // Every `parallel_for_disjoint*` split and coarse fan-out a shipped
+        // path launches has exactly one summary in the one registry the
+        // W04x and cost passes read.
+        let names: Vec<&str> = registered_summaries().iter().map(|s| s.kernel).collect();
         let want = [
             "conv2d.forward (batch split)",
             "conv2d.fused_forward (batch split)",
@@ -360,7 +332,6 @@ mod tests {
             "dense.backward_params",
             "groupnorm.forward",
             "groupnorm.backward",
-            "gemm_bias (row split)",
             "node.forward_model_batched",
             "bench.run_benches",
         ];

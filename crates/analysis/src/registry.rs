@@ -160,12 +160,6 @@ pub fn explanation(code: Code) -> &'static str {
              batch size 1 with per-batch splitting), so execution is silently serial while \
              paying the pool's coordination overhead."
         }
-        Code::E040ParStrideIndivisible => {
-            "A region the kernel's access summary declares written by the split is not a \
-             whole number of per-item strides, so the disjoint chunk decomposition would \
-             misalign item boundaries and be rejected at runtime. Fix the region length or \
-             the item count in the kernel's `*_access` summary (or the kernel itself)."
-        }
         Code::W040ParDegenerateSplit => {
             "The kernel split degenerates to a single chunk on a live pool despite substantial \
              work, so the kernel runs serially while the pool idles. Usually the split axis is \
@@ -295,43 +289,12 @@ pub fn explanation(code: Code) -> &'static str {
              tier) rather than a deliberately designed one. Make thresholds strictly decreasing \
              and end the ladder at zero slack."
         }
-        Code::E080AffineLaneOverlap => {
-            "The kernel's affine access summary admits two items whose write sets intersect, so \
-             some lane assignment makes two threads store to the same element — a data race the \
-             runtime sanitizer could only catch on schedules it happens to execute. The prover \
-             checks stride congruence (gcd of item stride and element stride) across the whole \
-             thread-count × grain envelope at once; fix the item stride or per-item extent so \
-             consecutive items cannot reach each other's elements, or restructure the split so \
-             each item owns a private slice."
-        }
-        Code::E081AffineCoverage => {
-            "Lane writes proven disjoint do not tile the declared output region exactly: either \
-             the union spills past the region's element count (out-of-bounds store), or counting \
-             shows a gap the region does not declare as intentional slack, meaning some output \
-             elements are never produced and the consumer reads stale or uninitialized data. \
-             Adjust the per-item extent so items × count equals the region size, or declare the \
-             deliberate remainder via slack_elems to downgrade this to W080."
-        }
-        Code::E082AffineScratchAlias => {
-            "A scratch buffer is carved out of a region the kernel is still writing (or out of a \
-             live output), so lane-private temporaries and final results share storage: whichever \
-             lane flushes last silently corrupts the other's data. Thread-local arenas from the \
-             parallel layer's checkout API are disjoint by construction — route the temporary \
-             through an arena, or carve from a region the split provably never writes."
-        }
-        Code::W080AffineCoverageSlack => {
-            "Lane writes are pairwise disjoint and in-bounds but leave a gap exactly equal to \
-             the region's declared slack_elems, an intentional under-fill (padding tails, \
-             alignment rounding). This is advisory: the prover has verified the gap matches the \
-             declaration, but consumers must not read the slack elements. Shrink the region or \
-             the declaration if the slack is unintentional."
-        }
         Code::W084CostModelDeviation => {
             "The static roofline model (peak flops per lane, memory bandwidth, dispatch \
-             overhead, bytes from the proven access footprints) predicts a parallel speedup \
+             overhead, bytes from the declared region sizes) predicts a parallel speedup \
              that disagrees with the committed BENCH_kernels.json measurement by more than the \
              tolerance ratio. Either the measurement is stale (re-run the bench and commit), \
-             the summary's flops or footprint is wrong, or the kernel hits an effect the \
+             the summary's flops or region sizes are wrong, or the kernel hits an effect the \
              roofline cannot see (cache thrash, false sharing) worth investigating."
         }
         Code::W085CostFutileSplit => {
@@ -512,7 +475,14 @@ pub fn explanation(code: Code) -> &'static str {
 /// numbers stay reserved — a retired code is never reused for another
 /// check (a test keeps them out of [`Code::ALL`]) — and `docs/LINTS.md`
 /// lists them.
-pub const RETIRED: [(&str, &str); 16] = [
+pub const RETIRED: [(&str, &str); 21] = [
+    (
+        "E040",
+        "checked that each written region a summary declared was a whole number of item \
+         strides; parallel_for_disjoint* asserts that of the real buffer in every build, \
+         and a kernel that allocates its output one element short panics there while \
+         E040 stays silent (DESIGN.md §12 ledger, row 3)",
+    ),
     (
         "E041",
         "compared a hand-declared kernel scratch size with a second hand-declared copy \
@@ -540,6 +510,30 @@ pub const RETIRED: [(&str, &str); 16] = [
         "checked a full queue's drain at a hand-typed service estimate against the \
          deadline floor; E090's response-time bound charges the same drain, priced by \
          COST_TABLE.json, so a clean Strict-class E090 proves it",
+    ),
+    (
+        "E080",
+        "proved lane write sets disjoint over hand-typed strided accesses; every split \
+         writes through parallel_for_disjoint*, whose &mut subslices of whole item \
+         strides are disjoint by construction, and a kernel writing past its lane or a \
+         chunk law that overlaps lanes left it silent (DESIGN.md §12 ledger, rows 1 and 2)",
+    ),
+    (
+        "E081",
+        "proved that declared lane writes cover their region exactly; the same subslices \
+         cover the buffer, and the one defect it caught, a region declaration dropped \
+         from a summary, changed no kernel (DESIGN.md §12 ledger, row 5)",
+    ),
+    (
+        "E082",
+        "checked scratch carved from a declared region against that region's writes; \
+         every kernel takes its scratch from the thread-local arena, whose checkouts the \
+         shadow tracker watches at runtime, so only a hand-typed declaration could fire it",
+    ),
+    (
+        "W080",
+        "recorded a coverage gap that matched a region's declared slack; no summary \
+         declared slack",
     ),
     (
         "E100",

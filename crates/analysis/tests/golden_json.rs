@@ -13,7 +13,7 @@
 use enode_analysis::consistency::lint_consistency;
 use enode_analysis::precision::lint_precision;
 use enode_analysis::shape::lint_network;
-use enode_analysis::{affine, cost, fleetcheck, lint_everything, schedcheck, PipelineArtifact};
+use enode_analysis::{cost, fleetcheck, lint_everything, schedcheck, PipelineArtifact};
 use enode_hw::config::HwConfig;
 use enode_hw::config::LayerDims;
 use enode_node::inference::NodeSolveOptions;
@@ -21,9 +21,6 @@ use enode_node::model::NodeModel;
 use enode_serve::registry::Registry;
 use enode_serve::FleetConfig;
 use enode_serve::ServeConfig;
-use enode_tensor::access::{
-    AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, ScratchSource, StridedAccess,
-};
 use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
 use enode_tensor::network::{Network, Op};
@@ -156,51 +153,6 @@ fn corpus() -> String {
     section(
         "E060-E062 starved hardware",
         lint_consistency(&starved).render_json(),
-    );
-
-    // E080-E082 / W080: the affine prover over one seeded tile split,
-    // mutated one obligation at a time (same seeds as tests/mutations.rs).
-    let tile_split = || KernelAccessSummary {
-        kernel: "golden/tile_split",
-        items: 8,
-        grain: 1,
-        flops_per_item: 32 * 1024,
-        regions: vec![RegionDecl::output("y", 8 * 64)],
-        accesses: vec![StridedAccess::contiguous("y", AccessKind::Write, 64)],
-        scratch: vec![],
-    };
-    let mut overlap = tile_split();
-    overlap.accesses[0].count = 65;
-    section(
-        "E080 off-by-one stride",
-        affine::lint_summary(&overlap).render_json(),
-    );
-    let mut gap = tile_split();
-    gap.accesses[0].count = 63;
-    section(
-        "E081 coverage gap",
-        affine::lint_summary(&gap).render_json(),
-    );
-    let mut alias = tile_split();
-    alias.scratch.push(ScratchDecl {
-        name: "tile",
-        elems: 16,
-        source: ScratchSource::SubsliceOf {
-            region: "y",
-            offset_elems: 0,
-        },
-    });
-    section(
-        "E082 scratch alias",
-        affine::lint_summary(&alias).render_json(),
-    );
-    let mut slack = tile_split();
-    slack.accesses[0].count = 63;
-    slack.regions[0].elems = 8 * 63 + 8;
-    slack.regions[0].slack_elems = 8;
-    section(
-        "W080 declared slack",
-        affine::lint_summary(&slack).render_json(),
     );
 
     // W084: a fabricated 40x measurement against the roofline; W085: the
@@ -348,32 +300,10 @@ fn e02x_messages_are_byte_stable() {
     );
 }
 
-/// Same contract for the affine/cost families: the E080 overlap wording
-/// (with its witness element) and the W084 deviation wording (with the
-/// model's predicted speedup) are pinned byte-for-byte.
+/// Same contract for the cost family: the W084 deviation wording (with
+/// the model's predicted speedup) is pinned byte-for-byte.
 #[test]
-fn e08x_messages_are_byte_stable() {
-    let mut s = KernelAccessSummary {
-        kernel: "golden/tile_split",
-        items: 8,
-        grain: 1,
-        flops_per_item: 32 * 1024,
-        regions: vec![RegionDecl::output("y", 8 * 64)],
-        accesses: vec![StridedAccess::contiguous("y", AccessKind::Write, 64)],
-        scratch: vec![],
-    };
-    s.accesses[0].count = 65;
-    let ds = affine::lint_summary(&s);
-    assert!(
-        ds.render_json().contains(
-            "\"code\":\"E080\",\"severity\":\"error\",\"artifact\":\"golden/tile_split\",\
-         \"message\":\"lane write-sets on `y` overlap: items t and t+1 both touch \
-         element 64 (offset 0, 65 elems/item at elem stride 1, item stride 64)\""
-        ),
-        "{}",
-        ds.render_json()
-    );
-
+fn cost_messages_are_byte_stable() {
     let fabricated = cost::BenchBaseline {
         host_cpus: 4,
         threads_high: 4,

@@ -8,14 +8,11 @@
 use enode_analysis::consistency::lint_consistency;
 use enode_analysis::diag::{Code, Severity};
 use enode_analysis::precision::lint_precision;
-use enode_analysis::{affine, cost, lint_everything, schedcheck, PipelineArtifact};
+use enode_analysis::{cost, lint_everything, schedcheck, PipelineArtifact};
 use enode_hw::config::HwConfig;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::ServeConfig;
-use enode_tensor::access::{
-    AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, ScratchSource, StridedAccess,
-};
 use enode_tensor::conv::Conv2d;
 use enode_tensor::dense::Dense;
 use enode_tensor::network::{Network, Op};
@@ -215,112 +212,6 @@ fn controller_bound_mutations_fire_e062() {
         "{}",
         ds.render()
     );
-}
-
-/// A healthy 8-item tile split (64 elements per tile) for the affine
-/// mutation seeds below: each mutation breaks exactly one obligation.
-fn tile_split() -> KernelAccessSummary {
-    KernelAccessSummary {
-        kernel: "mutated.tile_split",
-        items: 8,
-        grain: 1,
-        flops_per_item: 32 * 1024,
-        regions: vec![RegionDecl::output("y", 8 * 64)],
-        accesses: vec![StridedAccess::contiguous("y", AccessKind::Write, 64)],
-        scratch: vec![],
-    }
-}
-
-#[test]
-fn affine_baseline_tile_split_proves_clean() {
-    let ds = affine::lint_summary(&tile_split());
-    assert!(ds.is_empty(), "{}", ds.render());
-}
-
-#[test]
-fn off_by_one_stride_fires_e080_statically() {
-    // Mutation: each tile writes one element too many, reaching into the
-    // next item's tile. The congruence check (d0 = 1, m0 = 64 <= count-1)
-    // catches the collision without running any schedule.
-    let mut s = tile_split();
-    s.accesses[0].count = 65;
-    let ds = affine::lint_summary(&s);
-    assert!(ds.has_code(Code::E080AffineLaneOverlap), "{}", ds.render());
-    assert!(
-        !ds.has_code(Code::E082AffineScratchAlias),
-        "{}",
-        ds.render()
-    );
-    // The brute-force oracle agrees the defect is real at some envelope
-    // point (two lanes, one item each per chunk).
-    let bf = affine::brute_force_region(&s, "y", 2, 1);
-    assert!(bf.overlap);
-}
-
-#[test]
-fn overlapping_tiles_fire_e080_statically() {
-    // Mutation: a second write access shifted half a tile — classic
-    // overlapping-tile decomposition bug.
-    let mut s = tile_split();
-    s.accesses.push(StridedAccess {
-        region: "y",
-        kind: AccessKind::Write,
-        offset: 32,
-        stride_per_item: 64,
-        elem_stride: 1,
-        count: 32,
-    });
-    let ds = affine::lint_summary(&s);
-    assert!(ds.has_code(Code::E080AffineLaneOverlap), "{}", ds.render());
-    assert!(!ds.has_code(Code::E081AffineCoverage), "{}", ds.render());
-}
-
-#[test]
-fn coverage_gap_fires_e081_not_e080() {
-    // Mutation: each tile writes one element too few. The writes stay
-    // disjoint — only the counting obligation fails.
-    let mut s = tile_split();
-    s.accesses[0].count = 63;
-    let ds = affine::lint_summary(&s);
-    assert!(ds.has_code(Code::E081AffineCoverage), "{}", ds.render());
-    assert!(!ds.has_code(Code::E080AffineLaneOverlap), "{}", ds.render());
-    let bf = affine::brute_force_region(&s, "y", 4, 1);
-    assert_eq!(bf.uncovered, 8);
-}
-
-#[test]
-fn declared_slack_downgrades_gap_to_w080() {
-    // Same under-fill, but the region declares the 8-element tail as
-    // intentional slack: advisory only, no error.
-    let mut s = tile_split();
-    s.accesses[0].count = 63;
-    s.regions[0].elems = 8 * 63 + 8;
-    s.regions[0].slack_elems = 8;
-    let ds = affine::lint_summary(&s);
-    assert!(
-        ds.has_code(Code::W080AffineCoverageSlack),
-        "{}",
-        ds.render()
-    );
-    assert_eq!(ds.error_count(), 0, "{}", ds.render());
-}
-
-#[test]
-fn scratch_carved_from_output_fires_e082() {
-    // Mutation: the scratch tile is carved out of the live output instead
-    // of a thread-local arena.
-    let mut s = tile_split();
-    s.scratch.push(ScratchDecl {
-        name: "tile",
-        elems: 16,
-        source: ScratchSource::SubsliceOf {
-            region: "y",
-            offset_elems: 0,
-        },
-    });
-    let ds = affine::lint_summary(&s);
-    assert!(ds.has_code(Code::E082AffineScratchAlias), "{}", ds.render());
-    assert!(!ds.has_code(Code::E080AffineLaneOverlap), "{}", ds.render());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! cargo run --release -p enode-bench --bin bench_kernels_json -- --quick /tmp/smoke.json
 //! ```
 //!
-//! Besides the measured table, each row with a registered affine summary
+//! Besides the measured table, each row with a bench-shape split summary
 //! gets the static roofline prediction for this host
 //! ([`enode_analysis::cost`]), and the fresh measurements are
 //! cross-checked against the model the same way `enode-lint` checks the

@@ -187,7 +187,7 @@ fn per_sample<R: Send>(inputs: &Tensor, solve: impl Fn(&Tensor) -> R + Sync) -> 
     })
 }
 
-/// Affine access summary of the per-sample fan-out in
+/// Split summary of the per-sample fan-out in
 /// [`forward_model_batched`]: one solve per item via `parallel_map`,
 /// each writing its own result slot (the coarse one-slot-per-item
 /// shape; the per-solve tensor arithmetic is internal to the item).

@@ -405,6 +405,7 @@ impl Core {
     /// ever dispatched.
     fn shed_expired(&self, st: &mut QueueState) {
         let now = self.clock.now_us();
+        let queued = st.queue.len();
         let mut kept = VecDeque::with_capacity(st.queue.len());
         for p in st.queue.drain(..) {
             if now >= p.deadline_us {
@@ -420,7 +421,10 @@ impl Core {
             }
         }
         st.queue = kept;
-        if st.queue.is_empty() {
+        // A shed that empties the queue can leave the server idle with
+        // nothing in flight, which `drain` waits for; every other path
+        // that empties it (delivery, shutdown) notifies on its own.
+        if queued > 0 && st.queue.is_empty() {
             self.idle_cv.notify_all();
         }
     }

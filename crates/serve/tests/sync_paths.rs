@@ -1,9 +1,10 @@
 //! Runtime coverage for the serving runtime's wakeups, shutdown and
 //! metrics ordering: the submit notify that wakes a parked worker, the
-//! wall-clock batch window's timeout-bounded wait, shutdown racing a
-//! parked worker on both clock flavours, and a multi-threaded stress of
-//! the metrics ordering protocol (`consistent()` on every mid-flight
-//! snapshot, `reconciles()` at quiescence).
+//! delivery notify that wakes a parked `drain`, the wall-clock batch
+//! window's timeout-bounded wait, shutdown racing a parked worker on both
+//! clock flavours, and a multi-threaded stress of the metrics ordering
+//! protocol (`consistent()` on every mid-flight snapshot, `reconciles()`
+//! at quiescence).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -57,6 +58,31 @@ fn a_parked_worker_wakes_on_submit() {
     };
     let resp = result.expect("30s of slack must complete");
     assert_eq!(resp.tier, 0, "30s of slack must not degrade");
+}
+
+#[test]
+fn drain_wakes_on_the_last_delivery() {
+    // Virtual clock, one worker, one request: the batch window never
+    // closes, so the worker forms the batch only once `drain` asks for
+    // it, and `drain` then parks until the server is empty. The delivery
+    // that empties it is the last event, so its notify is the only thing
+    // that can wake the parked `drain`.
+    let s = Arc::new(server_with(Clock::virtual_at(0), 1));
+    let t = s.submit(req(5, 30_000_000)).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let drainer = Arc::clone(&s);
+    let helper = std::thread::spawn(move || {
+        drainer.drain();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "drain never woke after the last delivery"
+    );
+    helper.join().expect("the drain helper panicked");
+    let resp = t.wait().expect("30s of slack must complete");
+    assert_eq!(resp.tier, 0, "30s of slack must not degrade");
+    assert!(s.snapshot().reconciles());
 }
 
 #[test]

@@ -19,13 +19,11 @@
 //!   the next checkout starts from a clean cursor ([`stats`] exposes the
 //!   live-checkout count the panic-safety tests assert on).
 //! * Checkout contents are **unspecified** — the same contract the old
-//!   free-list had. Kernels fully overwrite their scratch (the affine
-//!   prover's coverage obligation is exactly this property for outputs).
+//!   free-list had. Kernels fully overwrite their scratch.
 //!
 //! Under the `sanitize` feature every checkout registers its address range
 //! with [`crate::sanitize::scratch_guard`], so two live checkouts that
-//! ever alias (an arena bookkeeping bug) fail fast with kernel labels —
-//! the E082 obligation, enforced dynamically.
+//! ever alias (an arena bookkeeping bug) fail fast with kernel labels.
 
 use crate::sanitize;
 use std::cell::RefCell;

@@ -1880,10 +1880,10 @@ pub fn fused_flops_per_item(
 }
 
 // ---------------------------------------------------------------------------
-// Affine access summaries (one per `parallel_for_disjoint*` call above)
+// Kernel-split summaries (one per `parallel_for_disjoint*` call above)
 // ---------------------------------------------------------------------------
 
-use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, StridedAccess};
+use crate::access::{KernelAccessSummary, RegionDecl};
 
 /// Per-sample padded-plane scratch of the direct conv kernel
 /// (`[C][H+2·pad][W+2·pad]`). Shared by the live kernels and the access
@@ -1927,13 +1927,6 @@ pub fn forward_batch_access(
             RegionDecl::input("w", m * ckk),
             RegionDecl::input("bias", m),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("y", AccessKind::Write, m * hw),
-            StridedAccess::contiguous("x", AccessKind::Read, c * hw),
-            StridedAccess::broadcast_read("w", m * ckk),
-            StridedAccess::broadcast_read("bias", m),
-        ],
-        scratch: vec![ScratchDecl::arena("xpad", padded_plane_len(c, k, h, w))],
     }
 }
 
@@ -1966,18 +1959,6 @@ pub fn fused_forward_access(
             RegionDecl::input("gamma", m),
             RegionDecl::input("beta", m),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("y", AccessKind::Write, m * hw),
-            StridedAccess::contiguous("x", AccessKind::Read, c * hw),
-            StridedAccess::broadcast_read("w", m * ckk),
-            StridedAccess::broadcast_read("bias", m),
-            StridedAccess::broadcast_read("gamma", m),
-            StridedAccess::broadcast_read("beta", m),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("xpad", padded_plane_len(c, k, h, w)),
-            ScratchDecl::arena("conv_out", m * hw),
-        ],
     }
 }
 
@@ -2006,13 +1987,6 @@ pub fn forward_rows_access(
             RegionDecl::input("bias", m),
             RegionDecl::input("xpad", xpad_len),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("ys", AccessKind::Write, hw),
-            StridedAccess::contiguous("w", AccessKind::Read, ckk),
-            StridedAccess::contiguous("bias", AccessKind::Read, 1),
-            StridedAccess::broadcast_read("xpad", xpad_len),
-        ],
-        scratch: vec![ScratchDecl::arena("xpad", xpad_len)],
     }
 }
 
@@ -2039,12 +2013,6 @@ pub fn backward_input_batch_access(
             RegionDecl::input("dy", n * m * hw),
             RegionDecl::input("w", m * c * k * k),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("dx", AccessKind::Write, c * hw),
-            StridedAccess::contiguous("dy", AccessKind::Read, m * hw),
-            StridedAccess::broadcast_read("w", m * c * k * k),
-        ],
-        scratch: vec![ScratchDecl::arena("dypad", padded_plane_len(m, k, h, w))],
     }
 }
 
@@ -2072,12 +2040,6 @@ pub fn backward_input_channels_access(
             RegionDecl::input("dypad", dypad_len),
             RegionDecl::input("w", m * c * k * k),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("dxs", AccessKind::Write, hw),
-            StridedAccess::broadcast_read("dypad", dypad_len),
-            StridedAccess::broadcast_read("w", m * c * k * k),
-        ],
-        scratch: vec![ScratchDecl::arena("dypad", dypad_len)],
     }
 }
 
@@ -2108,19 +2070,6 @@ pub fn backward_params_batch_access(
             RegionDecl::input("x", n * c * hw),
             RegionDecl::input("dy", n * m * hw),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("partials", AccessKind::Write, psize),
-            StridedAccess::contiguous("x", AccessKind::Read, c * hw),
-            StridedAccess::contiguous("dy", AccessKind::Read, m * hw),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("partials", n * psize),
-            ScratchDecl::arena(
-                "xpad",
-                grad_samples_per_vector(m) * padded_plane_len(c, k, h, w),
-            ),
-            ScratchDecl::arena("dyt", transposed_grad_len(m, h, w)),
-        ],
     }
 }
 
@@ -2150,16 +2099,6 @@ pub fn backward_params_rows_access(
             RegionDecl::output("db", m),
             RegionDecl::input("xpad", xpad_len),
             RegionDecl::input("dyt", dyt_len),
-        ],
-        accesses: vec![
-            StridedAccess::contiguous("dw", AccessKind::Write, ckk),
-            StridedAccess::contiguous("db", AccessKind::Write, 1),
-            StridedAccess::broadcast_read("xpad", xpad_len),
-            StridedAccess::broadcast_read("dyt", dyt_len),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("xpad", xpad_len),
-            ScratchDecl::arena("dyt", dyt_len),
         ],
     }
 }

@@ -243,16 +243,15 @@ fn batch_dims(x: &Tensor) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Affine access summaries (one per `parallel_for_disjoint*` call above)
+// Kernel-split summaries (one per `parallel_for_disjoint*` call above)
 // ---------------------------------------------------------------------------
 
-use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, StridedAccess};
+use crate::access::{KernelAccessSummary, RegionDecl};
 
 /// Access summary of the batch split in [`Dense::forward`]: item `ni`
 /// writes `y[ni, :]` and reads `x[ni, :]`; weights and bias are resident
 /// broadcast reads. `wpack` (the shared packed `Wᵀ` panel) and `xpack`
-/// (the per-lane packed row panel, declared at its full-batch upper
-/// bound) live in the thread-local arena.
+/// (the per-lane packed row panel) live in the thread-local arena.
 pub fn forward_access(n: usize, d: usize, o: usize) -> KernelAccessSummary {
     KernelAccessSummary {
         kernel: "dense.forward",
@@ -264,16 +263,6 @@ pub fn forward_access(n: usize, d: usize, o: usize) -> KernelAccessSummary {
             RegionDecl::input("x", n * d),
             RegionDecl::input("w", o * d),
             RegionDecl::input("bias", o),
-        ],
-        accesses: vec![
-            StridedAccess::contiguous("y", AccessKind::Write, o),
-            StridedAccess::contiguous("x", AccessKind::Read, d),
-            StridedAccess::broadcast_read("w", o * d),
-            StridedAccess::broadcast_read("bias", o),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("wpack", matmul::packed_b_len(d, o)),
-            ScratchDecl::arena("xpack", matmul::packed_a_len(n, d)),
         ],
     }
 }
@@ -292,21 +281,14 @@ pub fn backward_input_access(n: usize, d: usize, o: usize) -> KernelAccessSummar
             RegionDecl::input("dy", n * o),
             RegionDecl::input("w", o * d),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("dx", AccessKind::Write, d),
-            StridedAccess::contiguous("dy", AccessKind::Read, o),
-            StridedAccess::broadcast_read("w", o * d),
-        ],
-        scratch: vec![],
     }
 }
 
 /// Access summary of the output-feature split in
 /// [`Dense::backward_params`]: item `oi` owns `dW[oi, :]` and `db[oi]`
 /// (a `parallel_for_disjoint2`), reading the whole batch of `x` and the
-/// interleaved column `dy[:, oi]` — a genuinely strided read (stride 1
-/// per item, element stride `o`), which the prover's congruence rule
-/// handles without enumeration.
+/// interleaved column `dy[:, oi]`; the `o` columns together read all of
+/// `dy` once.
 pub fn backward_params_access(n: usize, d: usize, o: usize) -> KernelAccessSummary {
     KernelAccessSummary {
         kernel: "dense.backward_params",
@@ -319,20 +301,6 @@ pub fn backward_params_access(n: usize, d: usize, o: usize) -> KernelAccessSumma
             RegionDecl::input("x", n * d),
             RegionDecl::input("dy", n * o),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("dw", AccessKind::Write, d),
-            StridedAccess::contiguous("db", AccessKind::Write, 1),
-            StridedAccess::broadcast_read("x", n * d),
-            StridedAccess {
-                region: "dy",
-                kind: AccessKind::Read,
-                offset: 0,
-                stride_per_item: 1,
-                elem_stride: o,
-                count: n,
-            },
-        ],
-        scratch: vec![],
     }
 }
 

@@ -21,9 +21,9 @@
 //!   kernel scratch ([`arena`]), and the packed-panel register-tiled
 //!   matmul microkernel ([`matmul`]) behind the im2col convolution fast
 //!   path.
-//! * Affine access summaries ([`access`]) registered beside every
-//!   parallel kernel, giving the static prover in `enode-analysis` a
-//!   symbolic description of each split's per-lane read/write sets.
+//! * Kernel-split summaries ([`access`]) registered beside every
+//!   parallel kernel: the item count, grain, flops and region sizes the
+//!   split lints and the roofline cost model in `enode-analysis` read.
 //! * A feature-gated lock-order recorder ([`synctrace`]): under
 //!   `--features synctrace` the worker pool (and the serving runtime one
 //!   crate up) records every `held → acquired` lock nesting it takes, for

@@ -306,38 +306,6 @@ pub fn gemm_bias(y: &mut [f32], w: &[f32], bias: &[f32], cols: &[f32], q: usize,
     });
 }
 
-/// Affine access summary of the row split callers wrap around
-/// [`gemm_bias`] (`parallel_for_disjoint` over output rows, each lane
-/// running the serial kernel on its row block): row `r` writes
-/// `y[r·p ..]`, reads `w[r·q ..]` and `bias[r]`, and every row streams
-/// the shared `cols` panel. Each lane packs its operands into
-/// thread-local arena scratch.
-pub fn row_split_access(rows: usize, q: usize, p: usize) -> crate::access::KernelAccessSummary {
-    use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, StridedAccess};
-    KernelAccessSummary {
-        kernel: "gemm_bias (row split)",
-        items: rows,
-        grain: 1,
-        flops_per_item: q * p,
-        regions: vec![
-            RegionDecl::output("y", rows * p),
-            RegionDecl::input("w", rows * q),
-            RegionDecl::input("bias", rows),
-            RegionDecl::input("cols", q * p),
-        ],
-        accesses: vec![
-            StridedAccess::contiguous("y", AccessKind::Write, p),
-            StridedAccess::contiguous("w", AccessKind::Read, q),
-            StridedAccess::contiguous("bias", AccessKind::Read, 1),
-            StridedAccess::broadcast_read("cols", q * p),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("packed_a", packed_a_len(rows, q)),
-            ScratchDecl::arena("packed_b", packed_b_len(q, p)),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -740,10 +740,10 @@ unsafe fn dx_row_avx(
 }
 
 // ---------------------------------------------------------------------------
-// Affine access summaries (one per `parallel_for_disjoint*` call above)
+// Kernel-split summaries (one per `parallel_for_disjoint*` call above)
 // ---------------------------------------------------------------------------
 
-use crate::access::{AccessKind, KernelAccessSummary, RegionDecl, ScratchDecl, StridedAccess};
+use crate::access::{KernelAccessSummary, RegionDecl};
 
 /// Access summary of the batch split in [`GroupNorm::forward`]: item
 /// `ni` writes its own stride of `y`, `mean`, and `inv_std` (a
@@ -764,15 +764,6 @@ pub fn forward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAcc
             RegionDecl::input("gamma", c),
             RegionDecl::input("beta", c),
         ],
-        accesses: vec![
-            StridedAccess::contiguous("y", AccessKind::Write, c * hw),
-            StridedAccess::contiguous("mean", AccessKind::Write, groups),
-            StridedAccess::contiguous("inv_std", AccessKind::Write, groups),
-            StridedAccess::contiguous("x", AccessKind::Read, c * hw),
-            StridedAccess::broadcast_read("gamma", c),
-            StridedAccess::broadcast_read("beta", c),
-        ],
-        scratch: vec![],
     }
 }
 
@@ -796,19 +787,6 @@ pub fn backward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAc
             RegionDecl::input("mean", n * groups).with_elem_bytes(8),
             RegionDecl::input("inv_std", n * groups).with_elem_bytes(8),
             RegionDecl::input("gamma", c),
-        ],
-        accesses: vec![
-            StridedAccess::contiguous("dx", AccessKind::Write, c * hw),
-            StridedAccess::contiguous("partials", AccessKind::Write, 2 * c),
-            StridedAccess::contiguous("dy", AccessKind::Read, c * hw),
-            StridedAccess::contiguous("x", AccessKind::Read, c * hw),
-            StridedAccess::contiguous("mean", AccessKind::Read, groups),
-            StridedAccess::contiguous("inv_std", AccessKind::Read, groups),
-            StridedAccess::broadcast_read("gamma", c),
-        ],
-        scratch: vec![
-            ScratchDecl::arena("partials", n * 2 * c),
-            ScratchDecl::arena("xhat", c * hw),
         ],
     }
 }
@@ -876,7 +854,8 @@ mod tests {
         let width = std::mem::size_of_val(&cache.mean[0]);
         for s in [forward_access(2, 4, 2, 9), backward_access(2, 4, 2, 9)] {
             for name in ["mean", "inv_std"] {
-                assert_eq!(s.region(name).unwrap().elem_bytes, width, "{}", s.kernel);
+                let r = s.regions.iter().find(|r| r.name == name).unwrap();
+                assert_eq!(r.elem_bytes, width, "{}", s.kernel);
             }
         }
     }

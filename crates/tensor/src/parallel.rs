@@ -449,9 +449,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// Balanced contiguous chunk `i` of `0..n` split `ways` ways: sizes differ
 /// by at most one, earlier chunks take the remainder. The one chunk law:
-/// every broadcast here hands lane `i` this range, the split provers
-/// (`analysis::affine`) materialize lane sets with it, and the serving
-/// cost model (`enode_serve::CostModel`) prices a batch's lanes with it.
+/// every broadcast here hands lane `i` this range (so the
+/// `parallel_for_disjoint*` lanes write disjoint subslices that cover the
+/// buffer), and the serving cost model (`enode_serve::CostModel`) prices
+/// a batch's lanes with it.
 ///
 /// # Panics
 ///
@@ -469,7 +470,7 @@ pub fn chunk(n: usize, ways: usize, i: usize) -> Range<usize> {
 /// minimum grain per chunk: at least one, at most one per lane. The
 /// runtime applies it at the current pool width (with a live
 /// [`with_grain_override`] replacing `grain`); the split lints
-/// (`analysis::parallelcheck`, `analysis::affine`) at every pool width.
+/// (`analysis::parallelcheck`) at a modeled pool width.
 pub fn plan_chunks(lanes: usize, n: usize, grain: usize) -> usize {
     lanes.min(n / grain.max(1)).max(1)
 }
@@ -958,6 +959,23 @@ mod tests {
         let mut b = vec![0.0f32; 4];
         let mut c = vec![0.0f32; 5];
         parallel_for_disjoint3(&mut a, &mut b, &mut c, 4, 1, |_, _, _, _| {});
+    }
+
+    #[test]
+    fn dropped_pool_joins_every_worker() {
+        // Dropping a pool joins its workers rather than detaching them:
+        // once `drop` returns, no worker still holds the shared slot.
+        for _ in 0..20 {
+            let pool = ThreadPool::new(3);
+            pool.broadcast(&|_, _| {});
+            let shared = Arc::downgrade(&pool.shared);
+            drop(pool);
+            assert_eq!(
+                shared.strong_count(),
+                0,
+                "a dropped pool left a worker running"
+            );
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! Kernels label their parallel regions with [`kernel_scope`] so shadow
 //! reports say `conv2d::backward_params`, not just a buffer name.
 //!
-//! The static complement of these runtime checks — stride divisibility,
-//! grain degeneracy, partial-buffer size, false-sharing and serial-floor
-//! lints over the kernels' access summaries ([`crate::access`]) — lives
-//! in `enode_analysis::parallelcheck` (codes `E040`, `W040`–`W042`,
-//! `W044`).
+//! The static side — grain degeneracy, partial-buffer size, false-sharing
+//! and serial-floor lints over the kernels' split summaries
+//! ([`crate::access`]) — lives in `enode_analysis::parallelcheck` (codes
+//! `W040`–`W042`, `W044`). It checks no lane claims: those are this
+//! tracker's and the parallel layer's.
 
 use std::ops::Range;
 
