@@ -8,6 +8,20 @@ cd "$(dirname "$0")"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
+# Every test step runs under a generous bound (build time included), so a
+# hang — a lost wakeup, a deadlock — fails with a message instead of
+# stalling CI. `timeout` signals the whole process group: the test
+# binaries too, not only cargo.
+test_bound_s=1800
+bounded() {
+  local status=0
+  timeout -k 30 "$test_bound_s" "$@" || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "ci.sh: '$*' did not finish within ${test_bound_s}s (a hang?)" >&2
+  fi
+  return "$status"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -24,27 +38,27 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+bounded cargo test -q --workspace
 
 echo "==> cargo test -q --workspace (ENODE_THREADS=4)"
-ENODE_THREADS=4 cargo test -q --workspace
+ENODE_THREADS=4 bounded cargo test -q --workspace
 
 echo "==> sanitizer-enabled tensor suite + mutation tests (ENODE_THREADS=4)"
-ENODE_THREADS=4 cargo test -q -p enode-tensor --features sanitize
+ENODE_THREADS=4 bounded cargo test -q -p enode-tensor --features sanitize
 
 # The shadow tracker is the one check on lane claims; this runs it over the
 # registered per-sample fan-out, node.forward_model_batched (the serving solve).
 echo "==> sanitizer-enabled NODE determinism suite (ENODE_THREADS=4)"
-ENODE_THREADS=4 cargo test -q -p enode-node --features enode-tensor/sanitize --test parallel_determinism
+ENODE_THREADS=4 bounded cargo test -q -p enode-node --features enode-tensor/sanitize --test parallel_determinism
 
 echo "==> analysis mutation suite (planted defects must fire their exact codes)"
-cargo test -q -p enode-analysis --test mutations
+bounded cargo test -q -p enode-analysis --test mutations
 
 echo "==> tensor + ODE suites in release (per-body SIMD tests against the optimized portable loops)"
-cargo test -q --release -p enode-tensor -p enode-ode
+bounded cargo test -q --release -p enode-tensor -p enode-ode
 
 echo "==> serve suite + traced lock order under the synctrace recorder (ENODE_THREADS=4)"
-ENODE_THREADS=4 cargo test -q -p enode-serve --features synctrace
+ENODE_THREADS=4 bounded cargo test -q -p enode-serve --features synctrace
 
 echo "==> bench_kernels_json smoke run (--quick)"
 cargo run -q --release -p enode-bench --bin bench_kernels_json -- --quick "$scratch/kernels.json"
@@ -64,7 +78,7 @@ cargo run -q --release -p enode-bench --bin ablations > "$scratch/ablations.txt"
 diff <(tail -n +2 "$scratch/ablations.txt") <(sed -n '/^=== Ablation: packetized/,$p' experiments_output.txt)
 
 echo "==> perfbench self-tests (its own package, built against the workspace crates)"
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+bounded cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # The served solve (no recorder) and the solo traced solve (ACA checkpoint
 # recorder) run on one stepping core; perfbench's gate compares every

@@ -3,18 +3,26 @@
 //! A dynamic-system solve runs a few dozen MACs per function evaluation,
 //! so a single heap allocation per evaluation would cost more than the
 //! arithmetic. A counting global allocator pins the budgets: a warm
-//! `Network::eval_into` allocates nothing (its intermediates live in the
-//! thread-local arena), a stats-only serving solve makes the same fixed
-//! set of allocations whatever its NFE, a traced solve adds only its
-//! per-point checkpoints and records, and the ACA backward's local forward
-//! rewrites its training states in place.
+//! `Network::eval_into` allocates nothing, a stats-only serving solve
+//! makes the same fixed set of allocations whatever its NFE, a traced
+//! solve adds only its per-point checkpoints and records, and the ACA
+//! backward's local forward rewrites its training states in place.
+//!
+//! `eval_into` has two regimes, and each keeps its intermediates off the
+//! heap in its own way. A vector state with fewer rows than one register
+//! tile (every serving solve of a dynamic system) runs the row pass over
+//! two stack rows, so it does not touch even the thread-local arena: the
+//! dynamic-system test also pins that it makes no arena checkout, which
+//! is what a silent fall-back to the launch chain would change. Feature
+//! maps and larger batches run the launch chain, whose intermediates
+//! share one arena checkout.
 //!
 //! The counter is thread-local because the test harness runs tests on
 //! parallel threads; each measurement sees only its own thread.
 
 use enode_node::inference::{forward_model, forward_model_stats, NodeSolveOptions};
 use enode_node::model::NodeModel;
-use enode_tensor::{init, Tensor};
+use enode_tensor::{arena, init, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -85,8 +93,14 @@ fn dynsys_eval_into_allocates_nothing() {
     let f = &model.layers()[0];
     let h = Tensor::from_vec(vec![0.3, -0.7], &[1, 2]);
     let mut out = f.eval(0.0, &h);
+    let checkouts = arena::stats().total_checkouts;
     let ((), allocs) = allocations(|| f.eval_into(0.5, &h, &mut out));
     assert_eq!(allocs, 0, "f.eval_into allocated");
+    assert_eq!(
+        arena::stats().total_checkouts,
+        checkouts,
+        "f.eval_into checked out arena scratch: the row pass fell back to the launch chain"
+    );
     // `eval` allocates its output and nothing else.
     let (y, allocs) = allocations(|| f.eval(0.5, &h));
     assert_eq!(y.data(), out.data());

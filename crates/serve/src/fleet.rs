@@ -1211,8 +1211,11 @@ mod tests {
                 .submit("vision_a", init::uniform(&[1, 2], -1.0, 1.0, 7))
                 .expect("survivor absorbs the lost node's keys");
         }
-        fleet.drain();
-        let r = fleet.finish();
+        let fleet = std::sync::Arc::new(fleet);
+        crate::server::drain_bounded(&fleet, Fleet::drain);
+        let r = std::sync::Arc::into_inner(fleet)
+            .expect("the drain helper is joined")
+            .finish();
         let edge_survivor = &r.instances[1];
         assert_eq!(edge_survivor.metrics.submitted, 8);
         assert_eq!(r.tenants[0].completed, 8);

@@ -712,6 +712,27 @@ fn worker_loop(core: &Core) {
     }
 }
 
+/// Runs `drain` on `target` on a helper thread and fails the calling test
+/// if it has not returned within 10 s, so a lost wakeup fails the test
+/// instead of hanging the suite.
+#[cfg(test)]
+pub(crate) fn drain_bounded<T: Send + Sync + 'static>(target: &Arc<T>, drain: fn(&T)) {
+    use std::sync::mpsc::RecvTimeoutError;
+    let bound = Duration::from_secs(10);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let target = Arc::clone(target);
+    let helper = std::thread::spawn(move || {
+        drain(&target);
+        let _ = done_tx.send(());
+    });
+    if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(bound) {
+        panic!(
+            "drain did not return within {bound:?}: the wakeup after the last delivery was lost"
+        );
+    }
+    helper.join().expect("the drain helper panicked");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,11 +761,11 @@ mod tests {
     #[test]
     fn submit_drain_completes_every_request() {
         let clock = Clock::virtual_at(0);
-        let server = test_server(2, clock);
+        let server = Arc::new(test_server(2, clock));
         let tickets: Vec<Ticket> = (0..6)
             .map(|i| server.submit(req(i, 1_000_000)).unwrap())
             .collect();
-        server.drain();
+        drain_bounded(&server, Server::drain);
         for t in tickets {
             let resp = t.wait().expect("completed");
             assert_eq!(resp.tier, 0, "ample slack serves at full quality");
@@ -869,22 +890,24 @@ mod tests {
     #[test]
     fn worker_panic_mid_delivery_resolves_tickets_and_keeps_serving() {
         let clock = Clock::virtual_at(0);
-        let mut server = test_server(1, clock);
+        let mut server = Arc::new(test_server(1, clock));
         server.core.deliver_panic_once.store(true, Ordering::SeqCst);
         let t = server.submit(req(0, 1_000_000)).unwrap();
         // Must not deadlock: the delivery guard decrements in_flight and
         // wakes drain() even though the delivery panicked.
-        server.drain();
+        drain_bounded(&server, Server::drain);
         assert_eq!(t.wait(), Err(Rejected::WorkerPanic));
         let s = server.snapshot();
         assert_eq!(s.failed, 1);
         assert!(s.reconciles());
         // The worker survived the panic and still serves.
         let t2 = server.submit(req(1, 1_000_000)).unwrap();
-        server.drain();
+        drain_bounded(&server, Server::drain);
         assert!(t2.wait().is_ok());
         assert!(server.snapshot().reconciles());
-        server.shutdown();
+        Arc::get_mut(&mut server)
+            .expect("the drain helpers are joined")
+            .shutdown();
     }
 
     #[test]

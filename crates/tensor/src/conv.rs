@@ -634,6 +634,9 @@ fn im2col(x: &Tensor, ni: usize, k: usize, cols: &mut [f32]) {
 /// broadcast reads every sample's value at once. The whole plane is
 /// cleared first (arena scratch is reused dirty), then each input row is
 /// copied (or interleaved, see [`interleave_rows`]) into the interior.
+/// Clearing only the halo measured slower at both shipped shapes: the halo
+/// is a run of `2·pad·spv` floats between every two interior rows, and
+/// one wide fill of the plane takes fewer stores than those runs do.
 fn pad_sample(x: &Tensor, ni: usize, spv: usize, pad: usize, dst: &mut [f32]) {
     let (_, c, h, w) = x.shape_obj().nchw();
     pad_planes(x.data(), (c, h, w), ni, spv, pad, dst);
@@ -2531,6 +2534,36 @@ mod tests {
         ] {
             check::<2>(rows, w);
             check::<4>(rows, w);
+        }
+    }
+
+    #[test]
+    fn pad_planes_overwrite_a_dirty_plane() {
+        // Arena scratch comes back dirty: whatever a NaN-filled buffer
+        // held, the padded planes must hold zeros in every halo position
+        // and the samples' values in the interior.
+        for (c, h, w) in [(1usize, 1usize, 1usize), (4, 16, 16), (4, 8, 8), (3, 5, 7)] {
+            for pad in [0usize, 1, 2] {
+                for spv in [1usize, 2, 4] {
+                    let x = init::uniform(&[spv + 1, c, h, w], -1.0, 1.0, 70);
+                    let (ph, pw) = (h + 2 * pad, w + 2 * pad);
+                    let mut expected = vec![0.0f32; c * ph * pw * spv];
+                    for ci in 0..c {
+                        for ih in 0..h {
+                            for iw in 0..w {
+                                for s in 0..spv {
+                                    let at = ((ci * ph + ih + pad) * pw + iw + pad) * spv + s;
+                                    expected[at] = x.at4(1 + s, ci, ih, iw);
+                                }
+                            }
+                        }
+                    }
+                    let mut dst = vec![f32::NAN; expected.len()];
+                    pad_sample(&x, 1, spv, pad, &mut dst);
+                    let case = format!("{c}x{h}x{w} pad={pad} spv={spv}");
+                    assert_eq!(canonical_bits(&dst), canonical_bits(&expected), "{case}");
+                }
+            }
         }
     }
 

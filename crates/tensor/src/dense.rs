@@ -142,13 +142,7 @@ impl Dense {
         let bdata = self.bias.data();
         if n < matmul::MR {
             for (yrow, xrow) in y.chunks_exact_mut(o).zip(xdata.chunks_exact(d)) {
-                for ((yv, wrow), &b) in yrow.iter_mut().zip(wdata.chunks_exact(d)).zip(bdata) {
-                    let mut acc = b;
-                    for (&xv, &wv) in xrow.iter().zip(wrow) {
-                        acc += xv * wv;
-                    }
-                    *yv = acc;
-                }
+                self.forward_row(xrow, yrow);
             }
             return;
         }
@@ -169,6 +163,37 @@ impl Dense {
                 });
             });
         });
+    }
+
+    /// One row of [`Dense::forward`]: `y[o] = bias[o]` followed by
+    /// `+= x[k] · w[o, k]` for ascending `k`, a multiply then an add
+    /// (never a fused multiply-add). This is the one copy of the chain
+    /// that batches below one register tile run, row by row, and that
+    /// `Network::eval_into`'s rank-2 row pass runs on its stack rows.
+    ///
+    /// The outputs go in blocks of four, then two, then one
+    /// ([`row_chains`]): a block runs its chains side by side, so one pass
+    /// over `k` serves four outputs. At the 3-input layer of a
+    /// dynamic-system `f` that halves the time of the row.
+    ///
+    /// `x` must be `in` long and `y` `out` long.
+    pub(crate) fn forward_row(&self, x: &[f32], y: &mut [f32]) {
+        debug_assert_eq!(x.len(), self.in_features, "row must be [in]");
+        debug_assert_eq!(y.len(), self.out_features, "row must be [out]");
+        let (w, b, d) = (self.weight.data(), self.bias.data(), self.in_features);
+        let o = y.len();
+        let mut i = 0;
+        while o - i >= 4 {
+            row_chains::<4>(x, &w[i * d..], &b[i..], &mut y[i..]);
+            i += 4;
+        }
+        if o - i >= 2 {
+            row_chains::<2>(x, &w[i * d..], &b[i..], &mut y[i..]);
+            i += 2;
+        }
+        if o > i {
+            row_chains::<1>(x, &w[i * d..], &b[i..], &mut y[i..]);
+        }
     }
 
     /// Input gradient: `dx = W^T dy`.
@@ -235,6 +260,23 @@ impl Dense {
         );
         (dw, db)
     }
+}
+
+/// The chains of the first `B` outputs of a row: `y[j] = b[j]`, then
+/// `+= x[k] · w[j, k]` for ascending `k`, where `w` holds row-major
+/// `[.., x.len()]` weights. The `B` chains are independent, so they run
+/// side by side in one pass over `k`.
+#[inline(always)]
+fn row_chains<const B: usize>(x: &[f32], w: &[f32], b: &[f32], y: &mut [f32]) {
+    let d = x.len();
+    let rows: [&[f32]; B] = std::array::from_fn(|j| &w[j * d..(j + 1) * d]);
+    let mut acc: [f32; B] = std::array::from_fn(|j| b[j]);
+    for (k, &xv) in x.iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(rows) {
+            *a += xv * row[k];
+        }
+    }
+    y[..B].copy_from_slice(&acc);
 }
 
 fn batch_dims(x: &Tensor) -> (usize, usize) {

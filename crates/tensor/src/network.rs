@@ -10,6 +10,7 @@ use crate::activation::Activation;
 use crate::arena::with_arena_f32;
 use crate::conv::Conv2d;
 use crate::dense::Dense;
+use crate::matmul;
 use crate::norm::{GroupNorm, GroupNormCache};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -128,7 +129,17 @@ pub struct Network {
     ops: Vec<Op>,
     /// The kernel launches of [`Network::eval_into`], in order.
     launches: Vec<Launch>,
+    /// The widest `Dense` output and the number of `ConcatTime` ops: a
+    /// `d`-wide row never grows past `d.max(widest_dense) + concats`.
+    widest_dense: usize,
+    concats: usize,
 }
+
+/// Floats in each of the two stack rows of the rank-2 row pass
+/// ([`Network::eval_into`]). The widest shipped row is 33 floats
+/// (`three_body`'s `dynamic_system(12, 32, 2)`: 32 hidden features plus
+/// the time); wider rows take their two rows from the arena.
+const STACK_ROW: usize = 64;
 
 /// One kernel launch of [`Network::eval_into`]: op `start` — a conv
 /// fusing the GroupNorm and activation in `start + 1..fused_end`, or a
@@ -175,7 +186,21 @@ impl Network {
     /// Creates a network from a stack of ops.
     pub fn new(ops: Vec<Op>) -> Self {
         let launches = launches(&ops);
-        Network { ops, launches }
+        let widest_dense = ops
+            .iter()
+            .map(|op| match op {
+                Op::Dense(d) => d.out_features(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let concats = ops.iter().filter(|op| matches!(op, Op::ConcatTime)).count();
+        Network {
+            ops,
+            launches,
+            widest_dense,
+            concats,
+        }
     }
 
     /// The ops in execution order.
@@ -289,31 +314,48 @@ impl Network {
     }
 
     /// Evaluates `f(t, h)` into `out` without retaining caches — the one
-    /// implementation of inference-time evaluation.
+    /// implementation of inference-time evaluation. A warm evaluation
+    /// makes no heap allocation. The input's shape picks one of two
+    /// regimes; both give the bits of the op-by-op pass
+    /// ([`Network::forward_at`]).
     ///
-    /// Ops run as a chain of kernel launches, split once when the network
+    /// **The row pass** takes a vector state `[N, D]` with fewer rows than
+    /// one register tile (`N < matmul::MR`; a serving solve has `N = 1`).
+    /// Its `f` is a few dozen MACs, so the work around the ops weighs about
+    /// as much as the arithmetic. Each row runs the ops in order over two
+    /// stack rows: `ConcatTime` appends `t`, each `Dense` runs its row
+    /// chain, each [`Activation`] runs in place, and the last op writes
+    /// straight into `out`'s row. There is no arena checkout, no shape
+    /// fold and no per-launch dispatch. Rows wider than the stack bound
+    /// (64 floats) take their two rows from one arena checkout instead.
+    ///
+    /// **The launch chain** takes feature maps and batches of at least
+    /// `MR` rows. Ops run as kernel launches, split once when the network
     /// is built. The intermediate results share one checkout of the
     /// thread-local arena ([`crate::arena::with_arena_f32`]) and the last
-    /// launch writes straight into `out`, so a warm evaluation makes no
-    /// heap allocation.
+    /// launch writes straight into `out`. Each maximal
+    /// `Conv2d → [GroupNorm] → [Activation]` run is one launch of the fused
+    /// kernel behind [`Conv2d::forward_fused`], which keeps each sample's
+    /// conv output in the arena and applies the normalization and
+    /// activation as an epilogue; dense batches run the packed GEMM. The
+    /// fused path is bit-identical to the op-by-op pass (same k-order
+    /// accumulation, same moment arithmetic), so training/inference parity
+    /// is exact. Every other [`Activation`] runs in place
+    /// ([`Activation::apply_slice`]) on the output of the launch before it.
     ///
-    /// Each maximal `Conv2d → [GroupNorm] → [Activation]` run is one
-    /// launch of the fused kernel behind [`Conv2d::forward_fused`], which
-    /// keeps each sample's conv output in the arena and applies the
-    /// normalization and activation as an epilogue. The fused path is
-    /// bit-identical to the op-by-op pass (same k-order accumulation, same
-    /// moment arithmetic), so training/inference parity is exact.
-    ///
-    /// Every other [`Activation`] runs in place
-    /// ([`Activation::apply_slice`]) on the output of the launch before it;
-    /// one at the head of the stack copies the input first, so `x` is
-    /// never written.
+    /// In both regimes an activation at the head of the stack copies the
+    /// input first, so `x` is never written.
     ///
     /// # Panics
     ///
     /// Panics if `out` does not have the shape [`Network::eval`] would
     /// return for `x`, or an op rejects its input shape.
     pub fn eval_into(&self, t: f32, x: &Tensor, out: &mut Tensor) {
+        let dims = x.shape();
+        if dims.len() == 2 && dims[0] < matmul::MR && !self.ops.is_empty() {
+            self.eval_rows(t, x.data(), dims[1], out);
+            return;
+        }
         // The intermediate launch outputs share one arena checkout.
         let mut shape = *x.shape_obj();
         let mut scratch = 0;
@@ -347,6 +389,77 @@ impl Network {
                 shape = out_shape;
             }
         });
+    }
+
+    /// The row pass of [`Network::eval_into`] over the rows of `x`, each
+    /// `d` features wide.
+    fn eval_rows(&self, t: f32, x: &[f32], d: usize, out: &mut Tensor) {
+        let n = x.len() / d;
+        let out_dims = out.shape();
+        assert!(
+            out_dims.len() == 2 && out_dims[0] == n,
+            "eval_into: output buffer has the wrong shape"
+        );
+        let width = d.max(self.widest_dense) + self.concats;
+        if width <= STACK_ROW {
+            let mut rows = [[0.0f32; STACK_ROW]; 2];
+            let [a, b] = &mut rows;
+            self.row_pass(t, x, d, out.data_mut(), a, b);
+        } else {
+            with_arena_f32(2 * width, |rows| {
+                let (a, b) = rows.split_at_mut(width);
+                self.row_pass(t, x, d, out.data_mut(), a, b);
+            });
+        }
+    }
+
+    /// Runs every launch on each `d`-wide row of `x` into the matching row
+    /// of `out` (as many rows), alternating between the rows `a` and `b`,
+    /// each at least as wide as any intermediate result.
+    fn row_pass(&self, t: f32, x: &[f32], d: usize, out: &mut [f32], a: &mut [f32], b: &mut [f32]) {
+        let o = out.len() / (x.len() / d);
+        let last = self.launches.len() - 1;
+        for (xrow, yrow) in x.chunks_exact(d).zip(out.chunks_exact_mut(o)) {
+            let (mut cur, mut next) = (&mut *a, &mut *b);
+            let mut width = d;
+            for (k, l) in self.launches.iter().enumerate() {
+                let input: &[f32] = if k == 0 { xrow } else { &cur[..width] };
+                let head = &self.ops[l.start];
+                width = match head {
+                    Op::Dense(dense) => {
+                        assert_eq!(width, dense.in_features(), "input feature mismatch");
+                        dense.out_features()
+                    }
+                    Op::ConcatTime => width + 1,
+                    Op::Activation(_) => width,
+                    Op::Conv2d(_) | Op::GroupNorm(_) => {
+                        panic!("expected rank-4 shape, got a rank-2 state")
+                    }
+                };
+                let dst = if k == last {
+                    assert_eq!(width, o, "eval_into: output buffer has the wrong shape");
+                    &mut *yrow
+                } else {
+                    &mut next[..width]
+                };
+                match head {
+                    Op::Dense(dense) => dense.forward_row(input, dst),
+                    Op::ConcatTime => {
+                        dst[..width - 1].copy_from_slice(input);
+                        dst[width - 1] = t;
+                    }
+                    _ => dst.copy_from_slice(input),
+                }
+                // An activation at the head of the launch was copied above
+                // and runs here with the ones after it.
+                for op in &self.ops[l.start..l.end] {
+                    if let Op::Activation(act) = op {
+                        act.apply_slice(dst);
+                    }
+                }
+                std::mem::swap(&mut cur, &mut next);
+            }
+        }
     }
 
     /// The shape `f` maps an input of shape `input` to.
