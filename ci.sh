@@ -51,9 +51,6 @@ ENODE_THREADS=4 bounded cargo test -q -p enode-tensor --features sanitize
 echo "==> sanitizer-enabled NODE determinism suite (ENODE_THREADS=4)"
 ENODE_THREADS=4 bounded cargo test -q -p enode-node --features enode-tensor/sanitize --test parallel_determinism
 
-echo "==> analysis mutation suite (planted defects must fire their exact codes)"
-bounded cargo test -q -p enode-analysis --test mutations
-
 echo "==> tensor + ODE suites in release (per-body SIMD tests against the optimized portable loops)"
 bounded cargo test -q --release -p enode-tensor -p enode-ode
 

@@ -11,58 +11,19 @@
 //!   itself, not from the `HwConfig`'s nominal layer dims.
 //! * **`E061`** — the ACA checkpoint plan (`enode-node`) must fit the
 //!   on-chip training buffer: live checkpoints plus the per-interval
-//!   replay caches. Which caches are live is computed by a *backward*
-//!   demand pass on the fixpoint engine: a value is demanded iff an
-//!   adjoint replay (or anything feeding one) consumes it.
+//!   replay caches. A replayed step recomputes every op of the layer's
+//!   network (each feeds the layer's final state, which the last adjoint
+//!   replay reads), so every op's backward cache counts.
 //! * **`E062`** — the stepsize-controller bounds (`enode-node`) must be
 //!   satisfiable against the solver schedule: `dt_min` below the nominal
 //!   stepsize, shrink factor inside `(0, 1)`, and the rejection-trial
 //!   budget sufficient to walk from `default_dt` down to `dt_min`.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, Direction, Lattice, Pass};
-use crate::ir::{
-    lower_pipeline, op_cache_bytes_fp16, op_weight_bytes_fp16, NodeKind, PipelineArtifact,
-    ProgramGraph,
-};
+use crate::ir::{lower_pipeline, op_cache_bytes_fp16, op_weight_bytes_fp16, PipelineArtifact};
 use enode_hw::mapping::per_core_weight_bytes;
 use enode_node::inference::ControllerKind;
 use enode_tensor::network::Op;
-
-/// Demand fact: is this node's value consumed (transitively) by an
-/// adjoint replay?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Demand(bool);
-
-impl Lattice for Demand {
-    fn bottom() -> Self {
-        Demand(false)
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        if other.0 && !self.0 {
-            self.0 = true;
-            return true;
-        }
-        false
-    }
-}
-
-/// Backward pass: adjoint replays originate demand; every producer a
-/// demanded node reads from becomes demanded in turn.
-struct DemandPass;
-
-impl Pass<ProgramGraph> for DemandPass {
-    type Value = Demand;
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[Demand]) -> Demand {
-        if matches!(graph.node(node).kind, NodeKind::AdjointReplay { .. }) {
-            return Demand(true);
-        }
-        Demand(deps.iter().any(|d| d.0))
-    }
-}
 
 /// Runs the cross-artifact consistency checks on one pipeline artifact.
 pub fn lint_consistency(artifact: &PipelineArtifact) -> Diagnostics {
@@ -195,7 +156,6 @@ pub fn lint_consistency(artifact: &PipelineArtifact) -> Diagnostics {
     }
 
     // --- E061: ACA checkpoint plan vs the training buffer ---
-    let fx = run_to_fixpoint(&lowered.graph, &DemandPass);
     let stride = solver.checkpoint_stride.max(1);
     let state_elems: usize = artifact.state_shape.iter().product();
     let state_bytes = 2 * state_elems as u64;
@@ -203,23 +163,15 @@ pub fn lint_consistency(artifact: &PipelineArtifact) -> Diagnostics {
         let Some(shapes) = &lowered.op_shapes[layer] else {
             continue;
         };
-        // Caches one replayed step needs: every op whose step-0 value the
-        // demand pass marked (ConcatTime caches nothing), once per stage.
-        let mut per_step_cache = 0u64;
-        for (id, node) in lowered.graph.nodes().iter().enumerate() {
-            if let NodeKind::NetOp {
-                layer: l,
-                step: 0,
-                stage: 0,
-                op_index,
-            } = node.kind
-            {
-                if l == layer && fx.values[id].0 {
-                    per_step_cache += op_cache_bytes_fp16(&net.ops()[op_index], &shapes[op_index]);
-                }
-            }
-        }
-        per_step_cache *= tableau.stages() as u64;
+        // Caches one replayed step needs: every op's (ConcatTime caches
+        // nothing), once per stage.
+        let per_step_cache: u64 = net
+            .ops()
+            .iter()
+            .zip(shapes)
+            .map(|(op, shape)| op_cache_bytes_fp16(op, shape))
+            .sum::<u64>()
+            * tableau.stages() as u64;
         let checkpoints = lowered.n_steps.div_ceil(stride) as u64;
         let working_set = checkpoints * state_bytes + stride as u64 * per_step_cache;
         if working_set > cfg.training_buffer_bytes {
@@ -268,26 +220,6 @@ mod tests {
     fn shipped_style_mapped_artifact_is_clean() {
         let ds = lint_consistency(&image_artifact(HwConfig::config_a()));
         assert!(ds.is_empty(), "{}", ds.render());
-    }
-
-    #[test]
-    fn demand_pass_marks_exactly_the_replay_cone() {
-        let a = image_artifact(HwConfig::config_a());
-        let lowered = lower_pipeline(&a);
-        let fx = run_to_fixpoint(&lowered.graph, &DemandPass);
-        for (id, node) in lowered.graph.nodes().iter().enumerate() {
-            match node.kind {
-                // Everything upstream of a replay is demanded; placement
-                // nodes feed nothing and must stay undemanded.
-                NodeKind::NetOp { .. } | NodeKind::Checkpoint { .. } => {
-                    assert!(fx.values[id].0, "node {id} should be demanded");
-                }
-                NodeKind::MapLayer { .. } => {
-                    assert!(!fx.values[id].0, "placement node {id} demanded");
-                }
-                _ => {}
-            }
-        }
     }
 
     #[test]

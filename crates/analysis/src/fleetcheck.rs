@@ -10,11 +10,10 @@
 //!   per-core weight-SRAM envelope — with an advisory when less than 1/8
 //!   headroom remains for rollback versions.
 //! * **Rebalance feasibility** (`E111`): for the nominal fleet *and*
-//!   every single-instance-loss scenario, the per-tenant offered load is
-//!   lowered into the same fixpoint IR every other pass uses (tenant
-//!   nodes flowing into instance nodes over the consistent-hash split)
-//!   and the converged per-instance load must stay within each policy's
-//!   declared `design_rate_rps`.
+//!   every single-instance-loss scenario, each alive instance's load —
+//!   the sum of its model's tenants' rates, each split evenly over the
+//!   model's surviving instances by the consistent hash — must stay
+//!   within its policy's declared `design_rate_rps`.
 //! * **SLA coverage** (`E112`): every tenant's SLA deadline is reachable
 //!   by at least one tier of its policy's degradation ladder: the tier
 //!   admits the SLA and its worst-case response time at the tenant's
@@ -33,7 +32,6 @@
 //! stale registry would be unsound, so nothing else runs until they pass.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use crate::schedcheck::ServiceModel;
 use enode_hw::mapping::per_core_weight_bytes;
 use enode_hw::table::CostTable;
@@ -46,153 +44,29 @@ use enode_serve::registry::version_fingerprint;
 /// evicts rollback versions immediately.
 pub const HEADROOM_DENOM: u64 = 8;
 
-/// Node roles of the lowered fleet-load graph: tenants originate their
-/// offered rate, instances accumulate their consistent-hash share of it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FleetNode {
-    /// One tenant binding (index into the registry's tenant list).
-    Tenant(usize),
-    /// One serve instance (index into the fleet assignment).
-    Instance(usize),
+/// Instances serving `model` that survive the loss of instance `lost`
+/// (`None` = nominal): the consistent-hash split's denominator.
+fn survivors(config: &FleetConfig, lost: Option<usize>, model: &str) -> usize {
+    config
+        .assignment
+        .iter()
+        .enumerate()
+        .filter(|(j, m)| lost != Some(*j) && *m == model)
+        .count()
 }
 
-/// One loss scenario of the fleet, lowered to a [`DataflowGraph`]:
-/// tenant nodes feed the alive instances serving their model.
-pub struct FleetGraph {
-    nodes: Vec<FleetNode>,
-    preds: Vec<Vec<usize>>,
-    /// Offered rate in milli-req/s at tenant nodes; 0 at instances.
-    rate_milli: Vec<u64>,
-    /// Alive-survivor count of the node's model at instance nodes (the
-    /// consistent-hash split denominator); 0 elsewhere.
-    survivors: Vec<u64>,
-}
-
-impl FleetGraph {
-    /// Lowers `config` with instance `lost` removed (`None` = nominal).
-    fn lower(config: &FleetConfig, lost: Option<usize>) -> FleetGraph {
-        let tenants = &config.registry.tenants;
-        let n_tenants = tenants.len();
-        let n_instances = config.instances;
-        let alive = |i: usize| lost != Some(i);
-        let mut nodes = Vec::with_capacity(n_tenants + n_instances);
-        let mut preds = Vec::with_capacity(n_tenants + n_instances);
-        let mut rate_milli = Vec::with_capacity(n_tenants + n_instances);
-        let mut survivors = Vec::with_capacity(n_tenants + n_instances);
-        for (t, b) in tenants.iter().enumerate() {
-            nodes.push(FleetNode::Tenant(t));
-            preds.push(Vec::new());
-            rate_milli.push((b.rate_rps * 1_000.0).round() as u64);
-            survivors.push(0);
-        }
-        for (i, model) in config.assignment.iter().enumerate() {
-            nodes.push(FleetNode::Instance(i));
-            let feeders = if alive(i) {
-                tenants
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.model == *model)
-                    .map(|(t, _)| t)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            preds.push(feeders);
-            rate_milli.push(0);
-            survivors.push(
-                config
-                    .assignment
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, m)| alive(*j) && *m == model)
-                    .count() as u64,
-            );
-        }
-        FleetGraph {
-            nodes,
-            preds,
-            rate_milli,
-            survivors,
-        }
+/// Offered load on alive instance `i` with instance `lost` removed, in
+/// milli-req/s: each tenant of `i`'s model splits its rate over the
+/// model's survivors (ceiling division keeps the bound conservative).
+/// `None` when no tenant is bound to that model.
+fn instance_load_milli(config: &FleetConfig, lost: Option<usize>, i: usize) -> Option<u64> {
+    let model = &config.assignment[i];
+    let survivors = survivors(config, lost, model) as u64;
+    let mut load = None;
+    for b in config.registry.tenants.iter().filter(|b| b.model == *model) {
+        *load.get_or_insert(0) += ((b.rate_rps * 1_000.0).round() as u64).div_ceil(survivors);
     }
-
-    /// The node index of instance `i`.
-    fn instance(&self, i: usize) -> usize {
-        self.nodes
-            .iter()
-            .position(|n| *n == FleetNode::Instance(i))
-            .expect("instance node exists")
-    }
-}
-
-impl DataflowGraph for FleetGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// The load lattice: milli-req/s arriving at a node.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Load {
-    /// Whether any offered stream reaches this node.
-    pub reached: bool,
-    /// Accumulated offered load, milli-req/s.
-    pub rps_milli: u64,
-}
-
-impl Lattice for Load {
-    fn bottom() -> Self {
-        Load {
-            reached: false,
-            rps_milli: 0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.rps_milli > self.rps_milli {
-            self.rps_milli = other.rps_milli;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// The forward load pass: tenants originate their offered rate; an
-/// instance sums each feeding tenant's per-survivor share (ceiling
-/// division keeps the bound conservative).
-pub struct LoadPass;
-
-impl Pass<FleetGraph> for LoadPass {
-    type Value = Load;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn transfer(&self, graph: &FleetGraph, node: usize, deps: &[Load]) -> Load {
-        match graph.nodes[node] {
-            FleetNode::Tenant(_) => Load {
-                reached: true,
-                rps_milli: graph.rate_milli[node],
-            },
-            FleetNode::Instance(_) => {
-                let share = graph.survivors[node].max(1);
-                let mut out = Load::bottom();
-                for d in deps.iter().filter(|d| d.reached) {
-                    out.reached = true;
-                    out.rps_milli += d.rps_milli.div_ceil(share);
-                }
-                out
-            }
-        }
-    }
+    load
 }
 
 /// Lints one fleet config against one cost table. Split out from
@@ -339,8 +213,8 @@ pub fn lint_fleet(config: &FleetConfig, table: &CostTable) -> Diagnostics {
         }
     }
 
-    // --- E111: rebalance feasibility via the fixpoint engine, for the
-    // nominal fleet and every single-instance loss. ---
+    // --- E111: rebalance feasibility, for the nominal fleet and every
+    // single-instance loss. ---
     let scenarios = std::iter::once(None).chain((0..config.instances).map(Some));
     for lost in scenarios {
         let label = match lost {
@@ -350,13 +224,7 @@ pub fn lint_fleet(config: &FleetConfig, table: &CostTable) -> Diagnostics {
         // A model with bound tenants but no surviving instance is
         // unservable outright.
         for b in &registry.tenants {
-            let survivors = config
-                .assignment
-                .iter()
-                .enumerate()
-                .filter(|(j, m)| lost != Some(*j) && **m == b.model)
-                .count();
-            if survivors == 0 {
+            if survivors(config, lost, &b.model) == 0 {
                 ds.push(
                     Diagnostic::new(
                         Code::E111FleetRebalanceInfeasible,
@@ -373,19 +241,16 @@ pub fn lint_fleet(config: &FleetConfig, table: &CostTable) -> Diagnostics {
                 );
             }
         }
-        let graph = FleetGraph::lower(config, lost);
-        let fx = run_to_fixpoint(&graph, &LoadPass);
         for (i, name) in config.assignment.iter().enumerate() {
             if lost == Some(i) {
                 continue;
             }
-            let load = &fx.values[graph.instance(i)];
-            if !load.reached {
+            let Some(load_milli) = instance_load_milli(config, lost, i) else {
                 continue; // no tenant feeds this instance
-            }
+            };
             let policy = &registry.live(name).expect("E114 checked").policy;
             let design_milli = (policy.design_rate_rps * 1_000.0).round() as u64;
-            if load.rps_milli > design_milli {
+            if load_milli > design_milli {
                 ds.push(
                     Diagnostic::new(
                         Code::E111FleetRebalanceInfeasible,
@@ -394,14 +259,14 @@ pub fn lint_fleet(config: &FleetConfig, table: &CostTable) -> Diagnostics {
                             "{label}: instance {i} ({name}) absorbs {}.{:03} req/s of \
                              rebalanced tenant load, above the policy's design rate \
                              {} req/s — shedding becomes the steady state",
-                            load.rps_milli / 1_000,
-                            load.rps_milli % 1_000,
+                            load_milli / 1_000,
+                            load_milli % 1_000,
                             policy.design_rate_rps
                         ),
                     )
                     .with_note("scenario", &label)
                     .with_note("instance", i)
-                    .with_note("load_milli_rps", load.rps_milli)
+                    .with_note("load_milli_rps", load_milli)
                     .with_note("design_milli_rps", design_milli),
                 );
             }
@@ -578,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn post_loss_overload_fires_e111_with_the_fixpoint_load() {
+    fn post_loss_overload_fires_e111_with_the_rebalanced_load() {
         let mut cfg = shipped();
         // 150 req/s per edge tenant: fine across two instances (150 each,
         // design 200), infeasible on the single survivor (300).
@@ -682,17 +547,18 @@ mod tests {
     }
 
     #[test]
-    fn load_pass_converges_to_the_hash_split() {
-        let graph = FleetGraph::lower(&shipped(), None);
-        let fx = run_to_fixpoint(&graph, &LoadPass);
+    fn instance_load_is_the_hash_split() {
+        let cfg = shipped();
         // Two edge tenants at 60 req/s over two instances: 60 each.
-        let i0 = &fx.values[graph.instance(0)];
-        assert!(i0.reached);
-        assert_eq!(i0.rps_milli, 60_000);
+        assert_eq!(instance_load_milli(&cfg, None, 0), Some(60_000));
         // Loss of instance 0 doubles the survivor's share.
-        let graph = FleetGraph::lower(&shipped(), Some(0));
-        let fx = run_to_fixpoint(&graph, &LoadPass);
-        assert_eq!(fx.values[graph.instance(1)].rps_milli, 120_000);
-        assert!(!fx.values[graph.instance(0)].reached);
+        assert_eq!(instance_load_milli(&cfg, Some(0), 1), Some(120_000));
+        // A split that does not divide rounds up, per tenant.
+        let mut odd = shipped();
+        odd.registry.tenants[0].rate_rps = 0.001;
+        assert_eq!(instance_load_milli(&odd, None, 0), Some(30_001));
+        // An instance whose model has no tenant carries no load.
+        odd.registry.tenants.retain(|b| b.model != "edge_default");
+        assert_eq!(instance_load_milli(&odd, None, 0), None);
     }
 }

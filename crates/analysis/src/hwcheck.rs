@@ -14,59 +14,6 @@ use enode_hw::depthfirst::{training_spill_bytes_per_interval, training_state_liv
 use enode_hw::mapping::{map_layers, weight_reload_bytes_per_step, weights_resident};
 use enode_hw::packet::{link_limited_utilization, required_link_bandwidth};
 
-/// E030: structural sanity of the raw fields. Returns `false` when the
-/// config is too broken for the quantitative lints to divide safely.
-fn check_fields(cfg: &HwConfig, subject: &str, ds: &mut Diagnostics) -> bool {
-    let mut problems: Vec<String> = Vec::new();
-    if cfg.layer.h == 0 || cfg.layer.w == 0 || cfg.layer.c == 0 {
-        problems.push(format!(
-            "layer dims {}x{}x{} contain a zero",
-            cfg.layer.h, cfg.layer.w, cfg.layer.c
-        ));
-    }
-    if cfg.cores == 0 {
-        problems.push("zero NN cores".into());
-    }
-    if cfg.pes_per_core == 0 {
-        problems.push("zero PEs per core".into());
-    }
-    if cfg.parallel_channels == 0 {
-        problems.push("zero parallel channels".into());
-    }
-    if cfg.clock_hz <= 0.0 {
-        problems.push(format!("non-positive clock {}", cfg.clock_hz));
-    }
-    if cfg.link_bandwidth <= 0.0 || cfg.dram_bandwidth <= 0.0 {
-        problems.push("non-positive link or DRAM bandwidth".into());
-    }
-    if cfg.n_conv == 0 {
-        problems.push("embedded network has zero conv layers".into());
-    }
-    if cfg.kernel == 0 || cfg.kernel.is_multiple_of(2) {
-        problems.push(format!(
-            "kernel {} is not odd (\"same\" padding needs odd kernels)",
-            cfg.kernel
-        ));
-    }
-    if cfg.stages == 0 {
-        problems.push("zero integrator stages".into());
-    }
-    if cfg.stages_backward > cfg.stages {
-        problems.push(format!(
-            "stages_backward {} exceeds stages {}",
-            cfg.stages_backward, cfg.stages
-        ));
-    }
-    for p in &problems {
-        ds.push(Diagnostic::new(
-            Code::E030HwConfigInvalid,
-            subject,
-            p.clone(),
-        ));
-    }
-    problems.is_empty()
-}
-
 /// Steady-state DRAM streaming demand in bytes/second: checkpoint traffic
 /// (write per accepted point, plus read-back when training), training-state
 /// spill, and weight reloads, over the compute-bound step time — the same
@@ -88,7 +35,13 @@ pub fn dram_streaming_demand(cfg: &HwConfig, training: bool) -> f64 {
 /// Runs every hardware lint on one configuration.
 pub fn lint_hw_config(subject: &str, cfg: &HwConfig) -> Diagnostics {
     let mut ds = Diagnostics::new();
-    if !check_fields(cfg, subject, &mut ds) {
+    // E030: structural sanity of the raw fields (`HwConfig::validate`'s
+    // list). The quantitative lints below would divide by a broken field.
+    let problems = cfg.field_problems();
+    if !problems.is_empty() {
+        for p in problems {
+            ds.push(Diagnostic::new(Code::E030HwConfigInvalid, subject, p));
+        }
         return ds;
     }
 
@@ -304,6 +257,28 @@ mod tests {
         let mut cfg = HwConfig::config_a();
         cfg.kernel = 4;
         assert!(lint_hw_config("even_kernel", &cfg).has_code(Code::E030HwConfigInvalid));
+    }
+
+    #[test]
+    fn nan_clock_or_bandwidth_fires_e030_and_stops() {
+        // A NaN passes every `<= 0.0` test; E030 must refuse it, as
+        // `HwConfig::validate` does, before a quantitative lint reads it.
+        let mut nan_clock = HwConfig::config_a();
+        nan_clock.clock_hz = f64::NAN;
+        let mut nan_dram = HwConfig::config_a();
+        nan_dram.dram_bandwidth = f64::NAN;
+        let mut nan_link = HwConfig::config_a();
+        nan_link.link_bandwidth = f64::NAN;
+        for (subject, cfg, message) in [
+            ("nan_clock", nan_clock, "non-positive clock NaN"),
+            ("nan_dram", nan_dram, "non-positive link or DRAM bandwidth"),
+            ("nan_link", nan_link, "non-positive link or DRAM bandwidth"),
+        ] {
+            let ds = lint_hw_config(subject, &cfg);
+            assert_eq!(ds.len(), 1, "{}", ds.render());
+            assert_eq!(ds.items()[0].code, Code::E030HwConfigInvalid);
+            assert_eq!(ds.items()[0].message, message);
+        }
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! every integration layer, the RK stage schedule of the chosen Butcher
 //! tableau unrolled over the nominal accepted steps, the ACA checkpoint
 //! plan, and (when a hardware configuration is attached) the layer-to-core
-//! mapping — into a single [`ProgramGraph`] that the fixpoint engine
-//! ([`crate::engine`]) runs passes over. The same op-level transfer
-//! helpers back the single-network lowering ([`network_chain`]) that the
-//! ported `E02x` shape/range lints use, so every pass family shares one
-//! model of what each op does to shapes, magnitudes, and errors.
+//! mapping — into a single [`ProgramGraph`]. Node ids are topological
+//! (every predecessor has a smaller id), so a forward pass is one loop
+//! over the nodes in id order. The per-op helpers below back both this
+//! lowering and the `E02x` shape/range lints (`infer_shapes` is the one
+//! shape fold), so every pass family shares one model of what each op
+//! does to shapes, magnitudes, and errors.
 //!
 //! # Predecessor conventions
 //!
-//! Transfer functions see `deps` in this order:
+//! A node's `preds` are in this order:
 //!
 //! * [`NodeKind::StateInput`] — `[]` for layer 0 (boundary), otherwise
 //!   `[final state of the previous layer]`.
@@ -27,7 +28,6 @@
 //! * [`NodeKind::MapLayer`] — `[step-0 stage-0 op output]` (structural:
 //!   ties the mapping to the computation it hosts; has no users).
 
-use crate::engine::DataflowGraph;
 use enode_hw::config::HwConfig;
 use enode_hw::mapping::map_layers;
 use enode_node::inference::NodeSolveOptions;
@@ -171,16 +171,22 @@ pub struct Node {
     pub preds: Vec<usize>,
 }
 
-/// A typed dataflow program graph (a DAG; nodes are created in
-/// topological order, so `preds[i] < i` always holds).
+/// A typed dataflow program graph: a DAG whose nodes are created in
+/// topological order, so every predecessor id is below its node's id.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramGraph {
     nodes: Vec<Node>,
 }
 
 impl ProgramGraph {
+    /// Appends a node. Panics on a predecessor that does not precede it:
+    /// every pass is one sweep in id order and reads its preds' values.
     fn push(&mut self, kind: NodeKind, preds: Vec<usize>) -> usize {
-        debug_assert!(preds.iter().all(|&p| p < self.nodes.len()));
+        assert!(
+            preds.iter().all(|&p| p < self.nodes.len()),
+            "program graph node {} reads a later node: {preds:?}",
+            self.nodes.len()
+        );
         self.nodes.push(Node { kind, preds });
         self.nodes.len() - 1
     }
@@ -223,15 +229,6 @@ impl ProgramGraph {
                 ..
             } => format!("L{layer}.op{op_index}@core{core}"),
         }
-    }
-}
-
-impl DataflowGraph for ProgramGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.nodes[node].preds
     }
 }
 
@@ -279,19 +276,11 @@ pub fn lower_pipeline(artifact: &PipelineArtifact) -> LoweredPipeline {
 
     for (layer, net) in artifact.model.layers().iter().enumerate() {
         // Static per-op input shapes (identical at every stage and step).
-        let mut shapes = Vec::with_capacity(net.ops().len());
-        let mut shape = Some(artifact.state_shape.clone());
-        for op in net.ops() {
-            match &shape {
-                Some(s) => {
-                    shapes.push(s.clone());
-                    shape = op_output_shape(op, s).ok();
-                }
-                None => break,
-            }
-        }
-        let shapes_ok = shapes.len() == net.ops().len() && shape.is_some();
-        op_shapes.push(shapes_ok.then_some(shapes));
+        op_shapes.push(
+            infer_shapes(net.ops(), &artifact.state_shape)
+                .ok()
+                .map(|s| s.inputs),
+        );
 
         let entry = graph.push(
             NodeKind::StateInput { layer },
@@ -399,31 +388,37 @@ pub fn lower_pipeline(artifact: &PipelineArtifact) -> LoweredPipeline {
     }
 }
 
-/// Lowers a bare embedded network (no solver schedule) into a linear
-/// chain: one [`NodeKind::StateInput`] followed by one
-/// [`NodeKind::NetOp`] per op. This is the graph the ported `E02x`
-/// shape/range lints run on.
-pub fn network_chain(depth: usize) -> ProgramGraph {
-    let mut graph = ProgramGraph::default();
-    let mut cur = graph.push(NodeKind::StateInput { layer: 0 }, vec![]);
-    for op_index in 0..depth {
-        cur = graph.push(
-            NodeKind::NetOp {
-                layer: 0,
-                step: 0,
-                stage: 0,
-                op_index,
-            },
-            vec![cur],
-        );
+/// The shapes an embedded network threads through its op chain.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ChainShapes {
+    /// Each op's input shape, in op order.
+    pub inputs: Vec<Vec<usize>>,
+    /// The network's output shape.
+    pub output: Vec<usize>,
+}
+
+/// Folds `input_shape` through `ops`, or returns the index and reason of
+/// the first op that rejects its input.
+pub(crate) fn infer_shapes(
+    ops: &[Op],
+    input_shape: &[usize],
+) -> Result<ChainShapes, (usize, String)> {
+    let mut inputs = Vec::with_capacity(ops.len());
+    let mut shape = input_shape.to_vec();
+    for (op_index, op) in ops.iter().enumerate() {
+        let out = op_output_shape(op, &shape).map_err(|reason| (op_index, reason))?;
+        inputs.push(std::mem::replace(&mut shape, out));
     }
-    graph
+    Ok(ChainShapes {
+        inputs,
+        output: shape,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Op-level transfer helpers shared by the shape, range, and precision
-// passes. The shape/bound rules (and their error strings) are the ones the
-// pre-engine `shape.rs` lints shipped with; they must stay byte-stable.
+// passes. The shape/bound rules and their error strings are the E02x
+// lints' published wording; they must stay byte-stable.
 // ---------------------------------------------------------------------------
 
 /// Shape inference for one op. `Ok(out_shape)` or `Err(reason)`.
@@ -619,7 +614,6 @@ fn abs_max(data: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DataflowGraph;
     use enode_hw::config::HwConfig;
 
     fn artifact(stride: usize, fp16: bool, hw: Option<HwConfig>) -> PipelineArtifact {
@@ -652,7 +646,7 @@ mod tests {
         assert_eq!(lp.n_steps, 10);
         let stages = lp.tableau.stages();
         let per_layer = 1 + lp.n_steps * (stages * 5 + 2) + 10 + 10;
-        assert_eq!(g.num_nodes(), 2 * per_layer);
+        assert_eq!(g.nodes().len(), 2 * per_layer);
         assert_eq!(lp.layer_outputs.len(), 2);
         // Layers chain: layer 1's input depends on layer 0's output.
         let l1_in = g
@@ -660,7 +654,7 @@ mod tests {
             .iter()
             .position(|n| n.kind == NodeKind::StateInput { layer: 1 })
             .unwrap();
-        assert_eq!(g.preds(l1_in), &[lp.layer_outputs[0]]);
+        assert_eq!(g.node(l1_in).preds, [lp.layer_outputs[0]]);
     }
 
     #[test]
@@ -700,11 +694,40 @@ mod tests {
     }
 
     #[test]
-    fn network_chain_matches_depth() {
-        let g = network_chain(3);
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.preds(3), &[2]);
+    fn every_op_feeds_its_layers_last_replay() {
+        // Each op's stage output reaches the layer's final state through
+        // the solution combines, and the last replay reads that state:
+        // E061 charges every op's backward cache on this fact.
+        for stride in [1, 3, 4, 10] {
+            let lp = lower_pipeline(&artifact(stride, false, Some(HwConfig::config_a())));
+            for (layer, &out) in lp.layer_outputs.iter().enumerate() {
+                let last_replay = lp
+                    .graph
+                    .nodes()
+                    .iter()
+                    .rev()
+                    .find(|n| {
+                        matches!(n.kind, NodeKind::AdjointReplay { layer: l, .. } if l == layer)
+                    })
+                    .expect("every layer closes with a replay");
+                assert_eq!(last_replay.preds[1], out, "stride {stride} layer {layer}");
+            }
+        }
+        let g = lower_pipeline(&artifact(1, false, None)).graph;
         assert_eq!(g.location(0), "L0.in");
-        assert!(g.location(2).starts_with("L0.t0.k0.op"));
+        assert_eq!(g.location(3), "L0.t0.k0.op0");
+    }
+
+    #[test]
+    fn shape_fold_reports_the_first_rejecting_op() {
+        let model = NodeModel::dynamic_system(2, 8, 2, 3);
+        let ops = model.layers()[0].ops();
+        let s = infer_shapes(ops, &[1, 2]).expect("dynamic system infers");
+        assert_eq!(s.inputs.len(), ops.len());
+        assert_eq!(s.inputs[0], [1, 2]);
+        assert_eq!(s.output, [1, 2]);
+        let (op_index, reason) = infer_shapes(ops, &[1, 5]).unwrap_err();
+        assert_eq!(op_index, 1);
+        assert_eq!(reason, "Dense expects 3 input features, got 6");
     }
 }

@@ -1,11 +1,10 @@
 //! Static analysis for the eNODE stack.
 //!
-//! The crate is built around a small abstract-interpretation framework:
 //! [`ir`] lowers a whole pipeline artifact (model, solver schedule, ACA
 //! checkpoint plan, hardware mapping) into one typed dataflow program
-//! graph, and [`engine`] runs lattice-valued passes over it to a worklist
-//! fixpoint. Ten lint families report [`Diagnostic`]s with stable
-//! codes:
+//! graph whose node ids are topological, so each pass over it is one
+//! loop in id order. Ten lint families report [`Diagnostic`]s with
+//! stable codes:
 //!
 //! * [`tableau`] — Butcher-tableau consistency (`E001`–`E006`,
 //!   `W001`–`W002`): row sums, explicitness, order conditions through
@@ -15,7 +14,7 @@
 //!   one-row-lag retirement bound.
 //! * [`shape`] — embedded-network shapes and FP16 range (`E020`–`E022`,
 //!   `W020`): NCHW shape inference and worst-case interval propagation
-//!   against `F16::MAX`, run as forward passes on the engine.
+//!   against `F16::MAX`, each one fold over the op chain.
 //! * [`hwcheck`] — hardware-configuration feasibility (`E030`–`E033`,
 //!   `W030`–`W033`): buffer provisioning, weight residency, DRAM and
 //!   ring-link bandwidth, layer-to-core mapping.
@@ -39,10 +38,10 @@
 //!   table-provenance checks.
 //! * [`fleetcheck`] — fleet registry & residency proofs (`E110`–`E114`,
 //!   `W110`–`W111`): aggregate weight-SRAM residency per instance,
-//!   rebalance feasibility under every single-node loss (a forward load
-//!   pass on the fixpoint engine), tenant-SLA ladder coverage (on
-//!   [`schedcheck`]'s response-time bound), and
-//!   published-version fingerprint provenance.
+//!   rebalance feasibility under every single-node loss (each surviving
+//!   instance's share of its tenants' rates), tenant-SLA ladder coverage
+//!   (on [`schedcheck`]'s response-time bound), and published-version
+//!   fingerprint provenance.
 //!
 //! Both committed-artifact ingests read through the one JSON reader,
 //! `enode_hw::json`: [`cost`] parses `BENCH_kernels.json`, and
@@ -61,7 +60,6 @@ pub mod consistency;
 pub mod cost;
 pub mod ddg;
 pub mod diag;
-pub mod engine;
 pub mod fleetcheck;
 pub mod hwcheck;
 pub mod ir;

@@ -2,7 +2,7 @@
 //!
 //! Codes: `E050`–`E056`, `W050`–`W053`.
 //!
-//! One forward pass on the fixpoint engine propagates a
+//! One forward sweep in node-id order propagates a
 //! magnitude/rounding-error pair (`RangeErr`) through every node of the
 //! [`crate::ir::lower_pipeline`] graph: network ops amplify the incoming
 //! error by their perturbation gain, RK combines mix stage values with
@@ -23,10 +23,9 @@
 //! quantization that rivals the tolerance after replay (`W053`).
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, Lattice, Pass};
 use crate::ir::{
-    group_elems, lower_pipeline, op_error_gain, op_output_bound, LoweredPipeline, NodeKind,
-    PipelineArtifact, ProgramGraph,
+    group_elems, lower_pipeline, op_error_gain, op_output_bound, LoweredPipeline, Node, NodeKind,
+    PipelineArtifact,
 };
 use enode_tensor::f16::F16;
 use enode_tensor::network::Op;
@@ -35,66 +34,22 @@ use std::collections::HashSet;
 /// Relative magnitude of one FP16 rounding: half an ulp, `2⁻¹¹`.
 const F16_REL: f64 = 1.0 / 2048.0;
 
-/// Abstract value per node: worst-case magnitude plus accumulated
-/// rounding error, both absolute.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Value per node: worst-case magnitude plus accumulated rounding error,
+/// both absolute.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct RangeErr {
-    reached: bool,
     mag: f64,
     err: f64,
 }
 
 impl RangeErr {
     fn new(mag: f64, err: f64) -> Self {
-        RangeErr {
-            reached: true,
-            mag,
-            err,
-        }
+        RangeErr { mag, err }
     }
 }
 
-impl Lattice for RangeErr {
-    fn bottom() -> Self {
-        RangeErr {
-            reached: false,
-            mag: 0.0,
-            err: 0.0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.mag > self.mag {
-            self.mag = other.mag;
-            changed = true;
-        }
-        if other.err > self.err {
-            self.err = other.err;
-            changed = true;
-        }
-        changed
-    }
-    fn widen_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.mag > self.mag {
-            self.mag = f64::INFINITY;
-            changed = true;
-        }
-        if other.err > self.err {
-            self.err = f64::INFINITY;
-            changed = true;
-        }
-        self.reached |= other.reached;
-        changed
-    }
-}
-
-/// The forward range/error pass. Holds the schedule facts the transfer
-/// function needs alongside the graph.
+/// The forward range/error pass: the schedule facts a node's value
+/// depends on besides its predecessors' values.
 struct PrecisionPass<'a> {
     artifact: &'a PipelineArtifact,
     lowered: &'a LoweredPipeline,
@@ -120,18 +75,13 @@ impl PrecisionPass<'_> {
             .as_ref()
             .expect("shapes checked")[op_index]
     }
-}
 
-impl Pass<ProgramGraph> for PrecisionPass<'_> {
-    type Value = RangeErr;
-
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[RangeErr]) -> RangeErr {
-        if !deps.is_empty() && deps.iter().any(|d| !d.reached) {
-            return RangeErr::bottom();
-        }
+    /// The node's value from its predecessors' values, `deps`, in the
+    /// order [`NodeKind`] documents.
+    fn transfer(&self, node: &Node, deps: &[RangeErr]) -> RangeErr {
         let h = self.lowered.h;
         let tab = &self.lowered.tableau;
-        match &graph.node(node).kind {
+        match &node.kind {
             NodeKind::StateInput { .. } => match deps.first() {
                 // Layer 0 boundary: the caller's input bound, exact.
                 None => RangeErr::new(self.artifact.input_bound, 0.0),
@@ -201,7 +151,7 @@ impl Pass<ProgramGraph> for PrecisionPass<'_> {
                 RangeErr::new(end.mag + quant * gain, end.err + quant * gain)
             }
             // Placement nodes carry no numeric value.
-            NodeKind::MapLayer { .. } => RangeErr::bottom(),
+            NodeKind::MapLayer { .. } => RangeErr::default(),
         }
     }
 }
@@ -300,19 +250,20 @@ pub fn lint_precision(artifact: &PipelineArtifact) -> Diagnostics {
         artifact,
         lowered: &lowered,
     };
-    let fx = run_to_fixpoint(&lowered.graph, &pass);
     let fp16 = artifact.solver.fp16_storage;
 
-    // Emission walk: first offending site per (layer, op / combine kind),
-    // in node-id order (earliest step first).
+    // One sweep in node-id order: ids are topological, so every
+    // predecessor's value is final when a node reads it. Each node's
+    // value is checked as it is computed, reporting the first offending
+    // site per (layer, op / combine kind), earliest step first.
+    let mut values: Vec<RangeErr> = Vec::with_capacity(lowered.graph.nodes().len());
     let mut op_overflow = HashSet::new();
     let mut combine_overflow = HashSet::new();
     let mut layer_once: HashSet<(u8, usize)> = HashSet::new();
     for (id, node) in lowered.graph.nodes().iter().enumerate() {
-        let v = fx.values[id];
-        if !v.reached {
-            continue;
-        }
+        let deps: Vec<RangeErr> = node.preds.iter().map(|&p| values[p]).collect();
+        let v = pass.transfer(node, &deps);
+        values.push(v);
         let loc = lowered.graph.location(id);
         match &node.kind {
             NodeKind::NetOp {
@@ -443,7 +394,7 @@ pub fn lint_precision(artifact: &PipelineArtifact) -> Diagnostics {
                 // W053: quantization alone, amplified over a multi-step
                 // recompute interval, must stay well under the tolerance.
                 if *ck_fp16 && *steps > 1 {
-                    let ck = fx.values[node.preds[0]];
+                    let ck = values[node.preds[0]];
                     let gain = (1.0 + lowered.h * lowered.tableau.abs_b_sum()).powi(*steps as i32);
                     let amp = ck.mag * F16_REL * gain;
                     if amp > 0.1 * tol && layer_once.insert((4, *layer)) {

@@ -414,9 +414,9 @@ pub fn explanation(code: Code) -> &'static str {
             "Some single-instance loss (or the nominal deployment itself) leaves tenant load \
              unservable: either no surviving instance serves a model that still has bound \
              tenants, or the consistent-hash rebalance concentrates more offered req/s onto \
-             a survivor than its policy's declared design_rate_rps. The verdict comes from \
-             the fixpoint load pass: tenant nodes originate their bound rates, instance \
-             nodes accumulate per-survivor shares, and every loss scenario is re-converged. \
+             a survivor than its policy's declared design_rate_rps. Per scenario, each \
+             surviving instance's load is the sum over its model's tenants of each bound \
+             rate divided (rounding up) by the model's surviving instance count. \
              A fleet that only works while all instances are up has no failure story — add \
              a replica of the starved model or lower the tenant rates until one loss is \
              absorbable."

@@ -2,213 +2,35 @@
 //!
 //! Codes: `E020`–`E022`, `W020`.
 //!
-//! Two static analyses over an embedded-NN [`Network`], both run as
-//! forward passes on the fixpoint engine ([`crate::engine`]) over the
-//! linear chain graph [`crate::ir::network_chain`] builds (this family
-//! predates the engine; the codes and messages are unchanged by the
-//! port):
+//! Two static analyses over an embedded-NN [`Network`], both one fold
+//! over its op chain:
 //!
 //! 1. **NCHW shape inference** — threads a symbolic shape through the op
-//!    chain and reports the first op that rejects its input (`E020`), then
-//!    checks that the chain as a whole preserves the state shape (`E021`)
-//!    — `dh/dt = f(t, h)` only makes sense when `f` maps the state space
-//!    to itself.
+//!    chain (`ir::infer_shapes`) and reports the first op that rejects its
+//!    input (`E020`), then checks that the chain as a whole preserves the
+//!    state shape (`E021`) — `dh/dt = f(t, h)` only makes sense when `f`
+//!    maps the state space to itself.
 //! 2. **FP16 interval propagation** — threads a worst-case absolute
 //!    magnitude bound through the same chain and flags any intermediate
 //!    that can exceed `F16::MAX` (`E022`) or come within 2× of it
 //!    (`W020`), the failure mode the paper's FP16 datapath must avoid.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Lattice, Pass};
-use crate::ir::{network_chain, op_output_bound, op_output_shape, NodeKind, ProgramGraph};
+use crate::ir::{infer_shapes, op_output_bound};
 use enode_tensor::f16::F16;
 use enode_tensor::network::Network;
 
-/// Abstract shape of one chain node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum ShapeVal {
-    /// Not reached yet.
-    Bottom,
-    /// A concrete inferred shape.
-    Shape(Vec<usize>),
-    /// Inference failed at op `op_index`; absorbs everything downstream.
-    Reject { op_index: usize, reason: String },
-}
-
-impl Lattice for ShapeVal {
-    fn bottom() -> Self {
-        ShapeVal::Bottom
+/// Largest worst-case magnitude over the network's input and every op
+/// output, for inputs bounded by `input_bound`; `op_in_shapes` are the
+/// ops' input shapes (GroupNorm's bound depends on the group size).
+fn worst_case_magnitude(net: &Network, op_in_shapes: &[Vec<usize>], input_bound: f64) -> f64 {
+    let mut bound = input_bound;
+    let mut worst = input_bound;
+    for (op, shape) in net.ops().iter().zip(op_in_shapes) {
+        bound = op_output_bound(op, shape, bound);
+        worst = worst.max(bound);
     }
-    fn join_from(&mut self, other: &Self) -> bool {
-        match (&*self, other) {
-            (_, ShapeVal::Bottom) => false,
-            (ShapeVal::Bottom, _) => {
-                *self = other.clone();
-                true
-            }
-            // A rejection dominates any inferred shape.
-            (ShapeVal::Shape(_), ShapeVal::Reject { .. }) => {
-                *self = other.clone();
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Forward shape-inference pass over a [`network_chain`] graph.
-struct ShapePass<'a> {
-    net: &'a Network,
-    input_shape: &'a [usize],
-}
-
-impl Pass<ProgramGraph> for ShapePass<'_> {
-    type Value = ShapeVal;
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[ShapeVal]) -> ShapeVal {
-        match &graph.node(node).kind {
-            NodeKind::StateInput { .. } => ShapeVal::Shape(self.input_shape.to_vec()),
-            NodeKind::NetOp { op_index, .. } => match deps.first() {
-                Some(ShapeVal::Shape(s)) => match op_output_shape(&self.net.ops()[*op_index], s) {
-                    Ok(out) => ShapeVal::Shape(out),
-                    Err(reason) => ShapeVal::Reject {
-                        op_index: *op_index,
-                        reason,
-                    },
-                },
-                Some(r @ ShapeVal::Reject { .. }) => r.clone(),
-                _ => ShapeVal::Bottom,
-            },
-            _ => ShapeVal::Bottom,
-        }
-    }
-}
-
-/// Abstract magnitude of one chain node: the node's own worst-case bound
-/// plus the running maximum over the whole prefix.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct BoundVal {
-    reached: bool,
-    bound: f64,
-    worst: f64,
-}
-
-impl Lattice for BoundVal {
-    fn bottom() -> Self {
-        BoundVal {
-            reached: false,
-            bound: 0.0,
-            worst: 0.0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.bound > self.bound {
-            self.bound = other.bound;
-            changed = true;
-        }
-        if other.worst > self.worst {
-            self.worst = other.worst;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// Forward FP16 range pass; needs the per-op input shapes the shape pass
-/// inferred (GroupNorm's bound depends on the group size).
-struct BoundPass<'a> {
-    net: &'a Network,
-    op_in_shapes: &'a [Vec<usize>],
-    input_bound: f64,
-}
-
-impl Pass<ProgramGraph> for BoundPass<'_> {
-    type Value = BoundVal;
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[BoundVal]) -> BoundVal {
-        match &graph.node(node).kind {
-            NodeKind::StateInput { .. } => BoundVal {
-                reached: true,
-                bound: self.input_bound,
-                worst: self.input_bound,
-            },
-            NodeKind::NetOp { op_index, .. } => match deps.first() {
-                Some(d) if d.reached => {
-                    let bound = op_output_bound(
-                        &self.net.ops()[*op_index],
-                        &self.op_in_shapes[*op_index],
-                        d.bound,
-                    );
-                    BoundVal {
-                        reached: true,
-                        bound,
-                        worst: d.worst.max(bound),
-                    }
-                }
-                _ => BoundVal::bottom(),
-            },
-            _ => BoundVal::bottom(),
-        }
-    }
-}
-
-/// Runs the shape pass and returns every op's *input* shape, or the first
-/// op index + reason that rejected.
-fn infer_chain(net: &Network, input_shape: &[usize]) -> Result<Vec<Vec<usize>>, (usize, String)> {
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(&graph, &ShapePass { net, input_shape });
-    // Node i+1 is op i; its input shape is node i's value.
-    let mut in_shapes = Vec::with_capacity(net.ops().len());
-    for id in 0..graph.num_nodes() {
-        match &fx.values[id] {
-            ShapeVal::Shape(s) => {
-                if id < net.ops().len() {
-                    in_shapes.push(s.clone());
-                }
-            }
-            ShapeVal::Reject { op_index, reason } => {
-                return Err((*op_index, reason.clone()));
-            }
-            ShapeVal::Bottom => unreachable!("chain nodes are all reachable"),
-        }
-    }
-    Ok(in_shapes)
-}
-
-/// Infers the output shape of a network on `input_shape`, or the first
-/// op index + reason that rejects it.
-pub fn infer_output_shape(
-    net: &Network,
-    input_shape: &[usize],
-) -> Result<Vec<usize>, (usize, String)> {
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(&graph, &ShapePass { net, input_shape });
-    match &fx.values[graph.num_nodes() - 1] {
-        ShapeVal::Shape(s) => Ok(s.clone()),
-        ShapeVal::Reject { op_index, reason } => Err((*op_index, reason.clone())),
-        ShapeVal::Bottom => unreachable!("chain nodes are all reachable"),
-    }
-}
-
-/// Worst-case absolute magnitude of the network output (and every
-/// intermediate's running maximum) for inputs bounded by `input_bound`.
-/// Returns `None` when shape inference fails.
-pub fn fp16_worst_case(net: &Network, input_shape: &[usize], input_bound: f64) -> Option<f64> {
-    let op_in_shapes = infer_chain(net, input_shape).ok()?;
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(
-        &graph,
-        &BoundPass {
-            net,
-            op_in_shapes: &op_in_shapes,
-            input_bound,
-        },
-    );
-    let last = fx.values[graph.num_nodes() - 1];
-    last.reached.then_some(last.worst)
+    worst
 }
 
 /// Runs the shape and FP16-range lints on one network.
@@ -225,7 +47,7 @@ pub fn lint_network(
     let mut ds = Diagnostics::new();
 
     // E020: per-op shape legality.
-    let out_shape = match infer_output_shape(net, input_shape) {
+    let shapes = match infer_shapes(net.ops(), input_shape) {
         Ok(s) => s,
         Err((idx, reason)) => {
             ds.push(
@@ -242,6 +64,7 @@ pub fn lint_network(
     };
 
     // E021: f must be an endomap of the state space.
+    let out_shape = &shapes.output;
     if out_shape != input_shape {
         ds.push(
             Diagnostic::new(
@@ -256,28 +79,27 @@ pub fn lint_network(
 
     // E022 / W020: FP16 range.
     let f16_max = F16::MAX.to_f32() as f64;
-    if let Some(worst) = fp16_worst_case(net, input_shape, input_bound) {
-        if worst > f16_max {
-            ds.push(
-                Diagnostic::new(
-                    Code::E022Fp16Overflow,
-                    subject,
-                    format!("worst-case magnitude {worst:.1} exceeds F16::MAX = {f16_max}"),
-                )
-                .with_note("worst_case", format!("{worst:.1}"))
-                .with_note("f16_max", f16_max),
-            );
-        } else if worst > f16_max / 2.0 {
-            ds.push(
-                Diagnostic::new(
-                    Code::W020Fp16NearOverflow,
-                    subject,
-                    format!("worst-case magnitude {worst:.1} is within 2x of F16::MAX"),
-                )
-                .with_note("worst_case", format!("{worst:.1}"))
-                .with_note("f16_max", f16_max),
-            );
-        }
+    let worst = worst_case_magnitude(net, &shapes.inputs, input_bound);
+    if worst > f16_max {
+        ds.push(
+            Diagnostic::new(
+                Code::E022Fp16Overflow,
+                subject,
+                format!("worst-case magnitude {worst:.1} exceeds F16::MAX = {f16_max}"),
+            )
+            .with_note("worst_case", format!("{worst:.1}"))
+            .with_note("f16_max", f16_max),
+        );
+    } else if worst > f16_max / 2.0 {
+        ds.push(
+            Diagnostic::new(
+                Code::W020Fp16NearOverflow,
+                subject,
+                format!("worst-case magnitude {worst:.1} is within 2x of F16::MAX"),
+            )
+            .with_note("worst_case", format!("{worst:.1}"))
+            .with_note("f16_max", f16_max),
+        );
     }
 
     ds
@@ -393,9 +215,9 @@ mod tests {
         use enode_node::model::NodeModel;
         let m = NodeModel::dynamic_system(4, 32, 2, 7);
         for layer in m.layers() {
-            let out = infer_output_shape(layer, &[1, 4]).expect("shape chain must infer");
-            assert_eq!(out, vec![1, 4]);
-            assert!(fp16_worst_case(layer, &[1, 4], 4.0).unwrap() < 65504.0);
+            let shapes = infer_shapes(layer.ops(), &[1, 4]).expect("shape chain must infer");
+            assert_eq!(shapes.output, vec![1, 4]);
+            assert!(worst_case_magnitude(layer, &shapes.inputs, 4.0) < 65504.0);
         }
     }
 }

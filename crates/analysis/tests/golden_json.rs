@@ -1,8 +1,7 @@
 //! Golden-file test: pins the `enode-lint --json` line format (code,
 //! severity, artifact, message, notes) byte-for-byte against a checked-in
-//! corpus, so the JSON output is a stable machine interface and the E02x
-//! shape lints — re-hosted on the fixpoint engine — are provably
-//! message-compatible with their pre-engine wording.
+//! corpus, so the JSON output is a stable machine interface and a change
+//! to any family's wording shows up as a diff here.
 //!
 //! To regenerate after an *intentional* format change:
 //!
@@ -136,6 +135,23 @@ fn corpus() -> String {
         .render_json(),
     );
 
+    // W053 (with W050/W051/W052): fp16 checkpoints every 8 steps at a
+    // loose tolerance; the replayed quantization outgrows 0.1x tolerance.
+    section(
+        "W053 replayed checkpoint quantization",
+        lint_precision(&PipelineArtifact::new(
+            "golden/long_recompute",
+            NodeModel::dynamic_system(2, 16, 2, 42),
+            vec![1, 2],
+            4.0,
+            NodeSolveOptions::new(2e-4)
+                .with_fp16_storage()
+                .with_checkpoint_stride(8),
+            None,
+        ))
+        .render_json(),
+    );
+
     // E060 + E061 + E062: one starved hardware config trips all three
     // cross-artifact checks at once.
     let mut cfg = HwConfig::config_a();
@@ -189,13 +205,17 @@ fn corpus() -> String {
         schedcheck::lint_config(&hot, &table).render_json(),
     );
 
-    // E110 / E113: the fleet prover over the shipped registry with one
-    // publish or one fingerprint doctored (same seeds as
-    // tests/mutations.rs).
+    // E110 / E111 / E113: the fleet prover over the shipped registry with
+    // one publish, the edge tenants' rates or one fingerprint doctored
+    // (E110 and E113 share their seeds with tests/mutations.rs).
     let table = schedcheck::shipped_table().expect("committed table parses");
     section(
         "E110 oversized publish",
         fleetcheck::lint_fleet(&oversized_fleet(), &table).render_json(),
+    );
+    section(
+        "E111 post-loss overload",
+        fleetcheck::lint_fleet(&overloaded_fleet(), &table).render_json(),
     );
     section(
         "E113 tampered fingerprint",
@@ -217,6 +237,19 @@ fn oversized_fleet() -> FleetConfig {
         8,
     );
     cfg.registry = (*reg.snapshot()).clone();
+    cfg
+}
+
+/// The shipped fleet with each edge tenant offering 150 req/s: 150 per
+/// instance nominally (design 200), 300 on the survivor of either edge
+/// instance's loss; the E111 overload seed.
+fn overloaded_fleet() -> FleetConfig {
+    let mut cfg = FleetConfig::shipped();
+    for b in &mut cfg.registry.tenants {
+        if b.model == "edge_default" {
+            b.rate_rps = 150.0;
+        }
+    }
     cfg
 }
 
@@ -244,8 +277,8 @@ fn json_output_matches_golden_corpus() {
     );
 }
 
-/// The E02x wording predates the fixpoint engine; these exact strings are
-/// the compatibility contract for the port (golden drift in *other*
+/// The E02x wording shipped with the first lint release; these exact
+/// strings are its compatibility contract (golden drift in *other*
 /// families is re-blessable, these messages are not).
 #[test]
 fn e02x_messages_are_byte_stable() {

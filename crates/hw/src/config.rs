@@ -115,50 +115,67 @@ impl HwConfig {
         cfg
     }
 
-    /// Checks the structural sanity of the configuration, returning the
-    /// first problem found. The simulators call this behind
-    /// `debug_assert!` as a cheap preflight; the `enode-analysis` crate
-    /// wraps it (plus the quantitative feasibility checks) into full
-    /// diagnostics.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Every structural problem with the raw fields, in field order: a
+    /// zero dimension or count, a clock or bandwidth that is not positive
+    /// (NaN included), an even kernel, more backward than forward stages.
+    /// [`HwConfig::validate`] reports the first; the `enode-analysis`
+    /// crate reports each as an `E030` diagnostic.
+    pub fn field_problems(&self) -> Vec<String> {
+        let mut problems = Vec::new();
         if self.layer.h == 0 || self.layer.w == 0 || self.layer.c == 0 {
-            return Err(format!(
+            problems.push(format!(
                 "layer dims {}x{}x{} contain a zero",
                 self.layer.h, self.layer.w, self.layer.c
             ));
         }
-        if self.cores == 0 || self.pes_per_core == 0 || self.parallel_channels == 0 {
-            return Err("cores, PEs per core and parallel channels must be nonzero".into());
+        if self.cores == 0 {
+            problems.push("zero NN cores".into());
+        }
+        if self.pes_per_core == 0 {
+            problems.push("zero PEs per core".into());
+        }
+        if self.parallel_channels == 0 {
+            problems.push("zero parallel channels".into());
         }
         if self.clock_hz <= 0.0 || self.clock_hz.is_nan() {
-            return Err(format!("clock must be positive, got {}", self.clock_hz));
+            problems.push(format!("non-positive clock {}", self.clock_hz));
         }
         if self.link_bandwidth <= 0.0
             || self.dram_bandwidth <= 0.0
             || self.link_bandwidth.is_nan()
             || self.dram_bandwidth.is_nan()
         {
-            return Err("link and DRAM bandwidth must be positive".into());
+            problems.push("non-positive link or DRAM bandwidth".into());
         }
         if self.n_conv == 0 {
-            return Err("embedded network needs at least one conv layer".into());
+            problems.push("embedded network has zero conv layers".into());
         }
         if self.kernel == 0 || self.kernel.is_multiple_of(2) {
-            return Err(format!(
-                "kernel {} must be odd for \"same\" padding",
+            problems.push(format!(
+                "kernel {} is not odd (\"same\" padding needs odd kernels)",
                 self.kernel
             ));
         }
         if self.stages == 0 {
-            return Err("integrator needs at least one stage".into());
+            problems.push("zero integrator stages".into());
         }
         if self.stages_backward > self.stages {
-            return Err(format!(
+            problems.push(format!(
                 "stages_backward {} exceeds stages {}",
                 self.stages_backward, self.stages
             ));
         }
-        Ok(())
+        problems
+    }
+
+    /// Checks the structural sanity of the configuration, returning the
+    /// first of [`HwConfig::field_problems`]. The simulators call this
+    /// behind `debug_assert!` as a cheap preflight.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.field_problems().into_iter().next() {
+            Some(problem) => Err(problem),
+            None => Ok(()),
+        }
     }
 
     /// Total MAC throughput in MACs per cycle (all cores).

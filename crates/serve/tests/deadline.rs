@@ -2,6 +2,9 @@
 //! solver, thin slack degrades instead of missing, and the metrics
 //! counters reconcile with the submitted count exactly.
 
+mod common;
+
+use common::drain_bounded;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{Clock, Priority, Rejected, Request, ServeConfig, Server, ToleranceClass};
@@ -34,7 +37,7 @@ fn expired_request_is_shed_before_dispatch() {
     let t = s.submit(req(1, 5_000)).unwrap();
     // The deadline passes while the request is still queued.
     clock.set_us(10_000);
-    s.drain();
+    let s = drain_bounded(s, Server::drain);
     match t.wait() {
         Err(Rejected::DeadlineExpired {
             deadline_us,
@@ -60,7 +63,7 @@ fn nearly_expired_request_degrades_but_completes() {
     let s = server(clock);
     // edge_default tier 0 wants >= 20ms of slack; offer only 3ms.
     let t = s.submit(req(2, 3_000)).unwrap();
-    s.drain();
+    let s = drain_bounded(s, Server::drain);
     let resp = t.wait().expect("thin slack must degrade, not miss");
     assert!(resp.tier > 0, "expected a degraded tier, got tier 0");
     let snap = s.snapshot();
@@ -77,7 +80,7 @@ fn slack_bands_map_to_the_configured_ladder() {
     let full = s.submit(req(3, 500_000)).unwrap();
     let mid = s.submit(req(4, 10_000)).unwrap();
     let thin = s.submit(req(5, 1_000)).unwrap();
-    s.drain();
+    let s = drain_bounded(s, Server::drain);
     assert_eq!(full.wait().unwrap().tier, 0);
     assert_eq!(mid.wait().unwrap().tier, 1);
     assert_eq!(thin.wait().unwrap().tier, 2);
@@ -87,7 +90,7 @@ fn slack_bands_map_to_the_configured_ladder() {
 #[test]
 fn counters_reconcile_exactly_with_submissions() {
     let clock = Clock::virtual_at(0);
-    let mut s = server(clock.clone());
+    let s = server(clock.clone());
     // 4 completed (2 of them degraded), 2 shed, 1 cancelled at shutdown.
     let mut tickets = Vec::new();
     for i in 0..2 {
@@ -100,7 +103,7 @@ fn counters_reconcile_exactly_with_submissions() {
         tickets.push(s.submit(req(30 + i, 2_000)).unwrap()); // will expire
     }
     clock.set_us(5_000); // expire the 2ms-deadline pair
-    s.drain();
+    let mut s = drain_bounded(s, Server::drain);
     let late = s.submit(req(40, 1_000_000)).unwrap();
     s.shutdown(); // sweeps the late request as cancelled
 

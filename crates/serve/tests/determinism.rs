@@ -8,6 +8,9 @@
 //! and arrival interleaving are all scheduling noise that must never
 //! reach the numbers.
 
+mod common;
+
+use common::drain_bounded;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{
@@ -60,7 +63,7 @@ fn run(workers: usize, order: &[usize]) -> Vec<(Vec<u32>, usize)> {
     for &i in order {
         tickets[i] = Some(server.submit(reqs[i].clone()).expect("admitted"));
     }
-    server.drain();
+    drain_bounded(server, Server::drain);
     tickets
         .into_iter()
         .map(|t| {
@@ -121,7 +124,7 @@ fn panicking_request_fails_alone_and_queue_survives() {
         priority: Priority::Normal,
     };
     let bad = server.submit(poison).expect("admitted");
-    server.drain();
+    let server = drain_bounded(server, Server::drain);
     assert_eq!(bad.wait(), Err(Rejected::WorkerPanic));
 
     // The queue, the workers, and the pool must all still function.
@@ -133,7 +136,7 @@ fn panicking_request_fails_alone_and_queue_survives() {
             priority: Priority::Normal,
         })
         .expect("queue must accept work after a worker panic");
-    server.drain();
+    let server = drain_bounded(server, Server::drain);
     let resp = good.wait().expect("served after the panic");
     assert_eq!(resp.tier, 0);
 
@@ -165,7 +168,7 @@ fn panicking_batchmate_fails_the_whole_batch_explicitly() {
             priority: Priority::Normal,
         })
         .unwrap();
-    server.drain();
+    let server = drain_bounded(server, Server::drain);
     assert_eq!(good.wait(), Err(Rejected::WorkerPanic));
     assert_eq!(bad.wait(), Err(Rejected::WorkerPanic));
     assert_eq!(server.snapshot().failed, 2);

@@ -5,6 +5,9 @@
 //! `ENODE_THREADS=4` as well, pinning independence from the tensor
 //! pool's parallelism.
 
+mod common;
+
+use common::drain_bounded;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{
@@ -62,7 +65,7 @@ fn run(workers: usize, order: &[(usize, usize)]) -> Responses {
             .expect("workload fits every queue");
         tickets.push(((t, k), ticket));
     }
-    fleet.drain();
+    drain_bounded(fleet, Fleet::drain);
     let mut out: Responses = tickets
         .into_iter()
         .map(|(key, ticket)| {
@@ -165,7 +168,7 @@ fn node_loss_mid_run_preserves_determinism_for_survivors() {
             let input = init::uniform(&[1, 2], -1.0, 1.0, seed);
             tickets.push(((t, k), fleet.submit_detached(TENANTS[t], input).unwrap()));
         }
-        fleet.drain();
+        drain_bounded(fleet, Fleet::drain);
         let mut out: Responses = tickets
             .into_iter()
             .map(|(key, ticket)| {

@@ -12,8 +12,11 @@
 
 #![cfg(feature = "synctrace")]
 
+mod common;
+
 use std::collections::BTreeSet;
 
+use common::drain_bounded;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{
@@ -56,7 +59,7 @@ fn drive_server(workers: usize) {
     let mut cfg = ServeConfig::edge_default();
     cfg.workers = workers;
     let clock = Clock::virtual_at(0);
-    let mut s = Server::new(
+    let s = Server::new(
         NodeModel::dynamic_system(2, 8, 1, 42),
         NodeSolveOptions::new(1e-4),
         cfg,
@@ -68,7 +71,7 @@ fn drive_server(workers: usize) {
     }
     tickets.push(s.submit(req(90, 2_000)).unwrap()); // will expire
     clock.set_us(5_000);
-    s.drain();
+    let mut s = drain_bounded(s, Server::drain);
     let swept = s.submit(req(91, 1_000_000)).unwrap();
     s.shutdown();
     assert_eq!(
@@ -116,8 +119,7 @@ fn drive_fleet() {
         let input = init::uniform(&[1, 2], -1.0, 1.0, 500 + i as u64);
         fleet.submit(tenant, input).expect("an idle fleet admits");
     }
-    fleet.drain();
-    let result = fleet.finish();
+    let result = drain_bounded(fleet, Fleet::drain).finish();
     let completed: u64 = result.tenants.iter().map(|t| t.completed).sum();
     assert_eq!(completed, 4);
 }

@@ -6,10 +6,13 @@
 //! protocol (`consistent()` on every mid-flight snapshot, `reconciles()`
 //! at quiescence).
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::drain_bounded;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_serve::{Clock, Priority, Rejected, Request, ServeConfig, Server, ToleranceClass};
@@ -67,19 +70,9 @@ fn drain_wakes_on_the_last_delivery() {
     // it, and `drain` then parks until the server is empty. The delivery
     // that empties it is the last event, so its notify is the only thing
     // that can wake the parked `drain`.
-    let s = Arc::new(server_with(Clock::virtual_at(0), 1));
+    let s = server_with(Clock::virtual_at(0), 1);
     let t = s.submit(req(5, 30_000_000)).unwrap();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let drainer = Arc::clone(&s);
-    let helper = std::thread::spawn(move || {
-        drainer.drain();
-        let _ = done_tx.send(());
-    });
-    assert!(
-        done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
-        "drain never woke after the last delivery"
-    );
-    helper.join().expect("the drain helper panicked");
+    let s = drain_bounded(s, Server::drain);
     let resp = t.wait().expect("30s of slack must complete");
     assert_eq!(resp.tier, 0, "30s of slack must not degrade");
     assert!(s.snapshot().reconciles());
@@ -210,7 +203,7 @@ fn four_thread_stress_keeps_every_snapshot_consistent() {
     for h in submitters {
         h.join().expect("submitter thread");
     }
-    s.drain();
+    let s = drain_bounded(s, |s| s.drain());
     stop.store(true, Ordering::Release);
     let observations = observer.join().expect("observer thread");
     assert!(observations > 0, "the observer must have raced the load");
